@@ -70,6 +70,7 @@ from .kfree import (
     KFreeTable,
     MoebiusTable,
     count_kfree,
+    floor_sum,
     kfree_indicator_moebius,
     kfree_indicator_moebius_range,
     sieve_kfree,

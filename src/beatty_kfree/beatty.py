@@ -4,7 +4,13 @@ The membership criterion is the fractional-part test
     m = floor(alpha*n + beta) for some integer n  iff  0 < {gamma*m + delta} <= gamma,
 with gamma = 1/alpha and delta = (1 - beta)/alpha; the witness n is
 floor(gamma*m + delta). All floor and comparison decisions are certified
-via interval fixed-point arithmetic with precision escalation.
+via interval fixed-point arithmetic with precision escalation. The block
+kernels decide in float64 away from the borders and send entries near a
+border (border_indices) to the certified scalar path.
+
+The k-free count along the sequence enumerates no terms: it sums Moebius
+weights of floor sums over a rational slope certified to reproduce every
+term up to x, O(x**(1/k)) floor sums of O(log x) steps each.
 """
 from __future__ import annotations
 
@@ -21,9 +27,17 @@ from .fixed import (
     MAX_BITS,
     FixedReal,
     decision_margin,
+    frac_to_float,
     frac_vector,
 )
-from .kfree import DEFAULT_MEMORY_BYTES, sieve_kfree, zeta
+from .kfree import (  # noqa: F401  perfbench's tracer self-test expects beatty.sieve_kfree
+    DEFAULT_MEMORY_BYTES,
+    floor_sum,
+    iroot,
+    sieve_kfree,
+    sieve_moebius,
+    zeta,
+)
 
 _BORDER_TOL = 2.0**-40
 
@@ -115,20 +129,43 @@ def beatty_term(p: BeattyParams, n: int) -> int:
     raise PrecisionExhausted(f"floor(alpha*{n}+beta) undecidable up to {p.max_bits} bits")
 
 
-def beatty_terms_block(p: BeattyParams, n_lo: int, n_hi: int) -> np.ndarray:
-    """Vector of floor(alpha*n + beta) for n in [n_lo, n_hi].
+def border_indices(
+    f: np.ndarray, value: FixedReal, offset: FixedReal, n_hi: int, *targets: float
+) -> np.ndarray:
+    """Indices i where f[i], the float fractional part of value*n + offset for
+    the i-th n of a block ending at n_hi, lies too near 0, 1 or one of
+    targets for a float decision to hold.
 
-    Fast path combines a float64 estimate with exactly reduced fractional
-    parts; entries whose fractional part sits within 2**-40 of an integer
-    are recomputed through the certified scalar path.
+    The tolerance is the float kernels' 2**-40 plus the error bound of
+    value*n_hi + offset, so a wide alpha interval (short cf:, coarse dec:)
+    sends its entries to the certified scalar path.
+    """
+    tol = _BORDER_TOL + (value.err_ulps * n_hi + offset.err_ulps) / (1 << value.scale_bits)
+    near = (f < tol) | (f > 1.0 - tol)
+    for t in targets:
+        near |= np.abs(f - t) < tol
+    return np.nonzero(near)[0]
+
+
+def beatty_terms_block(p: BeattyParams, n_lo: int, n_hi: int) -> np.ndarray:
+    """Vector of floor(alpha*n + beta) for n in [n_lo, n_hi] (int64).
+
+    The integer part a0*n of alpha*n is exact; a float64 estimate of
+    frac(alpha)*n + beta, less its exactly reduced fractional part, gives
+    the rest. Entries near a border are recomputed through the certified
+    scalar path. Raises ValueError when the terms could leave int64.
     """
     lv = p.level(p.precision_bits)
+    a0 = lv.alpha.mantissa >> lv.bits
+    if (a0 + 1) * n_hi + abs(p.beta) + 1 >= 1 << 63:
+        raise ValueError(
+            f"terms of alpha={p.alpha} up to n_hi={n_hi} exceed the int64 limit 2**63"
+        )
     n = np.arange(n_lo, n_hi + 1, dtype=np.uint64)
     f = frac_vector(lv.alpha.mantissa, lv.bits, n, offset_mantissa=lv.beta.mantissa)
-    v = lv.alpha.to_float() * n.astype(np.float64) + lv.beta.to_float()
-    m = np.rint(v - f).astype(np.int64)
-    border = np.nonzero((f < _BORDER_TOL) | (f > 1.0 - _BORDER_TOL))[0]
-    for i in border:
+    v = frac_to_float(lv.alpha.mantissa, lv.bits) * n.astype(np.float64) + lv.beta.to_float()
+    m = np.rint(v - f).astype(np.int64) + np.int64(a0) * n.view(np.int64)
+    for i in border_indices(f, lv.alpha, lv.beta, n_hi):
         m[i] = beatty_term(p, n_lo + int(i))
     return m
 
@@ -186,12 +223,41 @@ def member_flags_block(p: BeattyParams, m_lo: int, m_hi: int) -> np.ndarray:
     f = frac_vector(lv.gamma.mantissa, lv.bits, m, offset_mantissa=lv.delta.mantissa)
     gf = lv.gamma.to_float()
     flags = (f > 0.0) & (f <= gf)
-    border = np.nonzero(
-        (f < _BORDER_TOL) | (f > 1.0 - _BORDER_TOL) | (np.abs(f - gf) < _BORDER_TOL)
-    )[0]
-    for i in border:
+    for i in border_indices(f, lv.gamma, lv.delta, m_hi, gf):
         flags[i] = is_member(p, m_lo + int(i))
     return flags
+
+
+def _certified_slope(p: BeattyParams, x: int) -> Fraction:
+    """A rational s with floor(s*n + beta) = floor(alpha*n + beta) for 1 <= n <= x.
+
+    Every slope in alpha's certified interval [lo, hi] gives terms between
+    those of lo and of hi, so equal term totals at lo and hi (one floor sum
+    each) make every term agree and lo stands in for alpha. The bits double
+    from p.precision_bits up to p.max_bits; PrecisionExhausted when no
+    interval certifies, or at once when the spec returns the same interval.
+    """
+    b, c = p.beta.numerator, p.beta.denominator
+
+    def total(s: Fraction) -> int:
+        a, q = s.numerator, s.denominator
+        return floor_sum(x, q * c, a * c, a * c + b * q)
+
+    tried: list[int] = []
+    bits, prev = p.precision_bits, None
+    while bits <= p.max_bits:
+        lo, hi = p.alpha.eval_interval(bits)
+        if (lo, hi) == prev:
+            break
+        tried.append(bits)
+        if total(lo) == total(hi):
+            return lo
+        prev = lo, hi
+        bits *= 2
+    raise PrecisionExhausted(
+        f"floor(alpha*n+beta) for n <= x={x} not certified for alpha={p.alpha} "
+        f"at bits {tried}"
+    )
 
 
 def count_kfree_beatty(
@@ -199,28 +265,35 @@ def count_kfree_beatty(
     x: int,
     k: int,
     memory_bytes: int = DEFAULT_MEMORY_BYTES,
-    block: int = 1 << 20,
 ) -> tuple[int, float, float]:
-    """Count n <= x with floor(alpha*n + beta) k-free; error vs x/zeta(k).
+    """Count n <= x with t_n = floor(alpha*n + beta) k-free; error vs x/zeta(k).
 
-    Streams blocks of n, sieving k-free flags over the matching window of
-    term values, so memory stays bounded by the block span.
+    Exact without enumerating terms:
+        count = sum_{d <= t_x**(1/k)} mu(d) * #{n <= x : d**k | t_n},
+    with alpha replaced by a certified rational slope (_certified_slope),
+    so each inner count is a difference of two floor sums. Cost: about
+    t_x**(1/k) floor sums of O(log x) steps. The Moebius table takes
+    9 bytes per d from memory_bytes, so 256 MiB reaches x near 1e14 at
+    k = 2 (MemoryBudgetExceeded beyond).
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if x < 1:
         return 0, 0.0, 0.0
+    s = _certified_slope(p, x)
+    # t_n = floor((A*n + B) / Q) exactly for 1 <= n <= x
+    A = s.numerator * p.beta.denominator
+    B = p.beta.numerator * s.denominator
+    Q = s.denominator * p.beta.denominator
+    if (A + B) // Q < 1:
+        raise ValueError("terms must be positive; increase beta or n range")
+    mu = sieve_moebius(1, iroot((A * x + B) // Q, k), memory_bytes).mu
+    nz = np.flatnonzero(mu)
     count = 0
-    n0 = 1
-    while n0 <= x:
-        n1 = min(x, n0 + block - 1)
-        terms = beatty_terms_block(p, n0, n1)
-        t_lo, t_hi = int(terms[0]), int(terms[-1])
-        if t_lo < 1:
-            raise ValueError("terms must be positive; increase beta or n range")
-        flags = sieve_kfree(k, t_lo, t_hi, memory_bytes).flags
-        count += int(np.count_nonzero(flags[terms - t_lo]))
-        n0 = n1 + 1
+    for d, m in zip((nz + 1).tolist(), mu[nz].tolist()):
+        # sum over i = n - 1 of floor(t_n / d**k) - floor((t_n - 1) / d**k)
+        D = Q * d**k
+        count += m * (floor_sum(x, D, A, A + B) - floor_sum(x, D, A, A + B - Q))
     main = x / zeta(k)
     return count, main, count - main
 

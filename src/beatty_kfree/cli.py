@@ -462,7 +462,13 @@ def _selftest_checks(seed: int, bits: int):
     def counting_sanity():
         by_moebius = kfree.count_kfree(10**6, 2, "moebius")[0]
         by_sieve = kfree.count_kfree(10**6, 2, "sieve")[0]
-        return by_moebius == by_sieve == 607926
+        # floor-sum Beatty count against sieving the enumerated terms
+        p = beatty.BeattyParams(cfrac.PHI, 0, bits)
+        terms = beatty.beatty_terms_block(p, 1, 10**5)
+        flags = kfree.sieve_kfree(2, int(terms[0]), int(terms[-1])).flags
+        streamed = int(np.count_nonzero(flags[terms - terms[0]]))
+        by_floor_sums = beatty.count_kfree_beatty(p, 10**5, 2)[0]
+        return by_moebius == by_sieve == 607926 and by_floor_sums == streamed
 
     return [
         ("mobius_identity", mobius_identity),

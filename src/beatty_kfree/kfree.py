@@ -12,6 +12,7 @@ from .errors import MemoryBudgetExceeded
 DEFAULT_SEGMENT = 1 << 22
 DEFAULT_MEMORY_BYTES = 256 << 20
 MAX_COUNT_X = 1 << 62
+_MOEBIUS_CHUNK = 1 << 18
 
 
 def iroot(x: int, k: int) -> int:
@@ -28,6 +29,30 @@ def iroot(x: int, k: int) -> int:
     while (r + 1) ** k <= x:
         r += 1
     return r
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a*i + b) / m) for n >= 0, m >= 1, any integers a, b.
+
+    Euclid-like reduction (AtCoder Library floor_sum): fold the integer parts
+    of a/m and b/m into closed forms, then swap the roles of a and m on the
+    remaining lattice-point count. O(log m) steps on Python ints.
+    """
+    if n < 0 or m < 1:
+        raise ValueError("need n >= 0, m >= 1")
+    total = 0
+    while True:
+        if not 0 <= a < m:
+            q, a = divmod(a, m)
+            total += q * (n * (n - 1) // 2)
+        if not 0 <= b < m:
+            q, b = divmod(b, m)
+            total += q * n
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -139,13 +164,16 @@ def count_kfree(x: int, k: int, method: str = "moebius",
     if x < 1:
         return 0, 0.0, 0.0
     if method == "moebius":
-        r = iroot(x, k)
-        table = sieve_moebius(1, r, memory_bytes)
-        count = 0
-        for d in range(1, r + 1):
-            m = int(table.mu[d - 1])
-            if m:
-                count += m * (x // d**k)
+        mu = sieve_moebius(1, iroot(x, k), memory_bytes).mu
+        # each part sums to at most zeta(k) * x < 2**63 under the 2**62 guard
+        pos = neg = 0
+        for lo in range(0, len(mu), _MOEBIUS_CHUNK):
+            m = mu[lo : lo + _MOEBIUS_CHUNK]
+            d = np.arange(lo + 1, lo + len(m) + 1, dtype=np.uint64)
+            q = np.uint64(x) // d**k
+            pos += int(q[m > 0].sum(dtype=np.uint64))
+            neg += int(q[m < 0].sum(dtype=np.uint64))
+        count = pos - neg
     elif method == "sieve":
         count = 0
         lo = 1

@@ -18,12 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .beatty import BeattyParams, beatty_term, is_member
+from .beatty import BeattyParams, beatty_term, border_indices, is_member
 from .errors import InvalidDelta
 from .fixed import FixedReal, frac_vector
 from .kfree import DEFAULT_MEMORY_BYTES, sieve_kfree
-
-_BORDER_TOL = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -211,10 +209,7 @@ def smoothed_beatty_count(
         exceptional += int(np.count_nonzero(_in_exceptional(f, gf, delta_param)))
 
         step = (f > 0.0) & (f <= gf)
-        border = np.nonzero(
-            (f < _BORDER_TOL) | (f > 1.0 - _BORDER_TOL) | (np.abs(f - gf) < _BORDER_TOL)
-        )[0]
-        for i in border:
+        for i in border_indices(f, lv.gamma, lv.delta, m1, gf):
             step[i] = is_member(p, m0 + int(i))
 
         psi = _psi_values(f, gf, delta_param)

@@ -17,8 +17,42 @@ from beatty_kfree.beatty import (
     member_witness,
     parse_beta,
 )
-from beatty_kfree.cfrac import PHI, SQRT2, SQRT3, QuadraticIrrational
-from beatty_kfree.kfree import sieve_kfree
+from beatty_kfree.cfrac import PHI, SQRT2, SQRT3, QuadraticIrrational, parse_irrational
+from beatty_kfree.errors import PrecisionExhausted
+from beatty_kfree.kfree import iroot, primes_upto, sieve_kfree
+
+BIG_ALPHA = "quad:0,200000000000000,1"  # sqrt(2e14): term n is isqrt(2e14 * n * n)
+SHORT_SPECS = ("cf:1,1,1,1,1,1,1,1", "dec:3.14159:12")
+
+
+def big_alpha_term(n: int) -> int:
+    return math.isqrt(200000000000000 * n * n)
+
+
+def streaming_count(p: BeattyParams, k: int, n_lo: int, n_hi: int) -> int:
+    """Oracle: enumerate the terms for n in [n_lo, n_hi] and sieve their window."""
+    terms = beatty_terms_block(p, n_lo, n_hi)
+    t_lo = int(terms[0])
+    if t_lo < 1:
+        raise ValueError("terms must be positive")
+    flags = sieve_kfree(k, t_lo, int(terms[-1])).flags
+    return int(np.count_nonzero(flags[terms - t_lo]))
+
+
+def kfree_by_trial(terms: list[int], k: int) -> int:
+    """Oracle for term windows too wide to sieve: test every p**k <= max term."""
+    t = np.array(terms, dtype=np.int64)
+    free = np.ones(len(t), dtype=bool)
+    for pk in primes_upto(iroot(int(t.max()), k)) ** k:
+        free &= t % pk != 0
+    return int(np.count_nonzero(free))
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (ValueError, PrecisionExhausted) as e:
+        return type(e).__name__
 
 
 def enumerate_members(p: BeattyParams, top: int) -> np.ndarray:
@@ -76,6 +110,17 @@ class TestTerms:
         block = beatty_terms_block(p, 1, 100)
         for n in ns:
             assert beatty_term(p, n) == block[n - 1]
+
+    def test_big_alpha_block_is_exact(self):
+        p = BeattyParams(parse_irrational(BIG_ALPHA), 0)
+        n0 = 1 << 30
+        block = beatty_terms_block(p, n0, n0 + 4095)
+        assert block.tolist() == [big_alpha_term(n) for n in range(n0, n0 + 4096)]
+
+    def test_block_refuses_int64_overflow(self):
+        p = BeattyParams(parse_irrational(BIG_ALPHA), 0)
+        with pytest.raises(ValueError, match=r"n_hi=35184372088833 .* 2\*\*63"):
+            beatty_terms_block(p, 1 << 45, (1 << 45) + 1)
 
 
 class TestMembership:
@@ -176,6 +221,79 @@ class TestCounting:
     def test_alpha_not_above_one_rejected(self):
         with pytest.raises(ValueError):
             BeattyParams(PHI.reciprocal(), 0)
+
+
+class TestFloorSumCount:
+    """count_kfree_beatty against enumerating the terms."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["quad:1,5,2", "quad:0,2,1", "quad:7,2,3", "cf:1," + ",".join(["1", "2"] * 40),
+         "dec:3.14159265358979323846264338327950288:100", *SHORT_SPECS],
+    )
+    def test_matches_streaming_oracle(self, spec):
+        alpha = parse_irrational(spec)
+        for beta in ("0", "1/2", "-7/10", "3", "-2"):
+            p = BeattyParams(alpha, parse_beta(beta))
+            for k in (2, 3):
+                for x in (1, 10, 1000, 10**5):
+                    assert outcome(lambda: count_kfree_beatty(p, x, k)[0]) == outcome(
+                        lambda: streaming_count(p, k, 1, x)
+                    ), (beta, k, x)
+
+    def test_error_kinds(self):
+        with pytest.raises(ValueError, match="terms must be positive"):
+            count_kfree_beatty(BeattyParams(PHI, -2), 10, 2)
+        p = BeattyParams(parse_irrational(SHORT_SPECS[0]), 0)
+        with pytest.raises(PrecisionExhausted, match=r"x=1000 .* bits \[192\]"):
+            count_kfree_beatty(p, 1000, 2)
+        # precision doubles until max_bits before giving up
+        p = BeattyParams(parse_irrational(BIG_ALPHA), 0, precision_bits=8, max_bits=16)
+        with pytest.raises(PrecisionExhausted, match=r"bits \[8, 16\]"):
+            count_kfree_beatty(p, 10**5, 2)
+
+    def test_big_alpha(self):
+        p = BeattyParams(parse_irrational(BIG_ALPHA), 0)
+        for x, k in ((10**5, 3), (2000, 2)):
+            terms = [big_alpha_term(n) for n in range(1, x + 1)]
+            assert count_kfree_beatty(p, x, k)[0] == kfree_by_trial(terms, k)
+
+    def test_window_difference_at_2_32(self):
+        p = BeattyParams(PHI, 0)
+        x, w = 1 << 32, 1 << 16
+        window = count_kfree_beatty(p, x, 2)[0] - count_kfree_beatty(p, x - w, 2)[0]
+        assert window == streaming_count(p, 2, x - w + 1, x)
+
+    def test_beyond_the_sieve_cap(self):
+        p = BeattyParams(PHI, 0)
+        x, w = 10**12, 1 << 12
+        assert beatty_term(p, x) > 1 << 40
+        count, _, err = count_kfree_beatty(p, x, 3)
+        terms = [beatty_term(p, n) for n in range(x - w + 1, x + 1)]
+        assert count - count_kfree_beatty(p, x - w, 3)[0] == kfree_by_trial(terms, 3)
+        assert abs(err) < x ** (3 / 5)
+
+
+class TestIntervalWidth:
+    """Block kernels send entries the alpha interval leaves open to the scalar path."""
+
+    @pytest.mark.parametrize("spec, n_bad, m_bad", [(SHORT_SPECS[0], 21, 33), (SHORT_SPECS[1], 99, 310)])
+    def test_blocks_agree_with_scalar_or_raise(self, spec, n_bad, m_bad):
+        p = BeattyParams(parse_irrational(spec), 0)
+        with pytest.raises(PrecisionExhausted):
+            beatty_term(p, n_bad)
+        with pytest.raises(PrecisionExhausted):
+            beatty_terms_block(p, 1, n_bad)
+        with pytest.raises(PrecisionExhausted):
+            is_member(p, m_bad)
+        with pytest.raises(PrecisionExhausted):
+            member_flags_block(p, 1, m_bad)
+        assert beatty_terms_block(p, 1, n_bad - 1).tolist() == [
+            beatty_term(p, n) for n in range(1, n_bad)
+        ]
+        assert member_flags_block(p, 1, m_bad - 1).tolist() == [
+            is_member(p, m) for m in range(1, m_bad)
+        ]
 
 
 class TestParseBeta:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beatty_kfree.errors import MemoryBudgetExceeded
 from beatty_kfree.kfree import (
     count_kfree,
+    floor_sum,
     iroot,
     kfree_indicator_moebius,
     kfree_indicator_moebius_range,
@@ -139,6 +142,18 @@ class TestCountKFree:
             k = int(rng.integers(2, 5))
             assert count_kfree(x, k, "moebius")[0] == count_kfree(x, k, "sieve")[0]
 
+    def test_moebius_values_at_benchmark_sizes(self):
+        assert count_kfree(10**12, 2)[0] == 607927102274
+        assert count_kfree(10**15, 3)[0] == 831907372580692
+
+    def test_moebius_matches_python_loop_near_guard(self):
+        # chunked uint64 parts against the plain Python-int sum, over several
+        # chunks of d and with quotients up to the 2**62 guard
+        for x, k in ((2**62, 3), (2**62 - 1, 4), (10**11 + 3, 2)):
+            mu = sieve_moebius(1, iroot(x, k)).mu
+            loop = sum(int(m) * (x // d**k) for d, m in enumerate(mu.tolist(), 1) if m)
+            assert count_kfree(x, k)[0] == loop
+
     def test_error_scaling_constant(self):
         # |count - x/zeta(k)| / x^(1/k) stays below 2 on the decade grid
         for k in (2, 3):
@@ -191,3 +206,26 @@ class TestIroot:
             for r in (1, 2, 3, 10, 99):
                 assert iroot(r**k, k) == r
                 assert iroot(r**k - 1, k) == r - 1
+
+
+class TestFloorSum:
+    @given(
+        n=st.integers(min_value=0, max_value=40),
+        m=st.integers(min_value=1, max_value=60),
+        a=st.integers(min_value=-10**6, max_value=10**6),
+        b=st.integers(min_value=-10**6, max_value=10**6),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_brute_force(self, n, m, a, b):
+        assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+    def test_big_operands(self):
+        m, a, b = 3**120 + 1, 2**190 + 12345, -(5**80)
+        assert floor_sum(500, m, a, b) == sum((a * i + b) // m for i in range(500))
+
+    def test_empty_and_invalid(self):
+        assert floor_sum(0, 7, -3, -11) == 0
+        with pytest.raises(ValueError):
+            floor_sum(-1, 7, 1, 0)
+        with pytest.raises(ValueError):
+            floor_sum(3, 0, 1, 0)
