@@ -6,7 +6,6 @@ from .beatty import (
     beatty_term,
     beatty_terms_block,
     count_kfree_beatty,
-    count_kfree_beatty_scaled,
     is_member,
     member_flags_block,
     member_witness,
@@ -58,20 +57,12 @@ from .expsums import (
     mobius_exp_sum,
     split_parameter,
 )
-from .fixed import (
-    ComplexSum,
-    FixedReal,
-    chunked_complex_sum,
-    frac_vector,
-    kahan_add,
-    unit_exp,
-)
+from .fixed import FixedReal, frac_vector
 from .kfree import (
     KFreeTable,
     MoebiusTable,
     count_kfree,
     floor_sum,
-    kfree_indicator_moebius,
     kfree_indicator_moebius_range,
     sieve_kfree,
     sieve_moebius,
@@ -79,14 +70,12 @@ from .kfree import (
 )
 from .smoothing import (
     SmoothedIndicator,
-    StepIndicator,
     build_smoothed,
     coefficient_bound,
     default_delta,
     default_truncation,
     eval_smoothed,
     eval_truncated_series,
-    exceptional_count,
     smoothed_beatty_count,
 )
 

@@ -44,9 +44,11 @@ _BORDER_TOL = 2.0**-40
 
 @dataclass(frozen=True)
 class _Level:
-    """Mantissas of alpha, beta, gamma, delta at one working precision."""
+    """Mantissas of alpha, beta, gamma, delta at one working precision, and
+    the interval of alpha they were built from."""
 
     bits: int
+    interval: tuple[Fraction, Fraction]
     alpha: FixedReal
     beta: FixedReal
     gamma: FixedReal
@@ -87,6 +89,7 @@ class BeattyParams:
             dlo, dhi = (glo * c, ghi * c) if c >= 0 else (ghi * c, glo * c)
             lv = _Level(
                 bits,
+                (alo, ahi),
                 FixedReal.from_interval(alo, ahi, bits),
                 FixedReal.from_fraction(self.beta, bits),
                 FixedReal.from_interval(glo, ghi, bits),
@@ -96,10 +99,16 @@ class BeattyParams:
         return lv
 
     def escalation(self) -> Iterator[_Level]:
-        bits = self.precision_bits
-        while bits <= self.max_bits:
-            yield self.level(bits)
-            bits *= 2
+        """Levels from precision_bits, doubling up to max_bits. Stops early
+        when alpha's interval comes back unchanged (cf: and dec: specs),
+        since a level built from it could decide nothing new."""
+        lv = self.level(self.precision_bits)
+        while True:
+            yield lv
+            bits = 2 * lv.bits
+            if bits > self.max_bits or self.alpha.eval_interval(bits + 16) == lv.interval:
+                return
+            lv = self.level(bits)
 
     @property
     def gamma(self) -> FixedReal:
@@ -113,20 +122,28 @@ class BeattyParams:
         return f"BeattyParams({self.alpha}, beta={self.beta})"
 
 
+def _certified_floor(p: BeattyParams, slope: str, offset: str, n: int) -> int:
+    """Exact floor(slope*n + offset) for two of the level values (alpha and
+    beta, or gamma and delta), escalating precision until it is certified."""
+    tried = []
+    for lv in p.escalation():
+        tried.append(lv.bits)
+        s, o = getattr(lv, slope), getattr(lv, offset)
+        f = FixedReal(
+            s.mantissa * n + o.mantissa, lv.bits, s.err_ulps * n + o.err_ulps
+        ).floor_certified()
+        if f is not None:
+            return f
+    raise PrecisionExhausted(
+        f"floor({slope}*{n}+{offset}) undecidable for alpha={p.alpha} at bits {tried}"
+    )
+
+
 def beatty_term(p: BeattyParams, n: int) -> int:
     """Exact floor(alpha*n + beta) with certified floor."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    for lv in p.escalation():
-        v = FixedReal(
-            lv.alpha.mantissa * n + lv.beta.mantissa,
-            lv.bits,
-            lv.alpha.err_ulps * n + lv.beta.err_ulps,
-        )
-        f = v.floor_certified()
-        if f is not None:
-            return f
-    raise PrecisionExhausted(f"floor(alpha*{n}+beta) undecidable up to {p.max_bits} bits")
+    return _certified_floor(p, "alpha", "beta", n)
 
 
 def border_indices(
@@ -182,7 +199,9 @@ def is_member(p: BeattyParams, m: int) -> bool:
             return False
         if m == b:
             return True
+    tried = []
     for lv in p.escalation():
+        tried.append(lv.bits)
         one = 1 << lv.bits
         r = (lv.gamma.mantissa * m + lv.delta.mantissa) % one
         err = lv.gamma.err_ulps * m + lv.delta.err_ulps
@@ -196,7 +215,7 @@ def is_member(p: BeattyParams, m: int) -> bool:
         if r - err - slack > lv.gamma.mantissa + gerr:
             return False
     raise PrecisionExhausted(
-        f"membership of {m} undecidable up to {p.max_bits} bits"
+        f"membership of {m} undecidable for alpha={p.alpha} at bits {tried}"
     )
 
 
@@ -204,16 +223,7 @@ def member_witness(p: BeattyParams, m: int) -> int | None:
     """The unique integer n with floor(alpha*n + beta) = m, if any."""
     if not is_member(p, m):
         return None
-    for lv in p.escalation():
-        v = FixedReal(
-            lv.gamma.mantissa * m + lv.delta.mantissa,
-            lv.bits,
-            lv.gamma.err_ulps * m + lv.delta.err_ulps,
-        )
-        f = v.floor_certified()
-        if f is not None:
-            return f
-    raise PrecisionExhausted(f"witness for {m} undecidable up to {p.max_bits} bits")
+    return _certified_floor(p, "gamma", "delta", m)
 
 
 def member_flags_block(p: BeattyParams, m_lo: int, m_hi: int) -> np.ndarray:
@@ -297,23 +307,3 @@ def count_kfree_beatty(
     main = x / zeta(k)
     return count, main, count - main
 
-
-def count_kfree_beatty_scaled(
-    p: BeattyParams,
-    x: int,
-    k: int,
-    memory_bytes: int = DEFAULT_MEMORY_BYTES,
-) -> tuple[int, float]:
-    """(Beatty k-free count, gamma * (k-free count up to floor(alpha*x + beta))).
-
-    The two quantities agree up to the sequence-level error term, so their
-    difference is the directly measurable deviation.
-    """
-    from .kfree import count_kfree
-
-    if x < 1:
-        return 0, 0.0
-    direct = count_kfree_beatty(p, x, k, memory_bytes)[0]
-    M = beatty_term(p, x)
-    q_count = count_kfree(M, k, memory_bytes=memory_bytes)[0]
-    return direct, p.gamma.to_float() * q_count

@@ -2,7 +2,7 @@
 
 Subcommands: count | fit-exponent | expsum-sweep | discrepancy |
 smoothing-check | selftest. Every CSV row echoes the parameters needed to
-reproduce it; identical config + seed + threads give byte-identical output.
+reproduce it; identical config + seed give byte-identical output.
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 budget/precision
 exhaustion.
 """
@@ -87,7 +87,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", default="1000:100000:10", help="geometric grid start:stop:ratio")
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--delta-multiplier", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=1, help="deterministic reduction chunk count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--precision-bits", type=int, default=192)
     p.add_argument("--memory-budget", type=int, default=256, help="MiB for sieve windows")
@@ -104,7 +103,6 @@ class ExperimentConfig:
     grid: str
     eps: float
     delta_multiplier: float
-    threads: int
     seed: int
     precision_bits: int
     memory_bytes: int
@@ -124,7 +122,6 @@ class ExperimentConfig:
             grid=args.grid,
             eps=args.eps,
             delta_multiplier=args.delta_multiplier,
-            threads=max(1, args.threads),
             seed=args.seed,
             precision_bits=args.precision_bits,
             memory_bytes=args.memory_budget << 20,
@@ -147,7 +144,7 @@ def _count_rows(cfg: ExperimentConfig):
         rows.append(
             [
                 "count", cfg.alpha, cfg.beta, cfg.k, _fmt(cfg.eps), cfg.precision_bits,
-                cfg.threads, cfg.seed, _fmt(tau), x, count, _fmt(main), _fmt(err),
+                cfg.seed, _fmt(tau), x, count, _fmt(main), _fmt(err),
                 _fmt(bound), _fmt(abs(err) / bound), wall,
             ]
         )
@@ -155,8 +152,8 @@ def _count_rows(cfg: ExperimentConfig):
 
 
 _COUNT_HEADER = [
-    "experiment", "alpha", "beta", "k", "eps", "precision_bits", "threads",
-    "seed", "tau_hat", "x", "count", "main_term", "error", "bound", "ratio",
+    "experiment", "alpha", "beta", "k", "eps", "precision_bits", "seed",
+    "tau_hat", "x", "count", "main_term", "error", "bound", "ratio",
     "wall_ms",
 ]
 
@@ -177,8 +174,9 @@ def cmd_fit_exponent(args) -> int:
     if len(grid) < 4:
         raise ValueError("fit-exponent needs at least 4 grid points")
     rows, tau, exp_bound = _count_rows(cfg)
-    xs = [row[9] for row in rows]
-    errs = [float(row[12]) for row in rows]
+    x_col, err_col = _COUNT_HEADER.index("x"), _COUNT_HEADER.index("error")
+    xs = [row[x_col] for row in rows]
+    errs = [float(row[err_col]) for row in rows]
     slope, intercept, degenerate = fit_loglog(xs, errs)
     threshold = exp_bound + 0.1
     ok = slope <= threshold
@@ -196,9 +194,8 @@ def cmd_fit_exponent(args) -> int:
 
 
 _SWEEP_HEADER = [
-    "experiment", "k", "eps", "precision_bits", "threads", "seed", "trial",
-    "kind", "x", "H", "a", "q", "lhs", "rhs", "ratio", "hyperbola_gap",
-    "wall_ms",
+    "experiment", "k", "eps", "precision_bits", "seed", "trial", "kind", "x",
+    "H", "a", "q", "lhs", "rhs", "ratio", "hyperbola_gap", "wall_ms",
 ]
 
 
@@ -244,9 +241,9 @@ def cmd_expsum_sweep(args) -> int:
         wall = f"{(time.perf_counter() - t0) * 1e3:.1f}" if cfg.timings else ""
         rows.append(
             [
-                "expsum", cfg.k, _fmt(cfg.eps), cfg.precision_bits, cfg.threads,
-                cfg.seed, trial, kind, x, h, theta.a, theta.q, _fmt(rep.lhs),
-                _fmt(rep.rhs_value), _fmt(rep.ratio), _fmt(gap), wall,
+                "expsum", cfg.k, _fmt(cfg.eps), cfg.precision_bits, cfg.seed, trial,
+                kind, x, h, theta.a, theta.q, _fmt(rep.lhs), _fmt(rep.rhs_value),
+                _fmt(rep.ratio), _fmt(gap), wall,
             ]
         )
     with _open_out(cfg.out) as f:
@@ -416,7 +413,7 @@ def _selftest_checks(seed: int, bits: int):
             y = float(rng.uniform(1.0, x))
             naive = expsums.double_kfree_sum_naive(theta, h, x, k)
             split = expsums.double_kfree_sum_hyperbola(theta, h, x, k, y)
-            if abs(split.combined() - naive.value()) > 1e-6:
+            if abs(split.combined() - naive) > 1e-6:
                 return False
         return True
 
@@ -460,8 +457,8 @@ def _selftest_checks(seed: int, bits: int):
         return True
 
     def counting_sanity():
-        by_moebius = kfree.count_kfree(10**6, 2, "moebius")[0]
-        by_sieve = kfree.count_kfree(10**6, 2, "sieve")[0]
+        by_moebius = kfree.count_kfree(10**6, 2)[0]
+        by_sieve = kfree.sieve_kfree(2, 1, 10**6).count()
         # floor-sum Beatty count against sieving the enumerated terms
         p = beatty.BeattyParams(cfrac.PHI, 0, bits)
         terms = beatty.beatty_terms_block(p, 1, 10**5)

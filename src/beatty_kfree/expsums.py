@@ -4,8 +4,9 @@ The double sum  sum_{h<=H} sum_{n<=x, n k-free} e(theta*h*n)  is evaluated
 two ways: term by term over sieved k-free n (the oracle path), and through
 the three-way split induced by the Moebius identity for the k-free
 indicator, with inner geometric sums in closed form. Angle arguments are
-reduced exactly from the fixed-point mantissa of theta, so the two paths
-agree to within plain float64 summation error.
+reduced exactly from the fixed-point mantissa of theta, and each path
+sums its partials exactly rounded (complex_fsum), so the two agree to
+within the float64 error of the partials themselves.
 """
 from __future__ import annotations
 
@@ -15,16 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fixed import (
-    ComplexSum,
-    FixedReal,
-    chunked_complex_sum,
-    exp_circle,
-    frac_to_float,
-    frac_vector,
-    kahan_add,
-    sin_pi_reduced,
-)
+from .fixed import FixedReal, exp_circle, frac_to_float, frac_vector, sin_pi_reduced
 from .kfree import DEFAULT_MEMORY_BYTES, iroot, sieve_kfree, sieve_moebius
 
 TWO_PI = 2.0 * math.pi
@@ -43,20 +35,32 @@ def nearest_int_distance(alpha: FixedReal) -> float:
     return frac_to_float(min(r, one - r), alpha.scale_bits, wrap=False)
 
 
-def _direct_linear(angle: float, x: int, chunks: int = 1) -> ComplexSum:
-    acc = ComplexSum()
-    n0 = 1
-    while n0 <= x:
-        n1 = min(x, n0 + (1 << 20) - 1)
-        ang = TWO_PI * angle * np.arange(n0, n1 + 1, dtype=np.float64)
-        part = chunked_complex_sum(np.cos(ang), np.sin(ang), chunks)
-        acc = kahan_add(acc, (part.re + part.comp_re, part.im + part.comp_im))
-        acc = ComplexSum(acc.re, acc.im, acc.terms + part.terms - 1, acc.comp_re, acc.comp_im)
-        n0 = n1 + 1
-    return acc
+def complex_fsum(parts) -> complex:
+    """Exactly rounded sum of complex partials: math.fsum per component, so
+    the result does not depend on the order of the partials."""
+    parts = list(parts)
+    return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
 
 
-def linear_exp_sum(alpha: FixedReal, x: int) -> ComplexSum:
+def _unit_sum(ang: np.ndarray) -> complex:
+    """sum of e^(i*ang) over the array, one pairwise numpy sum per component."""
+    return complex(float(np.sum(np.cos(ang))), float(np.sum(np.sin(ang))))
+
+
+def _weighted_unit_sum(w: np.ndarray, ang: np.ndarray) -> complex:
+    """sum of w * e^(i*ang), one dot product per component."""
+    return complex(float(np.dot(w, np.cos(ang))), float(np.dot(w, np.sin(ang))))
+
+
+def _direct_linear(angle: float, x: int) -> complex:
+    step = 1 << 20
+    return complex_fsum(
+        _unit_sum(TWO_PI * angle * np.arange(n0, min(x + 1, n0 + step), dtype=np.float64))
+        for n0 in range(1, x + 1, step)
+    )
+
+
+def linear_exp_sum(alpha: FixedReal, x: int) -> complex:
     """sum_{n=1..x} e(n*alpha) via the closed geometric form.
 
     Uses e(alpha*(x+1)/2) * sin(pi*x*alpha) / sin(pi*alpha) with all angle
@@ -66,18 +70,18 @@ def linear_exp_sum(alpha: FixedReal, x: int) -> ComplexSum:
     if x < 0:
         raise ValueError("x must be >= 0")
     if x == 0:
-        return ComplexSum()
+        return 0j
     bits = alpha.scale_bits
     one = 1 << bits
     r = alpha.mantissa % one
     if r == 0:
-        return ComplexSum(float(x), 0.0, x)
+        return complex(x)
     if min(r, one - r) < (one >> SMALL_NORM_BITS):
         signed = r - one if 2 * r > one else r
         return _direct_linear(frac_to_float(signed, bits, wrap=False), x)
     ratio = sin_pi_reduced(x * r, bits) / sin_pi_reduced(r, bits)
     c, s = exp_circle((x + 1) * r, bits + 1)
-    return ComplexSum(ratio * c, ratio * s, x)
+    return complex(ratio * c, ratio * s)
 
 
 def double_kfree_sum_naive(
@@ -86,24 +90,18 @@ def double_kfree_sum_naive(
     x: int,
     k: int,
     memory_bytes: int = DEFAULT_MEMORY_BYTES,
-    chunks: int = 1,
-) -> ComplexSum:
+) -> complex:
     """Direct double sum over h <= H and sieved k-free n <= x."""
     if H < 1 or x < 1:
-        return ComplexSum()
+        return 0j
     flags = sieve_kfree(k, 1, x, memory_bytes).flags
     ns = (np.nonzero(flags)[0] + 1).astype(np.uint64)
     bits = theta.scale_bits
     one = 1 << bits
     t = theta.mantissa % one
-    acc = ComplexSum()
-    for h in range(1, H + 1):
-        f = frac_vector((t * h) % one, bits, ns)
-        ang = TWO_PI * f
-        part = chunked_complex_sum(np.cos(ang), np.sin(ang), chunks)
-        acc = kahan_add(acc, (part.re + part.comp_re, part.im + part.comp_im))
-        acc = ComplexSum(acc.re, acc.im, acc.terms + part.terms - 1, acc.comp_re, acc.comp_im)
-    return acc
+    return complex_fsum(
+        _unit_sum(TWO_PI * frac_vector((t * h) % one, bits, ns)) for h in range(1, H + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -111,12 +109,12 @@ class HyperbolaSplit:
     """Three-way decomposition; sum_A + sum_B - sum_C equals the naive sum."""
 
     y: float
-    sum_A: ComplexSum
-    sum_B: ComplexSum
-    sum_C: ComplexSum
+    sum_A: complex
+    sum_B: complex
+    sum_C: complex
 
     def combined(self) -> complex:
-        return self.sum_A.value() + self.sum_B.value() - self.sum_C.value()
+        return self.sum_A + self.sum_B - self.sum_C
 
 
 def double_kfree_sum_hyperbola(
@@ -147,22 +145,17 @@ def double_kfree_sum_hyperbola(
     lc = int(math.floor(x / y))
     mk_all = (np.arange(1, m_top + 1, dtype=np.uint64)) ** k
 
-    def fold(acc: ComplexSum, w: float, s: ComplexSum) -> ComplexSum:
-        out = kahan_add(acc, (w * (s.re + s.comp_re), w * (s.im + s.comp_im)))
-        return ComplexSum(out.re, out.im, acc.terms + s.terms, out.comp_re, out.comp_im)
-
-    sum_a = ComplexSum()
-    sum_c = ComplexSum()
+    parts_a, parts_c = [], []
     for h in range(1, H + 1):
         for m in range(1, ma + 1):
             w = int(mu[m - 1])
             if not w:
                 continue
             base = FixedReal((t * h * m**k) % one, bits)
-            sum_a = fold(sum_a, w, linear_exp_sum(base, x // m**k))
-            sum_c = fold(sum_c, w, linear_exp_sum(base, lc))
+            parts_a.append(w * linear_exp_sum(base, x // m**k))
+            parts_c.append(w * linear_exp_sum(base, lc))
 
-    sum_b = ComplexSum()
+    parts_b = []
     for h in range(1, H + 1):
         th = (t * h) % one
         for l in range(1, lc + 1):
@@ -171,17 +164,11 @@ def double_kfree_sum_hyperbola(
             nz = np.nonzero(mus)[0]
             if len(nz) == 0:
                 continue
-            f = frac_vector((th * l) % one, bits, mk_all[nz])
-            ang = TWO_PI * f
-            w = mus[nz].astype(np.float64)
-            part = ComplexSum(
-                float(np.dot(w, np.cos(ang))),
-                float(np.dot(w, np.sin(ang))),
-                len(nz),
-            )
-            sum_b = fold(sum_b, 1.0, part)
+            parts_b.append(_weighted_unit_sum(
+                mus[nz].astype(np.float64), TWO_PI * frac_vector((th * l) % one, bits, mk_all[nz])
+            ))
 
-    return HyperbolaSplit(y, sum_a, sum_b, sum_c)
+    return HyperbolaSplit(y, complex_fsum(parts_a), complex_fsum(parts_b), complex_fsum(parts_c))
 
 
 @dataclass(frozen=True)
@@ -237,8 +224,8 @@ def double_sum_bound_check(
     gap = None
     if include_naive:
         naive = double_kfree_sum_naive(t.theta, H, x, k, memory_bytes)
-        gap = abs(naive.value() - combined)
-        lhs = abs(naive.value())
+        gap = abs(naive - combined)
+        lhs = abs(naive)
     else:
         lhs = abs(combined)
     rhs = (H * x ** (k / (2.0 * k - 1.0)) + t.q + H * x / t.q) * x**eps
@@ -284,7 +271,7 @@ def min_sum_flat(t: ThetaApprox, M: int, x: int) -> BoundReport:
 
 
 def mobius_exp_sum(theta: FixedReal, X: int, k: int,
-                   memory_bytes: int = DEFAULT_MEMORY_BYTES) -> ComplexSum:
+                   memory_bytes: int = DEFAULT_MEMORY_BYTES) -> complex:
     """sum over m with m**k <= X of mu(m) * e(theta * m**k)."""
     if X < 1:
         raise ValueError("X must be >= 1")
@@ -292,14 +279,8 @@ def mobius_exp_sum(theta: FixedReal, X: int, k: int,
     mu = sieve_moebius(1, max(r, 1), memory_bytes).mu
     nz = np.nonzero(mu[:r])[0]
     if len(nz) == 0:
-        return ComplexSum()
+        return 0j
     bits = theta.scale_bits
     mk = (nz.astype(np.uint64) + 1) ** k
     f = frac_vector(theta.mantissa % (1 << bits), bits, mk)
-    ang = TWO_PI * f
-    w = mu[:r][nz].astype(np.float64)
-    return ComplexSum(
-        float(np.dot(w, np.cos(ang))),
-        float(np.dot(w, np.sin(ang))),
-        len(nz),
-    )
+    return _weighted_unit_sum(mu[:r][nz].astype(np.float64), TWO_PI * f)

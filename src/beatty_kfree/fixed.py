@@ -1,4 +1,4 @@
-"""Certified base-2 fixed-point reals and compensated complex accumulation.
+"""Certified base-2 fixed-point reals and exact angle reduction.
 
 A FixedReal carries an integer mantissa at a binary scale together with a
 conservative error bound in ulps, so floor/fractional-part decisions can be
@@ -18,7 +18,6 @@ from .errors import PrecisionExhausted
 
 DEFAULT_BITS = 192
 MAX_BITS = 1024
-MIN_DECISION_BITS = 64
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _TWO_M32 = 2.0 ** -32
@@ -69,41 +68,11 @@ class FixedReal:
         extra = -((-half_width.numerator << scale_bits) // half_width.denominator) if half_width else 0
         return cls(out.mantissa, scale_bits, out.err_ulps + extra)
 
-    @classmethod
-    def exact_int(cls, n: int, scale_bits: int) -> "FixedReal":
-        return cls(n << scale_bits, scale_bits, 0)
-
-    def lo(self) -> Fraction:
-        return Fraction(self.mantissa - self.err_ulps, 1 << self.scale_bits)
-
-    def hi(self) -> Fraction:
-        return Fraction(self.mantissa + self.err_ulps, 1 << self.scale_bits)
-
     def to_float(self) -> float:
         return frac_to_float(self.mantissa, self.scale_bits, wrap=False)
 
-    def rescale(self, scale_bits: int) -> "FixedReal":
-        if scale_bits == self.scale_bits:
-            return self
-        if scale_bits > self.scale_bits:
-            s = scale_bits - self.scale_bits
-            return FixedReal(self.mantissa << s, scale_bits, self.err_ulps << s)
-        s = self.scale_bits - scale_bits
-        # round to nearest; 1 extra ulp covers the rounding
-        m = (self.mantissa + (1 << (s - 1))) >> s
-        err = (self.err_ulps >> s) + 2
-        return FixedReal(m, scale_bits, err)
-
     def mul_int(self, n: int) -> "FixedReal":
         return FixedReal(self.mantissa * n, self.scale_bits, self.err_ulps * abs(n))
-
-    def add(self, other: "FixedReal") -> "FixedReal":
-        bits = max(self.scale_bits, other.scale_bits)
-        a, b = self.rescale(bits), other.rescale(bits)
-        return FixedReal(a.mantissa + b.mantissa, bits, a.err_ulps + b.err_ulps)
-
-    def neg(self) -> "FixedReal":
-        return FixedReal(-self.mantissa, self.scale_bits, self.err_ulps)
 
     def floor_certified(self):
         """Exact floor, or None when the error interval straddles an integer."""
@@ -144,14 +113,6 @@ def frac_to_float(mantissa: int, scale_bits: int, wrap: bool = True) -> float:
     return -v if neg else v
 
 
-def unit_exp(x: FixedReal) -> tuple[float, float]:
-    """(cos 2*pi*x, sin 2*pi*x) computed from the certified fractional part."""
-    f = x.frac()
-    t = frac_to_float(f.mantissa, f.scale_bits)
-    ang = 2.0 * math.pi * t
-    return math.cos(ang), math.sin(ang)
-
-
 def frac_vector(
     mantissa: int,
     scale_bits: int,
@@ -181,11 +142,6 @@ def frac_vector(
     return np.mod(f, 1.0)
 
 
-def frac_exact(mantissa: int, scale_bits: int, n: int, offset_mantissa: int = 0) -> int:
-    """Exact mantissa of frac((mantissa*n + offset) / 2**scale_bits)."""
-    return (mantissa * n + offset_mantissa) % (1 << scale_bits)
-
-
 def sin_pi_reduced(mantissa: int, scale_bits: int) -> float:
     """sin(pi * mantissa / 2**scale_bits) with exact mod-2 argument reduction."""
     m2 = mantissa % (1 << (scale_bits + 1))
@@ -203,63 +159,3 @@ def exp_circle(mantissa: int, scale_bits: int) -> tuple[float, float]:
     t = frac_to_float(mantissa, scale_bits)
     ang = 2.0 * math.pi * t
     return math.cos(ang), math.sin(ang)
-
-
-@dataclass(frozen=True)
-class ComplexSum:
-    """Compensated (Neumaier) complex accumulator; immutable value type."""
-
-    re: float = 0.0
-    im: float = 0.0
-    terms: int = 0
-    comp_re: float = 0.0
-    comp_im: float = 0.0
-
-    def value(self) -> complex:
-        return complex(self.re + self.comp_re, self.im + self.comp_im)
-
-    def abs(self) -> float:
-        return abs(self.value())
-
-
-def _neumaier(s: float, comp: float, v: float) -> tuple[float, float]:
-    t = s + v
-    if abs(s) >= abs(v):
-        comp += (s - t) + v
-    else:
-        comp += (v - t) + s
-    return t, comp
-
-
-def kahan_add(acc: ComplexSum, term: tuple[float, float]) -> ComplexSum:
-    """Accumulate one complex term with compensation; deterministic per order."""
-    re, cre = _neumaier(acc.re, acc.comp_re, term[0])
-    im, cim = _neumaier(acc.im, acc.comp_im, term[1])
-    return ComplexSum(re, im, acc.terms + 1, cre, cim)
-
-
-def kahan_merge(acc: ComplexSum, other: ComplexSum, extra_terms: int | None = None) -> ComplexSum:
-    """Fold another partial sum into acc (compensations folded as values)."""
-    out = kahan_add(acc, (other.re, other.im))
-    out = kahan_add(out, (other.comp_re, other.comp_im))
-    terms = acc.terms + (other.terms if extra_terms is None else extra_terms)
-    return ComplexSum(out.re, out.im, terms, out.comp_re, out.comp_im)
-
-
-def chunked_complex_sum(re: np.ndarray, im: np.ndarray, chunks: int = 1) -> ComplexSum:
-    """Deterministic reduction: fixed index-based chunking, in-order merge.
-
-    The chunk count (recorded config, e.g. the thread setting) fully
-    determines the reduction tree, so results are reproducible bit-for-bit
-    regardless of how the chunks are executed.
-    """
-    n = len(re)
-    if n == 0:
-        return ComplexSum()
-    chunks = max(1, min(chunks, n))
-    bounds = [(i * n) // chunks for i in range(chunks + 1)]
-    acc = ComplexSum()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        part = (float(np.sum(re[lo:hi])), float(np.sum(im[lo:hi])))
-        acc = kahan_add(acc, part)
-    return ComplexSum(acc.re, acc.im, n, acc.comp_re, acc.comp_im)

@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import MemoryBudgetExceeded
 
-DEFAULT_SEGMENT = 1 << 22
 DEFAULT_MEMORY_BYTES = 256 << 20
 MAX_COUNT_X = 1 << 62
 _MOEBIUS_CHUNK = 1 << 18
@@ -150,12 +149,12 @@ def zeta(k: int) -> float:
     return head + tail
 
 
-def count_kfree(x: int, k: int, method: str = "moebius",
+def count_kfree(x: int, k: int,
                 memory_bytes: int = DEFAULT_MEMORY_BYTES) -> tuple[int, float, float]:
     """(exact count of k-free n <= x, x/zeta(k), count - x/zeta(k)).
 
-    method 'moebius' evaluates sum_d mu(d) * floor(x / d**k) over d**k <= x;
-    method 'sieve' counts segmented k-free flags. Both are exact.
+    Evaluates sum_d mu(d) * floor(x / d**k) over d**k <= x exactly, in numpy
+    chunks of d; the Moebius table takes 9 bytes per d from memory_bytes.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -163,47 +162,18 @@ def count_kfree(x: int, k: int, method: str = "moebius",
         raise ValueError("x exceeds the 2**62 counting guard")
     if x < 1:
         return 0, 0.0, 0.0
-    if method == "moebius":
-        mu = sieve_moebius(1, iroot(x, k), memory_bytes).mu
-        # each part sums to at most zeta(k) * x < 2**63 under the 2**62 guard
-        pos = neg = 0
-        for lo in range(0, len(mu), _MOEBIUS_CHUNK):
-            m = mu[lo : lo + _MOEBIUS_CHUNK]
-            d = np.arange(lo + 1, lo + len(m) + 1, dtype=np.uint64)
-            q = np.uint64(x) // d**k
-            pos += int(q[m > 0].sum(dtype=np.uint64))
-            neg += int(q[m < 0].sum(dtype=np.uint64))
-        count = pos - neg
-    elif method == "sieve":
-        count = 0
-        lo = 1
-        seg = min(DEFAULT_SEGMENT, memory_bytes)
-        while lo <= x:
-            hi = min(x, lo + seg - 1)
-            count += sieve_kfree(k, lo, hi, memory_bytes).count()
-            lo = hi + 1
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    mu = sieve_moebius(1, iroot(x, k), memory_bytes).mu
+    # each part sums to at most zeta(k) * x < 2**63 under the 2**62 guard
+    pos = neg = 0
+    for lo in range(0, len(mu), _MOEBIUS_CHUNK):
+        m = mu[lo : lo + _MOEBIUS_CHUNK]
+        d = np.arange(lo + 1, lo + len(m) + 1, dtype=np.uint64)
+        q = np.uint64(x) // d**k
+        pos += int(q[m > 0].sum(dtype=np.uint64))
+        neg += int(q[m < 0].sum(dtype=np.uint64))
+    count = pos - neg
     main = x / zeta(k)
     return count, main, count - main
-
-
-@lru_cache(maxsize=8)
-def _small_mu(limit: int) -> np.ndarray:
-    return sieve_moebius(1, limit).mu
-
-
-def kfree_indicator_moebius(n: int, k: int) -> int:
-    """sum of mu(d) over d with d**k | n: 1 if n is k-free, else 0."""
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1, k >= 2")
-    r = iroot(n, k)
-    mu = _small_mu(max(r, 16))
-    s = 0
-    for d in range(1, r + 1):
-        if n % d**k == 0:
-            s += int(mu[d - 1])
-    return s
 
 
 def kfree_indicator_moebius_range(N: int, k: int) -> np.ndarray:
@@ -211,7 +181,7 @@ def kfree_indicator_moebius_range(N: int, k: int) -> np.ndarray:
     if N < 1 or k < 2:
         raise ValueError("need N >= 1, k >= 2")
     r = iroot(N, k)
-    mu = _small_mu(max(r, 16))
+    mu = sieve_moebius(1, max(r, 1)).mu
     out = np.zeros(N + 1, dtype=np.int64)
     for d in range(1, r + 1):
         if mu[d - 1]:

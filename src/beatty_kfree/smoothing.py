@@ -23,16 +23,7 @@ from .errors import InvalidDelta
 from .fixed import FixedReal, frac_vector
 from .kfree import DEFAULT_MEMORY_BYTES, sieve_kfree
 
-
-@dataclass(frozen=True)
-class StepIndicator:
-    """1 on 0 < {x} <= gamma, 0 on gamma < {x} <= 1, 1-periodic."""
-
-    gamma: FixedReal
-
-    def __call__(self, x: float) -> float:
-        f = x % 1.0
-        return 1.0 if 0.0 < f <= self.gamma.to_float() else 0.0
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -63,11 +54,6 @@ def default_delta(x: int, k: int, multiplier: float = 1.0) -> float:
 def default_truncation(delta: float, tail_target: float = 0.01) -> int:
     """Smallest J with series tail bound 1/(pi^2*J*Delta) <= tail_target."""
     return max(1, math.ceil(1.0 / (math.pi**2 * delta * tail_target)))
-
-
-def series_truncation_for_x(x: int, k: int, eps: float = 0.05) -> int:
-    """Aggressive truncation point x**((4k-4)/(2k-1) + eps) (experiment option)."""
-    return max(1, math.ceil(float(x) ** ((4.0 * k - 4.0) / (2.0 * k - 1.0) + eps)))
 
 
 def build_smoothed(gamma, delta_param: float, J: int) -> SmoothedIndicator:
@@ -153,22 +139,6 @@ def _in_exceptional(f: np.ndarray, gf: float, d: float) -> np.ndarray:
     return (f < d) | ((f > gf - d) & (f < gf + d)) | (f > 1.0 - d)
 
 
-def exceptional_count(p: BeattyParams, M: int, delta: float, block: int = 1 << 20) -> int:
-    """Number of m <= M with {gamma*m + delta} in the Delta-neighborhoods of
-    the jumps: [0, Delta) union (gamma-Delta, gamma+Delta) union (1-Delta, 1)."""
-    lv = p.level(p.precision_bits)
-    gf = lv.gamma.to_float()
-    total = 0
-    m0 = 1
-    while m0 <= M:
-        m1 = min(M, m0 + block - 1)
-        m = np.arange(m0, m1 + 1, dtype=np.uint64)
-        f = frac_vector(lv.gamma.mantissa, lv.bits, m, offset_mantissa=lv.delta.mantissa)
-        total += int(np.count_nonzero(_in_exceptional(f, gf, delta)))
-        m0 = m1 + 1
-    return total
-
-
 def smoothed_beatty_count(
     p: BeattyParams,
     k: int,
@@ -176,14 +146,13 @@ def smoothed_beatty_count(
     delta_param: float | None = None,
     J: int | None = None,
     memory_bytes: int = DEFAULT_MEMORY_BYTES,
-    block: int = 1 << 20,
 ) -> tuple[float, int, int]:
     """(smoothed, exact, exceptional) sums over k-free m <= floor(alpha*x+beta).
 
     smoothed sums the trapezoid at {gamma*m + delta}; exact sums the step
     indicator (equivalently, counts Beatty members among k-free m); the
-    exceptional count V covers all m <= M whose fractional part falls in
-    the ramp regions. |smoothed - exact| <= V holds by construction and is
+    exceptional count V(Delta) covers all m <= M whose fractional part falls
+    in the ramp regions [0, Delta), (gamma-Delta, gamma+Delta), (1-Delta, 1). |smoothed - exact| <= V holds by construction and is
     asserted per run.
     """
     if x < 1:
@@ -202,7 +171,7 @@ def smoothed_beatty_count(
     exceptional = 0
     m0 = 1
     while m0 <= M:
-        m1 = min(M, m0 + block - 1)
+        m1 = min(M, m0 + _BLOCK - 1)
         m = np.arange(m0, m1 + 1, dtype=np.uint64)
         f = frac_vector(lv.gamma.mantissa, lv.bits, m, offset_mantissa=lv.delta.mantissa)
         kf = sieve_kfree(k, m0, m1, memory_bytes).flags

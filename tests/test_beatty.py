@@ -11,7 +11,6 @@ from beatty_kfree.beatty import (
     beatty_term,
     beatty_terms_block,
     count_kfree_beatty,
-    count_kfree_beatty_scaled,
     is_member,
     member_flags_block,
     member_witness,
@@ -196,15 +195,6 @@ class TestCounting:
     def test_zero_edge(self):
         p = BeattyParams(PHI, 0)
         assert count_kfree_beatty(p, 0, 2) == (0, 0.0, 0.0)
-        assert count_kfree_beatty_scaled(p, 0, 2) == (0, 0.0)
-
-    def test_scaled_pair_example(self):
-        p = BeattyParams(PHI, 0)
-        direct, scaled = count_kfree_beatty_scaled(p, 10, 2)
-        assert direct == 5
-        # Q_2(16) = 11 scaled by 1/phi
-        assert abs(scaled - 11 / ((1 + math.sqrt(5)) / 2)) < 1e-12
-        assert abs((direct - scaled) - (-1.7984)) < 1e-3
 
     def test_counts_stable_under_precision_doubling(self):
         for bits in (128, 256):
@@ -294,6 +284,22 @@ class TestIntervalWidth:
         assert member_flags_block(p, 1, m_bad - 1).tolist() == [
             is_member(p, m) for m in range(1, m_bad)
         ]
+
+    @pytest.mark.parametrize("spec, n_bad, m_bad", [(SHORT_SPECS[0], 21, 33), (SHORT_SPECS[1], 99, 310)])
+    def test_flat_interval_is_tried_once(self, spec, n_bad, m_bad):
+        # cf: and dec: intervals do not narrow with bits, so one level is all
+        # the scalar path builds, and the message names the bits it tried
+        for query, arg in ((beatty_term, n_bad), (is_member, m_bad)):
+            p = BeattyParams(parse_irrational(spec), 0)
+            with pytest.raises(PrecisionExhausted, match=r"at bits \[192\]"):
+                query(p, arg)
+            assert list(p._levels) == [192]
+
+    def test_narrowing_interval_escalates_to_max_bits(self):
+        p = BeattyParams(PHI, 0)
+        assert [lv.bits for lv in p.escalation()] == [192, 384, 768]
+        p = BeattyParams(PHI, 0, precision_bits=100, max_bits=800)
+        assert [lv.bits for lv in p.escalation()] == [100, 200, 400, 800]
 
 
 class TestParseBeta:

@@ -1,3 +1,6 @@
+import csv
+import re
+
 from beatty_kfree import cli
 
 
@@ -10,3 +13,77 @@ def test_count_refuses_an_uncertified_alpha(capsys):
     argv = ["count", "--alpha", "cf:1,1,1,1,1,1,1,1", "--grid", "1000:1000:10"]
     assert cli.main(argv) == cli.EXIT_BUDGET
     assert "x=1000" in capsys.readouterr().err
+
+
+def run_cli(tmp_path, capsys, *argv):
+    """(exit code, CSV rows, stderr) of one CLI run writing its CSV to a file."""
+    out = tmp_path / "out.csv"
+    code = cli.main([*argv, "--out", str(out)])
+    with open(out, newline="") as f:
+        rows = list(csv.reader(f))
+    return code, rows, capsys.readouterr().err
+
+
+def verdict_code(err: str) -> int:
+    return cli.EXIT_OK if err.rstrip().endswith("PASS") else cli.EXIT_CHECK
+
+
+COUNT_HEADER = [
+    "experiment", "alpha", "beta", "k", "eps", "precision_bits", "seed", "tau_hat",
+    "x", "count", "main_term", "error", "bound", "ratio", "wall_ms",
+]
+
+
+def test_count_smoke(tmp_path, capsys):
+    code, rows, _ = run_cli(tmp_path, capsys, "count", "--grid", "100:1000:10")
+    assert code == cli.EXIT_OK
+    assert rows[0] == COUNT_HEADER
+    assert [r[8] for r in rows[1:]] == ["100", "1000"]
+
+
+def test_fit_exponent_slope_is_the_fit_of_the_csv(tmp_path, capsys):
+    code, rows, err = run_cli(tmp_path, capsys, "fit-exponent", "--grid", "1000:1000000:10")
+    assert code == verdict_code(err)
+    assert rows[0] == COUNT_HEADER
+    table = [dict(zip(rows[0], r)) for r in rows[1:]]
+    xs = [int(r["x"]) for r in table]
+    assert xs == [1000, 10000, 100000, 1000000]
+    slope, _, _ = cli.fit_loglog(xs, [float(r["error"]) for r in table])
+    assert re.search(r"slope=(\S+)", err).group(1) == repr(slope)
+
+
+def test_expsum_sweep_smoke(tmp_path, capsys):
+    code, rows, _ = run_cli(
+        tmp_path, capsys, "expsum-sweep", "--trials", "3", "--x-max", "2000", "--h-max", "3"
+    )
+    assert code == cli.EXIT_OK
+    assert rows[0] == [
+        "experiment", "k", "eps", "precision_bits", "seed", "trial", "kind", "x",
+        "H", "a", "q", "lhs", "rhs", "ratio", "hyperbola_gap", "wall_ms",
+    ]
+    assert len(rows) == 4
+
+
+def test_discrepancy_smoke(tmp_path, capsys):
+    code, rows, err = run_cli(tmp_path, capsys, "discrepancy", "--grid", "1000:4000:2")
+    assert code == verdict_code(err)
+    assert rows[0] == [
+        "experiment", "alpha", "beta", "precision_bits", "seed", "tau_hat", "M",
+        "extreme", "star", "bound", "wall_ms",
+    ]
+    assert [r[6] for r in rows[1:]] == ["1000", "2000", "4000"]
+
+
+def test_smoothing_check_smoke(tmp_path, capsys):
+    code, rows, _ = run_cli(tmp_path, capsys, "smoothing-check", "--x", "1000")
+    assert code == cli.EXIT_OK
+    assert rows[0] == [
+        "experiment", "alpha", "beta", "k", "x", "delta", "J", "check", "value",
+        "bound", "status",
+    ]
+    assert [r[-1] for r in rows[1:]] == ["PASS"] * 5
+
+
+def test_threads_is_a_usage_error(capsys):
+    assert cli.main(["count", "--grid", "100:100:10", "--threads", "2"]) == cli.EXIT_USAGE
+    assert "--threads" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from beatty_kfree.cfrac import PHI, SQRT2, to_fixed
 from beatty_kfree.expsums import (
     ThetaApprox,
+    complex_fsum,
     double_kfree_sum_hyperbola,
     double_kfree_sum_naive,
     double_sum_bound_check,
@@ -35,18 +36,18 @@ def fixed_from(fr: Fraction, bits: int = 192) -> FixedReal:
 
 class TestLinearExpSum:
     def test_identity_case(self):
-        assert linear_exp_sum(fixed_from(Fraction(0)), 5).value() == 5 + 0j
+        assert linear_exp_sum(fixed_from(Fraction(0)), 5) == 5 + 0j
 
     def test_half_cancellation(self):
-        assert abs(linear_exp_sum(fixed_from(Fraction(1, 2)), 4).value()) < 1e-15
+        assert abs(linear_exp_sum(fixed_from(Fraction(1, 2)), 4)) < 1e-15
 
     def test_empty(self):
-        assert linear_exp_sum(fixed_from(Fraction(1, 3)), 0).value() == 0j
+        assert linear_exp_sum(fixed_from(Fraction(1, 3)), 0) == 0j
 
     def test_phi_minus_one_vs_direct(self):
         alpha = to_fixed(PHI, 192)
         alpha = FixedReal(alpha.mantissa - (1 << 192), 192, alpha.err_ulps)
-        s = linear_exp_sum(alpha, 10**4).value()
+        s = linear_exp_sum(alpha, 10**4)
         f = np.array(
             [((alpha.mantissa % (1 << 192)) * n % (1 << 192)) / (1 << 192) for n in range(1, 10**4 + 1)]
         )
@@ -59,7 +60,7 @@ class TestLinearExpSum:
         for _ in range(10**4):
             x = int(rng.integers(1, 200))
             alpha = Fraction(int(rng.integers(0, 1 << 30)), 1 << 30)
-            got = linear_exp_sum(fixed_from(alpha), x).value()
+            got = linear_exp_sum(fixed_from(alpha), x)
             want = direct_linear_sum(alpha, x)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -67,34 +68,57 @@ class TestLinearExpSum:
         for _ in range(2000):
             x = int(rng.integers(1, 10**4))
             alpha = fixed_from(Fraction(int(rng.integers(1, 1 << 40)), 1 << 40))
-            s = abs(linear_exp_sum(alpha, x).value())
+            s = abs(linear_exp_sum(alpha, x))
             dist = nearest_int_distance(alpha)
             bound = x if dist == 0 else min(x, 1.0 / (2.0 * dist))
             assert s <= bound * (1 + 1e-9) + 1e-9
 
     def test_small_angle_fallback(self):
         alpha = fixed_from(Fraction(1, 1 << 34))
-        got = linear_exp_sum(alpha, 3000).value()
+        got = linear_exp_sum(alpha, 3000)
         want = direct_linear_sum(Fraction(1, 1 << 34), 3000)
         assert abs(got - want) < 1e-9 * abs(want)
+
+
+class TestComplexFsum:
+    def test_million_small_terms_exact(self):
+        # exact-rational oracle: 10**6 * 10**-8 == 1/100
+        assert abs(complex_fsum([1e-8 + 0j] * 10**6) - 0.01) <= 1e-18
+
+    def test_order_independent(self, rng):
+        # partials spanning 16 decades: plain left-to-right sums of the
+        # shuffled lists differ, the exactly rounded sums are bit-identical
+        vals = rng.standard_normal((10**4, 2)) * 10.0 ** rng.integers(-8, 9, (10**4, 2))
+        parts = [complex(re, im) for re, im in vals]
+        want = complex_fsum(parts)
+        plain = set()
+        for _ in range(5):
+            rng.shuffle(parts)
+            got = complex_fsum(parts)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+            plain.add(sum(parts))
+        assert len(plain) > 1
+
+    def test_empty_sum(self):
+        assert complex_fsum([]) == 0j
 
 
 class TestNaiveDoubleSum:
     def test_theta_zero_counts_squarefree(self):
         s = double_kfree_sum_naive(fixed_from(Fraction(0)), 1, 10, 2)
-        assert s.value() == 7 + 0j
+        assert s == 7 + 0j
 
     def test_theta_half_alternating(self):
-        s = double_kfree_sum_naive(fixed_from(Fraction(1, 2)), 1, 4, 2).value()
+        s = double_kfree_sum_naive(fixed_from(Fraction(1, 2)), 1, 4, 2)
         assert abs(s - (-1)) < 1e-14
 
     def test_additive_in_h(self, rng):
         theta = fixed_from(Fraction(int(rng.integers(1, 1 << 30)), 1 << 30))
-        total = double_kfree_sum_naive(theta, 3, 50, 2).value()
+        total = double_kfree_sum_naive(theta, 3, 50, 2)
         via_singles = 0j
         for h in range(1, 4):
             t_h = FixedReal(theta.mantissa * h, theta.scale_bits, 0)
-            via_singles += double_kfree_sum_naive(t_h, 1, 50, 2).value()
+            via_singles += double_kfree_sum_naive(t_h, 1, 50, 2)
         assert abs(total - via_singles) < 1e-10
 
 
@@ -106,7 +130,7 @@ class TestHyperbola:
 
     def test_degenerate_split_y_equals_x(self):
         theta = fixed_from(Fraction(7, 64))
-        naive = double_kfree_sum_naive(theta, 2, 60, 2).value()
+        naive = double_kfree_sum_naive(theta, 2, 60, 2)
         split = double_kfree_sum_hyperbola(theta, 2, 60, 2, y=60.0)
         assert abs(split.combined() - naive) < 1e-10
 
@@ -117,7 +141,7 @@ class TestHyperbola:
             k = int(rng.integers(2, 4))
             theta = fixed_from(Fraction(int(rng.integers(0, 1 << 45)), 1 << 45))
             y = float(rng.uniform(1.0, x))
-            naive = double_kfree_sum_naive(theta, h, x, k).value()
+            naive = double_kfree_sum_naive(theta, h, x, k)
             split = double_kfree_sum_hyperbola(theta, h, x, k, y)
             tol = 1e3 * np.finfo(float).eps * h * x
             assert abs(split.combined() - naive) <= max(tol, 1e-10)
@@ -237,7 +261,7 @@ def _best_pair(theta: Fraction, K: int) -> tuple[int, int]:
 class TestMobiusExpSum:
     def test_theta_zero(self):
         s = mobius_exp_sum(fixed_from(Fraction(0)), 10, 2)
-        assert s.value() == -1 + 0j
+        assert s == -1 + 0j
 
     def test_triangle_inequality(self, rng):
         for _ in range(20):
@@ -247,12 +271,12 @@ class TestMobiusExpSum:
             s = mobius_exp_sum(theta, X, k)
             from beatty_kfree.kfree import iroot
 
-            assert abs(s.value()) <= iroot(X, k) + 1e-9
+            assert abs(s) <= iroot(X, k) + 1e-9
 
     def test_cancellation_trend(self):
         theta = to_fixed(SQRT2, 192)
         scaled = [
-            abs(mobius_exp_sum(theta, 10**e, 2).value()) / (10**e) ** 0.5
+            abs(mobius_exp_sum(theta, 10**e, 2)) / (10**e) ** 0.5
             for e in range(2, 9)
         ]
         assert scaled[-1] < scaled[0]

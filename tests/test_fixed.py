@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 from beatty_kfree.cfrac import PHI, to_fixed
 from beatty_kfree.errors import PrecisionExhausted
 from beatty_kfree.fixed import (
-    ComplexSum,
     FixedReal,
-    chunked_complex_sum,
+    exp_circle,
     frac_to_float,
     frac_vector,
-    kahan_add,
     sin_pi_reduced,
-    unit_exp,
 )
 
 
@@ -77,52 +74,29 @@ class TestFrac:
 
 
 class TestUnitExp:
+    """e(x) on the unit circle through exp_circle."""
+
     def test_zero(self):
-        assert unit_exp(FixedReal.from_fraction(Fraction(0), 128)) == (1.0, 0.0)
+        assert exp_circle(0, 128) == (1.0, 0.0)
 
     def test_half(self):
-        c, s = unit_exp(FixedReal.from_fraction(Fraction(1, 2), 128))
+        c, s = exp_circle(1 << 127, 128)
         assert c == -1.0 and abs(s) < 1e-15
 
     def test_third_exact_trig(self):
-        c, s = unit_exp(FixedReal.from_fraction(Fraction(1, 3), 128))
+        c, s = exp_circle(FixedReal.from_fraction(Fraction(1, 3), 128).mantissa, 128)
         assert abs(c + 0.5) < 1e-15
         assert abs(s - math.sqrt(3) / 2) < 1e-15
 
+    def test_reduces_whole_turns_exactly(self):
+        # the integer part of the angle never reaches the float conversion
+        third = FixedReal.from_fraction(Fraction(1, 3), 128).mantissa
+        assert exp_circle(third + (12345 << 128), 128) == exp_circle(third, 128)
+
     def test_modulus_near_one(self, rng):
         for num in rng.integers(0, 1 << 48, size=10**5):
-            x = FixedReal(int(num) << 80, 128, 0)
-            c, s = unit_exp(x)
+            c, s = exp_circle(int(num) << 80, 128)
             assert abs(c * c + s * s - 1.0) <= 1e-14
-
-
-class TestKahan:
-    def test_million_small_terms_exact(self):
-        acc = ComplexSum()
-        for _ in range(10**6):
-            acc = kahan_add(acc, (1e-8, 0.0))
-        # exact-rational oracle: 10**6 * 10**-8 == 1/100
-        assert abs(acc.value().real - 0.01) <= 1e-18
-        assert acc.terms == 10**6
-
-    def test_empty_sum(self):
-        assert ComplexSum().value() == 0j
-
-    def test_full_period_cancellation(self):
-        acc = ComplexSum()
-        for n in range(1, 5):
-            acc = kahan_add(acc, unit_exp(FixedReal.from_fraction(Fraction(n, 4), 128)))
-        assert abs(acc.value()) < 1e-15
-
-    def test_chunked_deterministic_and_chunk_invariant_tolerance(self, rng):
-        re = rng.standard_normal(10**4)
-        im = rng.standard_normal(10**4)
-        one = chunked_complex_sum(re, im, 1)
-        again = chunked_complex_sum(re, im, 1)
-        assert (one.re, one.im) == (again.re, again.im)
-        four = chunked_complex_sum(re, im, 4)
-        assert abs(one.value() - four.value()) < 1e-9
-        assert one.terms == four.terms == 10**4
 
 
 class TestHelpers:

@@ -10,7 +10,6 @@ from beatty_kfree.kfree import (
     count_kfree,
     floor_sum,
     iroot,
-    kfree_indicator_moebius,
     kfree_indicator_moebius_range,
     sieve_kfree,
     sieve_moebius,
@@ -133,14 +132,14 @@ class TestCountKFree:
             assert count_kfree(1, k)[0] == 1
 
     def test_million_both_methods_and_stored_value(self):
-        assert count_kfree(10**6, 2, "moebius")[0] == 607926
-        assert count_kfree(10**6, 2, "sieve")[0] == 607926
+        assert count_kfree(10**6, 2)[0] == 607926
+        assert sieve_kfree(2, 1, 10**6).count() == 607926
 
     def test_methods_agree_random(self, rng):
         for _ in range(8):
             x = int(rng.integers(1, 10**5))
             k = int(rng.integers(2, 5))
-            assert count_kfree(x, k, "moebius")[0] == count_kfree(x, k, "sieve")[0]
+            assert count_kfree(x, k)[0] == sieve_kfree(k, 1, x).count()
 
     def test_moebius_values_at_benchmark_sizes(self):
         assert count_kfree(10**12, 2)[0] == 607927102274
@@ -181,18 +180,6 @@ class TestZeta:
 
 
 class TestIndicator:
-    def test_twelve(self):
-        assert kfree_indicator_moebius(12, 2) == 0
-
-    def test_squarefree_thirty(self):
-        assert kfree_indicator_moebius(30, 2) == 1
-
-    def test_scalar_matches_range(self, rng):
-        for k in (2, 3, 4):
-            vec = kfree_indicator_moebius_range(2000, k)
-            for n in rng.integers(1, 2001, size=50):
-                assert kfree_indicator_moebius(int(n), k) == vec[int(n)]
-
     def test_identity_against_sieve_flags(self):
         for k in (2, 3, 4):
             vec = kfree_indicator_moebius_range(10**4, k)[1:]

@@ -8,14 +8,12 @@ from beatty_kfree.beatty import BeattyParams, count_kfree_beatty
 from beatty_kfree.cfrac import PHI, SQRT2
 from beatty_kfree.errors import InvalidDelta
 from beatty_kfree.smoothing import (
-    StepIndicator,
     build_smoothed,
     coefficient_bound,
     default_delta,
     default_truncation,
     eval_smoothed,
     eval_truncated_series,
-    exceptional_count,
     smoothed_beatty_count,
 )
 
@@ -142,12 +140,11 @@ class TestEvaluation:
         gf = golden.gamma.to_float()
         delta = 1 / 32
         ind = build_smoothed(golden.gamma, delta, 8)
-        step = StepIndicator(golden.gamma)
         checked = 0
         for x in rng.uniform(0, 1, size=10**5):
             x = float(x)
             if delta <= x <= gf - delta or gf + delta <= x <= 1 - delta:
-                assert eval_smoothed(ind, x) == step(x)
+                assert eval_smoothed(ind, x) == (1.0 if 0.0 < x <= gf else 0.0)
                 checked += 1
         assert checked > 10**4
 
@@ -192,13 +189,11 @@ class TestSmoothedCount:
         assert abs(exact - direct) <= 1
         assert abs(smoothed - exact) <= v + 1e-6
 
-    def test_exceptional_zero_delta(self, golden):
-        assert exceptional_count(golden, 10**4, 0.0) == 0
-
     def test_exceptional_grows_linearly_in_delta(self, golden):
-        # V(Delta) tracks |I|*M = 4*Delta*M: fitted slope within factor 3
-        M = 200000
+        # V(Delta) tracks |I|*M = 4*Delta*M: fitted slope within factor 3;
+        # x = 123607 gives M = floor(phi * x) = 200000
+        x, M = 123607, 200000
         deltas = np.array([0.002, 0.004, 0.008, 0.016, 0.032])
-        vs = np.array([exceptional_count(golden, M, float(d)) for d in deltas])
+        vs = np.array([smoothed_beatty_count(golden, 2, x, float(d))[2] for d in deltas])
         slope = float(np.polyfit(deltas, vs, 1)[0])
         assert 4 * M / 3 <= slope <= 4 * M * 3
