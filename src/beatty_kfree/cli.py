@@ -367,7 +367,7 @@ def cmd_smoothing_check(args) -> int:
     checks.append(("series_tail", float(series_err), tb, series_err <= tb))
 
     smoothed, exact, exceptional = smoothing.smoothed_beatty_count(
-        params, cfg.k, x, delta, J, cfg.memory_bytes
+        params, cfg.k, x, delta, cfg.memory_bytes
     )
     checks.append(
         ("smoothing_error_vs_exceptional", abs(smoothed - exact), float(exceptional),

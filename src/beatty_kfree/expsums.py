@@ -3,10 +3,14 @@
 The double sum  sum_{h<=H} sum_{n<=x, n k-free} e(theta*h*n)  is evaluated
 two ways: term by term over sieved k-free n (the oracle path), and through
 the three-way split induced by the Moebius identity for the k-free
-indicator, with inner geometric sums in closed form. Angle arguments are
-reduced exactly from the fixed-point mantissa of theta, and each path
-sums its partials exactly rounded (complex_fsum), so the two agree to
-within the float64 error of the partials themselves.
+indicator. In the split, sum A takes its long inner sums over l in closed
+geometric form; sums B and C are direct Moebius-weighted sums over their
+pairs (l, m), n = l*m**k <= x. Every direct sum goes through one power-sum
+kernel: the angle of each n is reduced exactly from the fixed-point
+mantissa of theta once, and e(theta*h*n) for h = 1..H follows by complex
+multiplication. Each path sums its partials exactly rounded
+(complex_fsum), so the two agree to within the float64 error of the
+partials themselves.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from .kfree import DEFAULT_MEMORY_BYTES, iroot, sieve_kfree, sieve_moebius
 
 TWO_PI = 2.0 * math.pi
 SMALL_NORM_BITS = 30  # ||alpha|| below 2**-30 switches to direct summation
+_POWER_CHUNK = 1 << 18  # elements per chunk of the power-sum kernel
 
 
 def split_parameter(x: int, k: int) -> float:
@@ -47,9 +52,28 @@ def _unit_sum(ang: np.ndarray) -> complex:
     return complex(float(np.sum(np.cos(ang))), float(np.sum(np.sin(ang))))
 
 
-def _weighted_unit_sum(w: np.ndarray, ang: np.ndarray) -> complex:
-    """sum of w * e^(i*ang), one dot product per component."""
-    return complex(float(np.dot(w, np.cos(ang))), float(np.dot(w, np.sin(ang))))
+def _power_sum(t: int, bits: int, ns: np.ndarray, H: int,
+               w: np.ndarray | None = None) -> complex:
+    """sum_{h=1..H} sum_j w_j * e(h * t * ns_j / 2**bits), w_j = 1 by default.
+
+    Per chunk of ns: one exact reduction z_j = e(t*ns_j / 2**bits), then
+    w_j * z_j**h by one complex multiply per h and one pairwise sum per h.
+    The angle is centred in [-1/2, 1/2] turns first, so its float error is
+    relative to its size and not to a whole turn; z_j**h multiplies it by h.
+    """
+    parts = []
+    for j0 in range(0, len(ns), _POWER_CHUNK):
+        f = frac_vector(t, bits, ns[j0:j0 + _POWER_CHUNK])
+        ang = TWO_PI * (f - np.rint(f))
+        z = np.empty(len(ang), dtype=np.complex128)
+        z.real = np.cos(ang)
+        z.imag = np.sin(ang)
+        v = z.copy() if w is None else z * w[j0:j0 + _POWER_CHUNK]
+        for h in range(1, H + 1):
+            parts.append(complex(np.sum(v)))
+            if h < H:
+                v *= z
+    return complex_fsum(parts)
 
 
 def _direct_linear(angle: float, x: int) -> complex:
@@ -96,12 +120,7 @@ def double_kfree_sum_naive(
         return 0j
     flags = sieve_kfree(k, 1, x, memory_bytes).flags
     ns = (np.nonzero(flags)[0] + 1).astype(np.uint64)
-    bits = theta.scale_bits
-    one = 1 << bits
-    t = theta.mantissa % one
-    return complex_fsum(
-        _unit_sum(TWO_PI * frac_vector((t * h) % one, bits, ns)) for h in range(1, H + 1)
-    )
+    return _power_sum(theta.mantissa % (1 << theta.scale_bits), theta.scale_bits, ns, H)
 
 
 @dataclass(frozen=True)
@@ -128,8 +147,8 @@ def double_kfree_sum_hyperbola(
     """Hyperbola evaluation of the double k-free sum with split parameter y.
 
     A: m**k <= y, inner geometric sum over l <= x/m**k (closed form);
-    B: l <= x/y, inner Moebius-weighted sum over m**k <= x/l (direct);
-    C: the overlap, geometric over l <= x/y.
+    B: l <= x/y, Moebius-weighted sum over m**k <= x/l (direct);
+    C: the overlap l <= x/y, m**k <= y, Moebius-weighted (direct).
     """
     if y is None:
         y = split_parameter(x, k)
@@ -143,9 +162,8 @@ def double_kfree_sum_hyperbola(
     mu = sieve_moebius(1, max(m_top, 1), memory_bytes).mu
     ma = iroot(int(y), k)
     lc = int(math.floor(x / y))
-    mk_all = (np.arange(1, m_top + 1, dtype=np.uint64)) ** k
 
-    parts_a, parts_c = [], []
+    parts_a = []
     for h in range(1, H + 1):
         for m in range(1, ma + 1):
             w = int(mu[m - 1])
@@ -153,22 +171,22 @@ def double_kfree_sum_hyperbola(
                 continue
             base = FixedReal((t * h * m**k) % one, bits)
             parts_a.append(w * linear_exp_sum(base, x // m**k))
-            parts_c.append(w * linear_exp_sum(base, lc))
 
-    parts_b = []
-    for h in range(1, H + 1):
-        th = (t * h) % one
-        for l in range(1, lc + 1):
-            mb = iroot(x // l, k)
-            mus = mu[:mb]
-            nz = np.nonzero(mus)[0]
-            if len(nz) == 0:
-                continue
-            parts_b.append(_weighted_unit_sum(
-                mus[nz].astype(np.float64), TWO_PI * frac_vector((th * l) % one, bits, mk_all[nz])
-            ))
+    # the (l, m) pairs of B and C with mu(m) != 0, n = l * m**k <= x
+    nz = np.nonzero(mu)[0]
+    mk = (nz.astype(np.uint64) + 1) ** k
+    mus = mu[nz].astype(np.float64)
+    ls = np.arange(1, lc + 1, dtype=np.uint64)
+    per_l_b = np.searchsorted(mk, np.uint64(x) // ls, side="right")
+    per_l_c = np.full(lc, np.searchsorted(nz, ma, side="left"))
+    sums = []
+    for per_l in (per_l_b, per_l_c):
+        start = np.cumsum(per_l) - per_l
+        idx = np.arange(int(np.sum(per_l))) - np.repeat(start, per_l)
+        ns = np.repeat(ls, per_l) * mk[idx]
+        sums.append(_power_sum(t, bits, ns, H, mus[idx]))
 
-    return HyperbolaSplit(y, complex_fsum(parts_a), complex_fsum(parts_b), complex_fsum(parts_c))
+    return HyperbolaSplit(y, complex_fsum(parts_a), sums[0], sums[1])
 
 
 @dataclass(frozen=True)
@@ -276,11 +294,8 @@ def mobius_exp_sum(theta: FixedReal, X: int, k: int,
     if X < 1:
         raise ValueError("X must be >= 1")
     r = iroot(X, k)
-    mu = sieve_moebius(1, max(r, 1), memory_bytes).mu
-    nz = np.nonzero(mu[:r])[0]
-    if len(nz) == 0:
-        return 0j
+    mu = sieve_moebius(1, max(r, 1), memory_bytes).mu[:r]
+    nz = np.nonzero(mu)[0]
     bits = theta.scale_bits
     mk = (nz.astype(np.uint64) + 1) ** k
-    f = frac_vector(theta.mantissa % (1 << bits), bits, mk)
-    return _weighted_unit_sum(mu[:r][nz].astype(np.float64), TWO_PI * f)
+    return _power_sum(theta.mantissa % (1 << bits), bits, mk, 1, mu[nz].astype(np.float64))

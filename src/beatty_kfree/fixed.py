@@ -23,6 +23,7 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _TWO_M32 = 2.0 ** -32
 _TWO_M64 = 2.0 ** -64
 _TWO_M96 = 2.0 ** -96
+_N_LIMIT = 1 << 44  # beyond it the 96-bit truncation error n * 2**-96 exceeds 2**-52
 
 
 def decision_margin(err_ulps: int) -> int:
@@ -121,22 +122,35 @@ def frac_vector(
 ) -> np.ndarray:
     """Fractional parts of (mantissa*n + offset) / 2**scale_bits as float64.
 
-    Exact modular reduction through the top 96 bits of the mantissa, so the
-    result is within ~2**-50 of the true fractional part. Requires n < 2**31.
+    Exact modular reduction through the top 96 bits of the mantissa, split
+    into limbs whose integer products wrap only by whole turns. Truncating
+    the mantissa to 96 bits costs at most n * 2**-96, so the result is within
+    ~2**-50 of the true fractional part for 0 <= n < 2**44; larger n raise
+    ValueError.
     """
+    n64 = np.ascontiguousarray(n, dtype=np.uint64)
+    n_max = int(n64.max()) if n64.size else 0
+    if n_max >= _N_LIMIT:
+        raise ValueError(f"frac_vector needs n < 2**44, got max(n) = {n_max}")
     one = 1 << scale_bits
     r = mantissa % one
     if scale_bits >= 96:
         t = r >> (scale_bits - 96)
     else:
         t = r << (96 - scale_bits)
-    a = np.uint64(t >> 64)
-    b = np.uint64((t >> 32) & 0xFFFFFFFF)
     c = np.uint64(t & 0xFFFFFFFF)
-    n64 = np.ascontiguousarray(n, dtype=np.uint64)
-    f = ((a * n64) & _MASK32).astype(np.float64) * _TWO_M32
-    f += (b * n64).astype(np.float64) * _TWO_M64
-    f += (c * n64).astype(np.float64) * _TWO_M96
+    if n_max >> 32:
+        # c*n would wrap by multiples of 2**-32, so split n at bit 32; the
+        # products scaled by 2**-64 wrap by whole turns only
+        top = np.uint64(t >> 32)
+        f = (top * n64 + c * (n64 >> np.uint64(32))).astype(np.float64) * _TWO_M64
+        f += (c * (n64 & _MASK32)).astype(np.float64) * _TWO_M96
+    else:
+        a = np.uint64(t >> 64)
+        b = np.uint64((t >> 32) & 0xFFFFFFFF)
+        f = ((a * n64) & _MASK32).astype(np.float64) * _TWO_M32
+        f += (b * n64).astype(np.float64) * _TWO_M64
+        f += (c * n64).astype(np.float64) * _TWO_M96
     if offset_mantissa:
         f += frac_to_float(offset_mantissa % one, scale_bits)
     return np.mod(f, 1.0)

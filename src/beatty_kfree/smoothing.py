@@ -144,7 +144,6 @@ def smoothed_beatty_count(
     k: int,
     x: int,
     delta_param: float | None = None,
-    J: int | None = None,
     memory_bytes: int = DEFAULT_MEMORY_BYTES,
 ) -> tuple[float, int, int]:
     """(smoothed, exact, exceptional) sums over k-free m <= floor(alpha*x+beta).
@@ -163,8 +162,6 @@ def smoothed_beatty_count(
     lv = p.level(p.precision_bits)
     gf = lv.gamma.to_float()
     delta_param = min(delta_param, min(gf, 1.0 - gf) / 2.0, 0.124)
-    if J is None:
-        J = default_truncation(delta_param)
 
     smoothed = 0.0
     exact = 0

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beatty_kfree.cfrac import PHI, SQRT2, to_fixed
+from beatty_kfree import expsums
+from beatty_kfree.cfrac import PHI, SQRT2, dirichlet_approx, to_fixed
 from beatty_kfree.expsums import (
     ThetaApprox,
     complex_fsum,
@@ -18,8 +19,8 @@ from beatty_kfree.expsums import (
     nearest_int_distance,
     split_parameter,
 )
-from beatty_kfree.fixed import FixedReal
-from beatty_kfree.kfree import sieve_kfree, zeta
+from beatty_kfree.fixed import FixedReal, frac_vector
+from beatty_kfree.kfree import iroot, sieve_kfree, zeta
 
 
 def direct_linear_sum(alpha_frac: Fraction, x: int) -> complex:
@@ -281,3 +282,129 @@ class TestMobiusExpSum:
         ]
         assert scaled[-1] < scaled[0]
         assert scaled[-1] <= 0.5 * scaled[0]
+
+
+def per_h_naive(theta: FixedReal, H: int, x: int, k: int) -> complex:
+    """Oracle: one exact angle reduction per (h, n), summed per h."""
+    ns = (np.nonzero(sieve_kfree(k, 1, x).flags)[0] + 1).astype(np.uint64)
+    one = 1 << theta.scale_bits
+    t = theta.mantissa % one
+    parts = []
+    for h in range(1, H + 1):
+        ang = 2.0 * math.pi * frac_vector((t * h) % one, theta.scale_bits, ns)
+        parts.append(complex(float(np.sum(np.cos(ang))), float(np.sum(np.sin(ang)))))
+    return complex_fsum(parts)
+
+
+def trial_mu(m: int) -> int:
+    out, d = 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if m > 1 else out
+
+
+def exact_e(theta: Fraction, n: int) -> complex:
+    ang = 2.0 * math.pi * float((theta * n) % 1)
+    return complex(math.cos(ang), math.sin(ang))
+
+
+def brute_split(theta: FixedReal, H: int, x: int, k: int, y: float):
+    """sum_A, sum_B, sum_C over their own index sets, angles reduced as
+    exact fractions, mu by trial division."""
+    th = Fraction(theta.mantissa, 1 << theta.scale_bits)
+    lc = int(x // y)
+    mus = {m: trial_mu(m) for m in range(1, iroot(x, k) + 1)}
+    a = b = c = 0j
+    for h in range(1, H + 1):
+        for m, mu in mus.items():
+            if not mu:
+                continue
+            mk = m**k
+            if mk <= y:
+                a += mu * sum(exact_e(th, h * l * mk) for l in range(1, x // mk + 1))
+                c += mu * sum(exact_e(th, h * l * mk) for l in range(1, lc + 1))
+            b += mu * sum(exact_e(th, h * l * mk) for l in range(1, min(lc, x // mk) + 1))
+    return a, b, c
+
+
+def theta_cases(rng):
+    yield fixed_from(Fraction(int(rng.integers(1, 1 << 62)), 1 << 62))
+    yield fixed_from(Fraction(3, 7))
+    yield fixed_from(Fraction(5) + Fraction(1, 1 << 33))  # ||theta|| < 2**-30
+    yield fixed_from(Fraction(-1, 1 << 35))
+
+
+class TestPowerSumKernel:
+    @pytest.mark.parametrize("H", [1, 2, 30])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_naive_matches_per_h_reduction(self, rng, H, k):
+        for theta in theta_cases(rng):
+            x = int(rng.integers(1000, 20000))
+            got = double_kfree_sum_naive(theta, H, x, k)
+            assert abs(got - per_h_naive(theta, H, x, k)) <= 1e-9
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_split_parts_match_brute_force(self, rng, k):
+        thetas = list(theta_cases(rng))
+        for i, theta in enumerate(thetas):
+            x = int(rng.integers(200, 2001))
+            H = (1, 2, 3, 4)[i]
+            y = float(rng.uniform(1.0, x)) if i % 2 else split_parameter(x, k)
+            split = double_kfree_sum_hyperbola(theta, H, x, k, y)
+            a, b, c = brute_split(theta, H, x, k, y)
+            assert abs(split.sum_A - a) <= 1e-9
+            assert abs(split.sum_B - b) <= 1e-9
+            assert abs(split.sum_C - c) <= 1e-9
+
+    def test_mobius_sum_weights(self, rng):
+        theta = fixed_from(Fraction(int(rng.integers(1, 1 << 40)), 1 << 40))
+        th = Fraction(theta.mantissa, 1 << theta.scale_bits)
+        want = sum(trial_mu(m) * exact_e(th, m * m) for m in range(1, 101))
+        assert abs(mobius_exp_sum(theta, 100**2 + 50, 2) - want) <= 1e-12
+
+    def test_convergent_theta_two_chunks(self):
+        # 303,968 squarefree n <= 5*10**5 fill two kernel chunks; the gap
+        # bounds the drift of z**h over h <= 30
+        x, H = 5 * 10**5, 30
+        assert sieve_kfree(2, 1, x).count() > expsums._POWER_CHUNK
+        theta = to_fixed(PHI, 192).mul_int(17)
+        a, q = dirichlet_approx(theta, x)
+        rep = double_sum_bound_check(ThetaApprox(theta, a, q), H, x, 2)
+        assert rep.params["hyperbola_gap"] <= 1e-8
+
+
+class TestPowerSumStructure:
+    """Counts frac_vector calls, so per-h or per-(h, l) reductions cannot
+    come back unnoticed."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        real = expsums.frac_vector
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(expsums, "frac_vector", counting)
+        return count
+
+    def test_naive_reduces_once_per_chunk(self, calls):
+        double_kfree_sum_naive(to_fixed(PHI, 192), 30, 5 * 10**5, 2)
+        assert calls[0] <= 2
+
+    def test_hyperbola_calls_independent_of_h_and_split(self, calls):
+        theta = to_fixed(SQRT2, 192)
+        x = 5 * 10**4
+        seen = set()
+        for H in (1, 30):
+            for x_over_y in (1, 3, 50):
+                calls[0] = 0
+                double_kfree_sum_hyperbola(theta, H, x, 2, x / x_over_y)
+                seen.add(calls[0])
+        assert len(seen) == 1 and seen.pop() <= 2

@@ -119,3 +119,50 @@ class TestHelpers:
             x = int(num)
             expected = math.sin(math.pi * ((x / 2**20) % 2.0))
             assert abs(sin_pi_reduced(x, 20) - expected) < 1e-12
+
+
+def circular_gap(fast: np.ndarray, mant: int, bits: int, ns, off: int = 0) -> float:
+    """Largest distance on the circle between fast and the exact fractional
+    parts of (mant*n + off) / 2**bits, reduced in integers."""
+    one = 1 << bits
+    exact = np.array([((mant * int(n) + off) % one) / one for n in ns])
+    d = np.abs(fast - exact)
+    return float(np.max(np.minimum(d, 1.0 - d)))
+
+
+class TestFracVectorBeyond2To32:
+    @pytest.mark.parametrize("with_offset", [False, True])
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mant=st.integers(0, (1 << 192) - 1),
+        off=st.integers(0, (1 << 192) - 1),
+        ns=st.lists(st.integers(1 << 32, (1 << 44) - 1), min_size=1, max_size=40),
+    )
+    def test_matches_exact_reduction(self, with_offset, mant, off, ns):
+        off = off if with_offset else 0
+        n = np.array(ns, dtype=np.uint64)
+        fast = frac_vector(mant, 192, n, offset_mantissa=off)
+        assert circular_gap(fast, mant, 192, ns, off) <= 1e-15
+
+    @pytest.mark.parametrize("e", [32, 33, 36, 40, 44])
+    def test_golden_ratio_runs(self, e):
+        # 1000 consecutive n ending just below 2**e; the wrapped c-limb once
+        # cost 5.7e-8 at 2**40
+        mant = to_fixed(PHI, 192).mantissa
+        ns = np.arange((1 << e) - 1000, 1 << e, dtype=np.uint64)
+        assert circular_gap(frac_vector(mant, 192, ns), mant, 192, ns) <= 1e-15
+
+    def test_low_scale_bits(self, rng):
+        # scale_bits < 96: the mantissa is shifted up, not truncated
+        mant = int(rng.integers(1, 1 << 62))
+        ns = [int(v) for v in rng.integers(1 << 32, 1 << 44, size=500)]
+        fast = frac_vector(mant, 64, np.array(ns, dtype=np.uint64))
+        assert circular_gap(fast, mant, 64, ns) <= 1e-15
+
+    def test_refuses_n_from_2_to_44(self):
+        n = np.array([5, (1 << 44) + 7, 3], dtype=np.uint64)
+        with pytest.raises(ValueError, match=r"max\(n\) = 17592186044423"):
+            frac_vector(to_fixed(PHI, 192).mantissa, 192, n)
+
+    def test_empty_input(self):
+        assert frac_vector(12345, 64, np.array([], dtype=np.uint64)).shape == (0,)
