@@ -1,7 +1,7 @@
 """Exponential sums over k-free integers and their hyperbola decomposition.
 
 The double sum  sum_{h<=H} sum_{n<=x, n k-free} e(theta*h*n)  is evaluated
-two ways: term by term over sieved k-free n (the oracle path), and through
+two ways: term by term over sieved k-free n (the naive path), and through
 the three-way split induced by the Moebius identity for the k-free
 indicator. In the split, sum A takes its long inner sums over l in closed
 geometric form; sums B and C are direct Moebius-weighted sums over their
@@ -10,7 +10,9 @@ kernel: the angle of each n is reduced exactly from the fixed-point
 mantissa of theta once, and e(theta*h*n) for h = 1..H follows by complex
 multiplication. Each path sums its partials exactly rounded
 (complex_fsum), so the two agree to within the float64 error of the
-partials themselves.
+partials themselves. Because the naive sum and sums B and C share the
+kernel, their agreement checks the split, not the kernel; the kernel is
+checked against one exact reduction per (h, n) in the tests.
 """
 from __future__ import annotations
 

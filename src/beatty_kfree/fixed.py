@@ -138,22 +138,26 @@ def frac_vector(
         t = r >> (scale_bits - 96)
     else:
         t = r << (96 - scale_bits)
+    a = np.uint64(t >> 64)
+    b = np.uint64((t >> 32) & 0xFFFFFFFF)
     c = np.uint64(t & 0xFFFFFFFF)
-    if n_max >> 32:
-        # c*n would wrap by multiples of 2**-32, so split n at bit 32; the
-        # products scaled by 2**-64 wrap by whole turns only
-        top = np.uint64(t >> 32)
-        f = (top * n64 + c * (n64 >> np.uint64(32))).astype(np.float64) * _TWO_M64
-        f += (c * (n64 & _MASK32)).astype(np.float64) * _TWO_M96
-    else:
-        a = np.uint64(t >> 64)
-        b = np.uint64((t >> 32) & 0xFFFFFFFF)
-        f = ((a * n64) & _MASK32).astype(np.float64) * _TWO_M32
-        f += (b * n64).astype(np.float64) * _TWO_M64
-        f += (c * n64).astype(np.float64) * _TWO_M96
+    # limb products reuse two buffers; uint64 * float scales while converting
+    u = np.multiply(a, n64)
+    u &= _MASK32
+    f = np.multiply(u, _TWO_M32)
+    g = np.empty_like(f)
+    np.multiply(b, n64, out=u)
+    f += np.multiply(u, _TWO_M64, out=g)
+    # c*n would wrap by multiples of 2**-32, so split n at bit 32
+    np.right_shift(n64, np.uint64(32), out=u)
+    u *= c
+    f += np.multiply(u, _TWO_M64, out=g)
+    np.bitwise_and(n64, _MASK32, out=u)
+    u *= c
+    f += np.multiply(u, _TWO_M96, out=g)
     if offset_mantissa:
         f += frac_to_float(offset_mantissa % one, scale_bits)
-    return np.mod(f, 1.0)
+    return np.mod(f, 1.0, out=f)
 
 
 def sin_pi_reduced(mantissa: int, scale_bits: int) -> float:

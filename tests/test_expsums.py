@@ -349,6 +349,16 @@ class TestPowerSumKernel:
             assert abs(got - per_h_naive(theta, H, x, k)) <= 1e-9
 
     @pytest.mark.parametrize("k", [2, 3])
+    def test_naive_long_h_range(self, rng, k):
+        # z**h accumulates the rounding of z once per step, so the error
+        # grows with h; H = 300 bounds it well past the CLI's H
+        thetas = list(theta_cases(rng)) + [to_fixed(PHI, 192)]
+        for theta in thetas:
+            want = per_h_naive(theta, 300, 2000, k)
+            got = double_kfree_sum_naive(theta, 300, 2000, k)
+            assert abs(got - want) <= 1e-9 + 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("k", [2, 3])
     def test_split_parts_match_brute_force(self, rng, k):
         thetas = list(theta_cases(rng))
         for i, theta in enumerate(thetas):

@@ -146,10 +146,10 @@ class TestFracVectorBeyond2To32:
 
     @pytest.mark.parametrize("e", [32, 33, 36, 40, 44])
     def test_golden_ratio_runs(self, e):
-        # 1000 consecutive n ending just below 2**e; the wrapped c-limb once
-        # cost 5.7e-8 at 2**40
+        # consecutive n from 2**e - 1000 across 2**e (up to 2**44 - 1); the
+        # wrapped c-limb once cost 5.7e-8 at 2**40
         mant = to_fixed(PHI, 192).mantissa
-        ns = np.arange((1 << e) - 1000, 1 << e, dtype=np.uint64)
+        ns = np.arange((1 << e) - 1000, min((1 << e) + 1000, 1 << 44), dtype=np.uint64)
         assert circular_gap(frac_vector(mant, 192, ns), mant, 192, ns) <= 1e-15
 
     def test_low_scale_bits(self, rng):
