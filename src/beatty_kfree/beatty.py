@@ -3,8 +3,9 @@
 The membership criterion is the fractional-part test
     m = floor(alpha*n + beta) for some integer n  iff  0 < {gamma*m + delta} <= gamma,
 with gamma = 1/alpha and delta = (1 - beta)/alpha; the witness n is
-floor(gamma*m + delta). All floor and comparison decisions are certified
-via interval fixed-point arithmetic with precision escalation. The block
+floor(gamma*m + delta). The scalar path decides it by two certified floors
+(member_witness). All floor decisions are certified via interval
+fixed-point arithmetic with precision escalation. The block
 kernels decide in float64 away from the borders and send entries near a
 border (border_indices) to the certified scalar path.
 
@@ -26,7 +27,6 @@ from .fixed import (
     DEFAULT_BITS,
     MAX_BITS,
     FixedReal,
-    decision_margin,
     frac_to_float,
     frac_vector,
 )
@@ -187,43 +187,29 @@ def beatty_terms_block(p: BeattyParams, n_lo: int, n_hi: int) -> np.ndarray:
     return m
 
 
-def is_member(p: BeattyParams, m: int) -> bool:
-    """True iff m = floor(alpha*n + beta) for some integer n."""
+def member_witness(p: BeattyParams, m: int) -> int | None:
+    """The unique integer n with floor(alpha*n + beta) = m, if any.
+
+    Such n lie in [(m - beta)/alpha, (m + 1 - beta)/alpha), the interval from
+    gamma*(m-1) + delta to gamma*m + delta, of length gamma < 1. So with
+    W(m) = floor(gamma*m + delta) the witness is W(m) iff W(m) > W(m - 1).
+    An end is an integer only for integer beta: m = beta puts n = 0 on the
+    closed end, and m + 1 = beta puts it on the open end.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    # exact fractional-part collisions are possible only for integer beta:
-    # {gamma*m + delta} = 0 iff m + 1 = beta, and = gamma iff m = beta
     if p.beta.denominator == 1:
-        b = p.beta.numerator
-        if m + 1 == b:
-            return False
-        if m == b:
-            return True
-    tried = []
-    for lv in p.escalation():
-        tried.append(lv.bits)
-        one = 1 << lv.bits
-        r = (lv.gamma.mantissa * m + lv.delta.mantissa) % one
-        err = lv.gamma.err_ulps * m + lv.delta.err_ulps
-        margin = decision_margin(err)
-        if r <= margin or r >= one - margin:
-            continue  # cannot separate the fractional part from 0
-        gerr = lv.gamma.err_ulps
-        slack = max(1, (err + gerr) >> 32)
-        if r + err + slack < lv.gamma.mantissa - gerr:
-            return True
-        if r - err - slack > lv.gamma.mantissa + gerr:
-            return False
-    raise PrecisionExhausted(
-        f"membership of {m} undecidable for alpha={p.alpha} at bits {tried}"
-    )
+        if m == p.beta.numerator:
+            return 0
+        if m + 1 == p.beta.numerator:
+            return None
+    w = _certified_floor(p, "gamma", "delta", m)
+    return w if w > _certified_floor(p, "gamma", "delta", m - 1) else None
 
 
-def member_witness(p: BeattyParams, m: int) -> int | None:
-    """The unique integer n with floor(alpha*n + beta) = m, if any."""
-    if not is_member(p, m):
-        return None
-    return _certified_floor(p, "gamma", "delta", m)
+def is_member(p: BeattyParams, m: int) -> bool:
+    """True iff m = floor(alpha*n + beta) for some integer n."""
+    return member_witness(p, m) is not None
 
 
 def member_flags_block(p: BeattyParams, m_lo: int, m_hi: int) -> np.ndarray:

@@ -14,7 +14,6 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -80,71 +79,61 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", default="quad:1,5,2", help="quad:p,d,q | cf:a0,a1,... | dec:digits:bits")
-    p.add_argument("--beta", default="0", help="exact rational, e.g. 0, 1/2, -0.7")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--grid", default="1000:100000:10", help="geometric grid start:stop:ratio")
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--delta-multiplier", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision-bits", type=int, default=192)
-    p.add_argument("--memory-budget", type=int, default=256, help="MiB for sieve windows")
-    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p.add_argument("--timings", action="store_true", help="fill the wall_ms column (breaks byte reproducibility)")
-    p.add_argument("--config", default=None, help="key=value file; flags override file values")
+def _k_value(text: str) -> int:
+    k = int(text)
+    if k < 2:
+        raise argparse.ArgumentTypeError(f"k must be >= 2, got {k}")
+    return k
 
 
-@dataclass
-class ExperimentConfig:
-    alpha: str
-    beta: str
-    k: int
-    grid: str
-    eps: float
-    delta_multiplier: float
-    seed: int
-    precision_bits: int
-    memory_bytes: int
-    out: str | None
-    timings: bool
-
-    @classmethod
-    def from_args(cls, args) -> "ExperimentConfig":
-        if args.k < 2:
-            raise ValueError("k must be >= 2")
-        if args.eps <= 0:
-            raise ValueError("eps must be positive")
-        return cls(
-            alpha=args.alpha,
-            beta=args.beta,
-            k=args.k,
-            grid=args.grid,
-            eps=args.eps,
-            delta_multiplier=args.delta_multiplier,
-            seed=args.seed,
-            precision_bits=args.precision_bits,
-            memory_bytes=args.memory_budget << 20,
-            out=args.out,
-            timings=args.timings,
-        )
+def _eps_value(text: str) -> float:
+    eps = float(text)
+    if not eps > 0:
+        raise argparse.ArgumentTypeError(f"eps must be positive, got {eps!r}")
+    return eps
 
 
-def _count_rows(cfg: ExperimentConfig):
-    spec = cfrac.parse_irrational(cfg.alpha)
-    params = beatty.BeattyParams(spec, beatty.parse_beta(cfg.beta), cfg.precision_bits)
+def _mib_to_bytes(text: str) -> int:
+    return int(text) << 20
+
+
+# Every flag of the CLI; each subcommand adds the ones its handler reads.
+_FLAGS = {
+    "alpha": dict(default="quad:1,5,2", help="quad:p,d,q | cf:a0,a1,... | dec:digits:bits"),
+    "beta": dict(default="0", help="exact rational, e.g. 0, 1/2, -0.7"),
+    "k": dict(type=_k_value, default=2),
+    "grid": dict(default="1000:100000:10", help="geometric grid start:stop:ratio"),
+    "eps": dict(type=_eps_value, default=0.05),
+    "delta-multiplier": dict(type=float, default=1.0),
+    "seed": dict(type=int, default=0),
+    "precision-bits": dict(type=int, default=192),
+    "memory-budget": dict(type=_mib_to_bytes, default="256", dest="memory_bytes",
+                          metavar="MIB", help="MiB for sieve windows"),
+    "out": dict(default=None, help="CSV output path (default stdout)"),
+    "timings": dict(action="store_true", help="fill the wall_ms column (breaks byte reproducibility)"),
+    "trials": dict(type=int, default=100),
+    "x-max": dict(type=int, default=100000),
+    "h-max": dict(type=int, default=30),
+    "x": dict(type=int, default=10000),
+    "J": dict(type=int, default=None),
+}
+
+
+def _count_rows(args):
+    spec = cfrac.parse_irrational(args.alpha)
+    params = beatty.BeattyParams(spec, beatty.parse_beta(args.beta), args.precision_bits)
     tau = cfrac.estimate_type(spec, 10**6).tau_hat
-    exp_bound = max(cfg.k / (2.0 * cfg.k - 1.0), 1.0 - 1.0 / (tau + 1.0))
+    exp_bound = max(args.k / (2.0 * args.k - 1.0), 1.0 - 1.0 / (tau + 1.0))
     rows = []
-    for x in parse_grid(cfg.grid):
+    for x in parse_grid(args.grid):
         t0 = time.perf_counter()
-        count, main, err = beatty.count_kfree_beatty(params, x, cfg.k, cfg.memory_bytes)
-        bound = x ** (cfg.k / (2.0 * cfg.k - 1.0) + cfg.eps) + x ** (1.0 - 1.0 / (tau + 1.0) + cfg.eps)
-        wall = f"{(time.perf_counter() - t0) * 1e3:.1f}" if cfg.timings else ""
+        count, main, err = beatty.count_kfree_beatty(params, x, args.k, args.memory_bytes)
+        bound = x ** (args.k / (2.0 * args.k - 1.0) + args.eps) + x ** (1.0 - 1.0 / (tau + 1.0) + args.eps)
+        wall = f"{(time.perf_counter() - t0) * 1e3:.1f}" if args.timings else ""
         rows.append(
             [
-                "count", cfg.alpha, cfg.beta, cfg.k, _fmt(cfg.eps), cfg.precision_bits,
-                cfg.seed, _fmt(tau), x, count, _fmt(main), _fmt(err),
+                "count", args.alpha, args.beta, args.k, _fmt(args.eps), args.precision_bits,
+                args.seed, _fmt(tau), x, count, _fmt(main), _fmt(err),
                 _fmt(bound), _fmt(abs(err) / bound), wall,
             ]
         )
@@ -159,9 +148,8 @@ _COUNT_HEADER = [
 
 
 def cmd_count(args) -> int:
-    cfg = ExperimentConfig.from_args(args)
-    rows, _, _ = _count_rows(cfg)
-    with _open_out(cfg.out) as f:
+    rows, _, _ = _count_rows(args)
+    with _open_out(args.out) as f:
         w = _writer(f)
         w.writerow(_COUNT_HEADER)
         w.writerows(rows)
@@ -169,18 +157,17 @@ def cmd_count(args) -> int:
 
 
 def cmd_fit_exponent(args) -> int:
-    cfg = ExperimentConfig.from_args(args)
-    grid = parse_grid(cfg.grid)
+    grid = parse_grid(args.grid)
     if len(grid) < 4:
         raise ValueError("fit-exponent needs at least 4 grid points")
-    rows, tau, exp_bound = _count_rows(cfg)
+    rows, tau, exp_bound = _count_rows(args)
     x_col, err_col = _COUNT_HEADER.index("x"), _COUNT_HEADER.index("error")
     xs = [row[x_col] for row in rows]
     errs = [float(row[err_col]) for row in rows]
     slope, intercept, degenerate = fit_loglog(xs, errs)
     threshold = exp_bound + 0.1
     ok = slope <= threshold
-    with _open_out(cfg.out) as f:
+    with _open_out(args.out) as f:
         w = _writer(f)
         w.writerow(_COUNT_HEADER)
         w.writerows(rows)
@@ -219,40 +206,36 @@ def _sweep_theta(rng: np.random.Generator, trial: int, x: int, bits: int):
 
 
 def cmd_expsum_sweep(args) -> int:
-    cfg = ExperimentConfig.from_args(args)
-    trials = args.trials
-    x_max = args.x_max
-    h_max = args.h_max
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     rows = []
     max_ratio = 0.0
     worst_gap = 0.0
-    for trial in range(trials):
-        x = int(rng.integers(200, x_max + 1))
-        h = int(rng.integers(1, h_max + 1))
+    for trial in range(args.trials):
+        x = int(rng.integers(200, args.x_max + 1))
+        h = int(rng.integers(1, args.h_max + 1))
         t0 = time.perf_counter()
-        theta, kind = _sweep_theta(rng, trial, x, cfg.precision_bits)
+        theta, kind = _sweep_theta(rng, trial, x, args.precision_bits)
         rep = expsums.double_sum_bound_check(
-            theta, h, x, cfg.k, cfg.eps, memory_bytes=cfg.memory_bytes
+            theta, h, x, args.k, args.eps, memory_bytes=args.memory_bytes
         )
-        gap = rep.params.get("hyperbola_gap", 0.0)
+        gap = rep.params["hyperbola_gap"]
         max_ratio = max(max_ratio, rep.ratio)
         worst_gap = max(worst_gap, gap)
-        wall = f"{(time.perf_counter() - t0) * 1e3:.1f}" if cfg.timings else ""
+        wall = f"{(time.perf_counter() - t0) * 1e3:.1f}" if args.timings else ""
         rows.append(
             [
-                "expsum", cfg.k, _fmt(cfg.eps), cfg.precision_bits, cfg.seed, trial,
+                "expsum", args.k, _fmt(args.eps), args.precision_bits, args.seed, trial,
                 kind, x, h, theta.a, theta.q, _fmt(rep.lhs), _fmt(rep.rhs_value),
                 _fmt(rep.ratio), _fmt(gap), wall,
             ]
         )
-    with _open_out(cfg.out) as f:
+    with _open_out(args.out) as f:
         w = _writer(f)
         w.writerow(_SWEEP_HEADER)
         w.writerows(rows)
     ok = math.isfinite(max_ratio) and worst_gap <= 1e-6
     print(
-        f"expsum-sweep trials={trials} max_ratio={max_ratio!r} "
+        f"expsum-sweep trials={args.trials} max_ratio={max_ratio!r} "
         f"worst_hyperbola_gap={worst_gap!r} {'PASS' if ok else 'FAIL'}",
         file=sys.stderr,
     )
@@ -266,29 +249,28 @@ _DISC_HEADER = [
 
 
 def cmd_discrepancy(args) -> int:
-    cfg = ExperimentConfig.from_args(args)
-    spec = cfrac.parse_irrational(cfg.alpha)
-    beta = beatty.parse_beta(cfg.beta)
-    grid = parse_grid(cfg.grid)
+    spec = cfrac.parse_irrational(args.alpha)
+    beta = beatty.parse_beta(args.beta)
+    grid = parse_grid(args.grid)
     if not grid:
-        with _open_out(cfg.out) as f:
+        with _open_out(args.out) as f:
             _writer(f).writerow(_DISC_HEADER)
         return EXIT_OK
     tau = cfrac.estimate_type(spec, 10**6).tau_hat
-    slope, per_M = discrepancy.decay_fit(spec, beta, grid, cfg.precision_bits) if len(grid) >= 2 else (math.nan, None)
+    slope, per_M = discrepancy.decay_fit(spec, beta, grid, args.precision_bits) if len(grid) >= 2 else (math.nan, None)
     if per_M is None:
-        ps = discrepancy.build_pointset(spec, beta, grid[0], cfg.precision_bits)
+        ps = discrepancy.build_pointset(spec, beta, grid[0], args.precision_bits)
         res = discrepancy.extreme_discrepancy(ps)
         per_M = [(grid[0], res.extreme, res.star)]
     rows = []
     for M, extreme, star in per_M:
         rows.append(
             [
-                "discrepancy", cfg.alpha, cfg.beta, cfg.precision_bits, cfg.seed,
+                "discrepancy", args.alpha, args.beta, args.precision_bits, args.seed,
                 _fmt(tau), M, _fmt(extreme), _fmt(star), _fmt(M ** (-1.0 / tau)), "",
             ]
         )
-    with _open_out(cfg.out) as f:
+    with _open_out(args.out) as f:
         w = _writer(f)
         w.writerow(_DISC_HEADER)
         w.writerows(rows)
@@ -323,7 +305,7 @@ def _simpson_coefficient(gamma_f: float, delta: float, js: np.ndarray,
             continue
         xs = np.linspace(a, b, 2 * panels + 1)
         h = (b - a) / (2 * panels)
-        fx = _trapezoid_values(xs, gamma_f, delta)
+        fx = smoothing._psi_values(np.mod(xs, 1.0), gamma_f, delta)
         weights = np.ones_like(xs)
         weights[1:-1:2] = 4.0
         weights[2:-1:2] = 2.0
@@ -332,16 +314,11 @@ def _simpson_coefficient(gamma_f: float, delta: float, js: np.ndarray,
     return total
 
 
-def _trapezoid_values(xs: np.ndarray, gamma_f: float, delta: float) -> np.ndarray:
-    return smoothing._psi_values(np.mod(xs, 1.0), gamma_f, delta)
-
-
 def cmd_smoothing_check(args) -> int:
-    cfg = ExperimentConfig.from_args(args)
-    spec = cfrac.parse_irrational(cfg.alpha)
-    params = beatty.BeattyParams(spec, beatty.parse_beta(cfg.beta), cfg.precision_bits)
+    spec = cfrac.parse_irrational(args.alpha)
+    params = beatty.BeattyParams(spec, beatty.parse_beta(args.beta), args.precision_bits)
     x = args.x
-    delta = smoothing.default_delta(x, cfg.k, cfg.delta_multiplier)
+    delta = smoothing.default_delta(x, args.k, args.delta_multiplier)
     gf = params.gamma.to_float()
     delta = min(delta, min(gf, 1.0 - gf) / 2.0, 0.124)
     J = args.J or smoothing.default_truncation(delta)
@@ -353,8 +330,7 @@ def cmd_smoothing_check(args) -> int:
     gap = float(np.max(np.abs(ind.coeffs[1 : len(jq) + 1] - quad)))
     checks.append(("coefficient_quadrature", gap, 1e-8, gap <= 1e-8))
 
-    j = np.arange(1, J + 1, dtype=np.float64)
-    bound = np.minimum(1.0 / (math.pi * j), 1.0 / (2.0 * math.pi**2 * j * j * delta))
+    bound = smoothing.coefficient_bound(np.arange(1, J + 1, dtype=np.float64), delta)
     excess = float(np.max(np.abs(ind.coeffs[1:]) - bound))
     checks.append(("coefficient_bound", excess, 0.0, excess <= 1e-15))
 
@@ -367,22 +343,22 @@ def cmd_smoothing_check(args) -> int:
     checks.append(("series_tail", float(series_err), tb, series_err <= tb))
 
     smoothed, exact, exceptional = smoothing.smoothed_beatty_count(
-        params, cfg.k, x, delta, cfg.memory_bytes
+        params, args.k, x, delta, args.memory_bytes
     )
     checks.append(
         ("smoothing_error_vs_exceptional", abs(smoothed - exact), float(exceptional),
          abs(smoothed - exact) <= exceptional + 1e-6)
     )
-    count = beatty.count_kfree_beatty(params, x, cfg.k, cfg.memory_bytes)[0]
+    count = beatty.count_kfree_beatty(params, x, args.k, args.memory_bytes)[0]
     checks.append(("exact_vs_direct_count", float(abs(exact - count)), 1.0,
                    abs(exact - count) <= 1))
 
     rows = [
-        ["smoothing", cfg.alpha, cfg.beta, cfg.k, x, _fmt(delta), J, name,
+        ["smoothing", args.alpha, args.beta, args.k, x, _fmt(delta), J, name,
          _fmt(value), _fmt(bound), "PASS" if ok else "FAIL"]
         for name, value, bound, ok in checks
     ]
-    with _open_out(cfg.out) as f:
+    with _open_out(args.out) as f:
         w = _writer(f)
         w.writerow(_SMOOTH_HEADER)
         w.writerows(rows)
@@ -478,9 +454,8 @@ def _selftest_checks(seed: int, bits: int):
 
 
 def cmd_selftest(args) -> int:
-    cfg = ExperimentConfig.from_args(args)
     first_failure = None
-    for name, check in _selftest_checks(cfg.seed, cfg.precision_bits):
+    for name, check in _selftest_checks(args.seed, args.precision_bits):
         try:
             ok = check()
         except Exception as e:  # a crash is a failure, not an abort
@@ -495,42 +470,37 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+_COUNT_FLAGS = ("alpha", "beta", "k", "grid", "eps", "seed", "precision-bits",
+                "memory-budget", "out", "timings")
+
+# (name, help, handler, flags the handler reads); every subcommand also takes --config
+_SUBCOMMANDS = (
+    ("count", "k-free Beatty counts against x/zeta(k)", cmd_count, _COUNT_FLAGS),
+    ("fit-exponent", "OLS exponent of the count error", cmd_fit_exponent, _COUNT_FLAGS),
+    ("expsum-sweep", "double-sum bound ratios over seeded trials", cmd_expsum_sweep,
+     ("k", "eps", "seed", "precision-bits", "memory-budget", "out", "timings",
+      "trials", "x-max", "h-max")),
+    ("discrepancy", "extreme/star discrepancy decay", cmd_discrepancy,
+     ("alpha", "beta", "grid", "seed", "precision-bits", "out")),
+    ("smoothing-check", "smoothed-indicator verification", cmd_smoothing_check,
+     ("alpha", "beta", "k", "delta-multiplier", "precision-bits", "memory-budget", "out",
+      "x", "J")),
+    ("selftest", "run the cross-module oracle suite", cmd_selftest, ("seed", "precision-bits")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beatty-kfree",
         description="k-free counting along Beatty sequences: experiments and checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="k-free Beatty counts against x/zeta(k)")
-    _common_flags(p)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("fit-exponent", help="OLS exponent of the count error")
-    _common_flags(p)
-    p.set_defaults(func=cmd_fit_exponent)
-
-    p = sub.add_parser("expsum-sweep", help="double-sum bound ratios over seeded trials")
-    _common_flags(p)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--x-max", type=int, default=100000)
-    p.add_argument("--h-max", type=int, default=30)
-    p.set_defaults(func=cmd_expsum_sweep)
-
-    p = sub.add_parser("discrepancy", help="extreme/star discrepancy decay")
-    _common_flags(p)
-    p.set_defaults(func=cmd_discrepancy)
-
-    p = sub.add_parser("smoothing-check", help="smoothed-indicator verification")
-    _common_flags(p)
-    p.add_argument("--x", type=int, default=10000)
-    p.add_argument("--J", type=int, default=None)
-    p.set_defaults(func=cmd_smoothing_check)
-
-    p = sub.add_parser("selftest", help="run the cross-module oracle suite")
-    _common_flags(p)
-    p.set_defaults(func=cmd_selftest)
-
+    for name, help_text, handler, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.add_argument("--config", default=None, help="key=value file; flags override file values")
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -227,31 +227,21 @@ def double_sum_bound_check(
     x: int,
     k: int,
     eps: float = 0.05,
-    y: float | None = None,
-    include_naive: bool = True,
     memory_bytes: int = DEFAULT_MEMORY_BYTES,
 ) -> BoundReport:
     """Compare |double k-free sum| against (H*x^(k/(2k-1)) + q + H*x/q)*x^eps.
 
-    With include_naive the lhs is the directly summed value and the report
-    records the gap to the hyperbola evaluation; otherwise the hyperbola
-    value stands alone.
+    The lhs is the directly summed value; the report records its gap to the
+    hyperbola evaluation at the default split.
     """
     if not (t.q <= x and H <= x):
         raise ValueError("need q <= x and H <= x")
-    split = double_kfree_sum_hyperbola(t.theta, H, x, k, y, memory_bytes)
-    combined = split.combined()
-    gap = None
-    if include_naive:
-        naive = double_kfree_sum_naive(t.theta, H, x, k, memory_bytes)
-        gap = abs(naive - combined)
-        lhs = abs(naive)
-    else:
-        lhs = abs(combined)
+    split = double_kfree_sum_hyperbola(t.theta, H, x, k, None, memory_bytes)
+    naive = double_kfree_sum_naive(t.theta, H, x, k, memory_bytes)
+    lhs = abs(naive)
     rhs = (H * x ** (k / (2.0 * k - 1.0)) + t.q + H * x / t.q) * x**eps
-    params = {"H": H, "x": x, "k": k, "q": t.q, "a": t.a, "eps": eps, "y": split.y}
-    if gap is not None:
-        params["hyperbola_gap"] = gap
+    params = {"H": H, "x": x, "k": k, "q": t.q, "a": t.a, "eps": eps, "y": split.y,
+              "hyperbola_gap": abs(naive - split.combined())}
     return BoundReport(lhs, "(H*x^(k/(2k-1)) + q + H*x/q)*x^eps", rhs, lhs / rhs, params)
 
 

@@ -88,8 +88,9 @@ def build_smoothed(gamma, delta_param: float, J: int) -> SmoothedIndicator:
     return SmoothedIndicator(g, delta_param, J, coeffs)
 
 
-def coefficient_bound(j: int, delta: float) -> float:
-    return min(1.0 / (math.pi * j), 1.0 / (2.0 * math.pi**2 * j * j * delta))
+def coefficient_bound(j, delta: float):
+    """min(1/(pi*j), 1/(2*pi^2*j^2*Delta)) for a scalar or an array of j."""
+    return np.minimum(1.0 / (math.pi * j), 1.0 / (2.0 * math.pi**2 * j * j * delta))
 
 
 def eval_smoothed(s: SmoothedIndicator, x: float) -> float:

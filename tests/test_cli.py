@@ -1,6 +1,8 @@
 import csv
 import re
 
+import pytest
+
 from beatty_kfree import cli
 
 
@@ -87,3 +89,39 @@ def test_smoothing_check_smoke(tmp_path, capsys):
 def test_threads_is_a_usage_error(capsys):
     assert cli.main(["count", "--grid", "100:100:10", "--threads", "2"]) == cli.EXIT_USAGE
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expsum-sweep", "--trials", "1", "--alpha", "quad:0,2,1"],
+    ["discrepancy", "--grid", "100:100:10", "--k", "3"],
+    ["smoothing-check", "--x", "100", "--grid", "100:100:10"],
+    ["selftest", "--out", "selftest.csv"],
+    ["count", "--grid", "100:100:10", "--delta-multiplier", "2"],
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--k", "1"), ("--eps", "0")])
+def test_out_of_range_value_names_its_flag(flag, value, capsys):
+    assert cli.main(["count", "--grid", "100:100:10", flag, value]) == cli.EXIT_USAGE
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_config_file_values_apply_and_flags_override_them(tmp_path, capsys):
+    config = tmp_path / "count.cfg"
+    config.write_text("# count config\nalpha = quad:0,2,1\ngrid=100:1000:10\nk=3\n")
+    code, rows, _ = run_cli(tmp_path, capsys, "count", "--config", str(config), "--k", "2")
+    assert code == cli.EXIT_OK
+    table = [dict(zip(rows[0], r)) for r in rows[1:]]
+    assert [(r["alpha"], r["k"], r["x"]) for r in table] == [
+        ("quad:0,2,1", "2", "100"), ("quad:0,2,1", "2", "1000"),
+    ]
+
+
+def test_config_key_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "discrepancy.cfg"
+    config.write_text("grid=100:100:10\nk=3\n")
+    assert cli.main(["discrepancy", "--config", str(config)]) == cli.EXIT_USAGE
+    assert "--k" in capsys.readouterr().err
