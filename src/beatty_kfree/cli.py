@@ -504,32 +504,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _splice_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    path = argv[i + 1]
-    injected: list[str] = []
+def _config_flags(path: str) -> list[str]:
+    """Flags from a key=value file; blank lines and # comments are skipped."""
+    flags: list[str] = []
     with open(path) as f:
         for line in f:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            injected.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
-    # file values go right after the subcommand so explicit flags win
-    return argv[:1] + injected + argv[1:]
+            flags.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and not argv[0].startswith("-"):
-        argv = _splice_config(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # file values go right after the subcommand so explicit flags win
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    except OSError as e:
+        print(f"error: config file: {e}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (PrecisionExhausted, MemoryBudgetExceeded) as e:

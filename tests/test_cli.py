@@ -109,10 +109,12 @@ def test_out_of_range_value_names_its_flag(flag, value, capsys):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
-def test_config_file_values_apply_and_flags_override_them(tmp_path, capsys):
+@pytest.mark.parametrize("form", ["--config PATH", "--config=PATH"])
+def test_config_file_values_apply_and_flags_override_them(form, tmp_path, capsys):
     config = tmp_path / "count.cfg"
     config.write_text("# count config\nalpha = quad:0,2,1\ngrid=100:1000:10\nk=3\n")
-    code, rows, _ = run_cli(tmp_path, capsys, "count", "--config", str(config), "--k", "2")
+    flags = form.replace("PATH", str(config)).split()
+    code, rows, _ = run_cli(tmp_path, capsys, "count", *flags, "--k", "2")
     assert code == cli.EXIT_OK
     table = [dict(zip(rows[0], r)) for r in rows[1:]]
     assert [(r["alpha"], r["k"], r["x"]) for r in table] == [
@@ -125,3 +127,10 @@ def test_config_key_the_subcommand_does_not_read_is_a_usage_error(tmp_path, caps
     config.write_text("grid=100:100:10\nk=3\n")
     assert cli.main(["discrepancy", "--config", str(config)]) == cli.EXIT_USAGE
     assert "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["count", "--config"], ["count", "--config", "missing.cfg"]])
+def test_config_without_a_readable_file_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "config" in capsys.readouterr().err
