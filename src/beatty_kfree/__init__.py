@@ -36,7 +36,6 @@ from .discrepancy import (
     decay_fit,
     extreme_discrepancy,
     extreme_discrepancy_oracle,
-    star_discrepancy,
 )
 from .errors import (
     DegenerateFit,

@@ -102,7 +102,7 @@ _FLAGS = {
     "alpha": dict(default="quad:1,5,2", help="quad:p,d,q | cf:a0,a1,... | dec:digits:bits"),
     "beta": dict(default="0", help="exact rational, e.g. 0, 1/2, -0.7"),
     "k": dict(type=_k_value, default=2),
-    "grid": dict(default="1000:100000:10", help="geometric grid start:stop:ratio"),
+    "grid": dict(default="1000:1000000:10", help="geometric grid start:stop:ratio"),
     "eps": dict(type=_eps_value, default=0.05),
     "delta-multiplier": dict(type=float, default=1.0),
     "seed": dict(type=int, default=0),
@@ -251,25 +251,13 @@ _DISC_HEADER = [
 def cmd_discrepancy(args) -> int:
     spec = cfrac.parse_irrational(args.alpha)
     beta = beatty.parse_beta(args.beta)
-    grid = parse_grid(args.grid)
-    if not grid:
-        with _open_out(args.out) as f:
-            _writer(f).writerow(_DISC_HEADER)
-        return EXIT_OK
     tau = cfrac.estimate_type(spec, 10**6).tau_hat
-    slope, per_M = discrepancy.decay_fit(spec, beta, grid, args.precision_bits) if len(grid) >= 2 else (math.nan, None)
-    if per_M is None:
-        ps = discrepancy.build_pointset(spec, beta, grid[0], args.precision_bits)
-        res = discrepancy.extreme_discrepancy(ps)
-        per_M = [(grid[0], res.extreme, res.star)]
-    rows = []
-    for M, extreme, star in per_M:
-        rows.append(
-            [
-                "discrepancy", args.alpha, args.beta, args.precision_bits, args.seed,
-                _fmt(tau), M, _fmt(extreme), _fmt(star), _fmt(M ** (-1.0 / tau)), "",
-            ]
-        )
+    slope, per_M = discrepancy.decay_fit(spec, beta, parse_grid(args.grid), args.precision_bits)
+    rows = [
+        ["discrepancy", args.alpha, args.beta, args.precision_bits, args.seed,
+         _fmt(tau), M, _fmt(extreme), _fmt(star), _fmt(M ** (-1.0 / tau)), ""]
+        for M, extreme, star in per_M
+    ]
     with _open_out(args.out) as f:
         w = _writer(f)
         w.writerow(_DISC_HEADER)
@@ -505,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_flags(path: str) -> list[str]:
-    """Flags from a key=value file; blank lines and # comments are skipped."""
+    """Flags from a key=value file, skipping blanks and # comments; a store_true
+    flag takes 1 (set) or 0 (unset)."""
     flags: list[str] = []
     with open(path) as f:
         for line in f:
@@ -513,7 +502,13 @@ def _config_flags(path: str) -> list[str]:
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            flags.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
+            key, value = key.strip().replace("_", "-"), value.strip()
+            if _FLAGS.get(key, {}).get("action") != "store_true":
+                flags.extend([f"--{key}", value])
+            elif value not in ("0", "1"):
+                raise ValueError(f"config key {key!r} takes 0 or 1, got {value!r}")
+            elif value == "1":
+                flags.append(f"--{key}")
     return flags
 
 
@@ -527,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    except OSError as e:
+    except (OSError, ValueError) as e:
         print(f"error: config file: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:

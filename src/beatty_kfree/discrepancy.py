@@ -3,10 +3,10 @@
 The supremum over open subintervals (c, d) of [0,1) of
 |count/M - (d - c)| is attained in the limit at endpoints drawn from the
 sample values (approached from either side) or the boundary points 0 and 1.
-Both the O(M log M) scan and the O(M^2) brute-force oracle evaluate scores
-through the same per-value arrays, so they agree bit for bit; the oracle
-enumerating every endpoint-pair/side combination is the reference
-semantics.
+One O(M) pass over the sorted points ranks every endpoint by the runs of
+equal values. The scan reads the extreme and the star discrepancy off those
+arrays; the O(M^2) oracle enumerates every endpoint-pair/side combination
+over the same arrays, so the two agree bit for bit.
 """
 from __future__ import annotations
 
@@ -31,6 +31,8 @@ class PointSet:
             raise ValueError("M must equal the number of points and be >= 1")
         if self.sorted_points is None:
             object.__setattr__(self, "sorted_points", np.sort(self.points))
+        if not (self.sorted_points[0] >= 0.0 and self.sorted_points[-1] < 1.0):
+            raise ValueError("points must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -54,29 +56,32 @@ def build_pointset(alpha: IrrationalSpec, beta, M: int,
 
 
 def _endpoint_arrays(sorted_points: np.ndarray, M: int):
-    """Candidate endpoint values (samples plus 0 and 1) and score arrays.
+    """Endpoint values u (samples plus 0 and 1), lr/M, ur/M and score arrays.
 
-    For an endpoint value u with lower/upper ranks lr/ur (# points < u,
-    # points <= u), the four score families decompose as F[t] - G[s]:
+    O(M) on sorted points in [0, 1). The lower/upper ranks lr/ur of u
+    (# points < u, # points <= u) are the starts of its run of equal values
+    and of the next run. The four score families decompose as F[t] - G[s]:
       surplus, both endpoints inclusive:  (ur_t/M - u_t) - (lr_s/M - u_s)
       deficit, both endpoints exclusive:  (u_t - lr_t/M) - (u_s - ur_s/M)
     Inclusive sides are invalid at the domain boundary (no room to approach
     0 from below or 1 from above); those entries are masked with infinities.
     """
-    u = np.unique(np.concatenate((np.array([0.0, 1.0]), sorted_points)))
-    lr = np.searchsorted(sorted_points, u, side="left").astype(np.float64)
-    ur = np.searchsorted(sorted_points, u, side="right").astype(np.float64)
-    plus_f = ur / M - u
-    plus_g = lr / M - u
-    plus_f[u >= 1.0] = -np.inf
-    plus_g[u <= 0.0] = np.inf
-    minus_f = u - lr / M
-    minus_g = u - ur / M
-    return u, lr, ur, plus_f, plus_g, minus_f, minus_g
+    starts = np.flatnonzero(np.concatenate(([True], sorted_points[1:] != sorted_points[:-1])))
+    head = [0.0] if sorted_points[0] > 0.0 else []  # 0 is an endpoint unless sampled
+    u = np.concatenate((head, sorted_points[starts], [1.0]))
+    lr = np.concatenate((head, starts, [M])) / M
+    ur = np.concatenate((head, starts[1:], [M, M])) / M
+    plus_f, plus_g = ur - u, lr - u
+    plus_f[-1] = -np.inf
+    if u[0] == 0.0:
+        plus_g[0] = np.inf
+    return u, lr, ur, plus_f, plus_g, u - lr, u - ur
 
 
 def extreme_discrepancy(ps: PointSet) -> DiscrepancyResult:
-    """Exact sup over open subintervals, O(M log M) after sorting."""
+    """Exact sup over open subintervals, O(M) after sorting, and the star
+    discrepancy: max(i/M - x_(i), x_(i) - (i-1)/M) peaks in each run of equal
+    values at its last or first index, i.e. at ur/M - u or u - lr/M."""
     u, _, _, pf, pg, mf, mg = _endpoint_arrays(ps.sorted_points, ps.M)
     # surplus: short interval swallowing many points; s <= t
     run_g = np.minimum.accumulate(pg)
@@ -94,7 +99,7 @@ def extreme_discrepancy(ps: PointSet) -> DiscrepancyResult:
     else:
         s_idx = int(np.argmin(mg[:t_minus]))
         extreme, witness = minus, (float(u[s_idx]), float(u[t_minus]))
-    return DiscrepancyResult(extreme, star_discrepancy(ps), witness)
+    return DiscrepancyResult(extreme, float(max(pf.max(), mf.max())), witness)
 
 
 def extreme_discrepancy_oracle(points: np.ndarray) -> float:
@@ -105,16 +110,15 @@ def extreme_discrepancy_oracle(points: np.ndarray) -> float:
     evaluated anyway); this is the reference the fast scan must match
     exactly.
     """
-    sorted_points = np.sort(np.asarray(points, dtype=np.float64))
-    M = len(sorted_points)
-    u, lr, ur, pf, pg, mf, mg = _endpoint_arrays(sorted_points, M)
+    ps = PointSet(np.asarray(points, dtype=np.float64), len(points))
+    u, lr_m, ur_m, pf, pg, mf, mg = _endpoint_arrays(ps.sorted_points, ps.M)
     n = len(u)
     tri = np.tril(np.ones((n, n), dtype=bool))          # s <= t
     tri_strict = np.tril(np.ones((n, n), dtype=bool), -1)  # s < t
     best = 0.0
     # surplus direction: count = R_t - L_s with R in {ur, lr}, L in {lr, ur}
-    plus_f_excl = lr / M - u  # d-side exact (points equal to d excluded)
-    plus_g_excl = ur / M - u  # c-side exact (points equal to c excluded)
+    plus_f_excl = lr_m - u  # d-side exact (points equal to d excluded)
+    plus_g_excl = ur_m - u  # c-side exact (points equal to c excluded)
     for F, G, mask in (
         (pf, pg, tri),                 # inclusive/inclusive
         (pf, plus_g_excl, tri),        # d inclusive, c exact
@@ -124,9 +128,9 @@ def extreme_discrepancy_oracle(points: np.ndarray) -> float:
         scores = F[:, None] - G[None, :]
         best = max(best, float(np.max(np.where(mask, scores, -np.inf))))
     # deficit direction: interior count = L_t - R_s with L in {lr, ur}, R in {ur, lr}
-    minus_f_incl = u - ur / M
+    minus_f_incl = u - ur_m
     minus_f_incl[u >= 1.0] = -np.inf
-    minus_g_incl = u - lr / M
+    minus_g_incl = u - lr_m
     minus_g_incl[u <= 0.0] = np.inf
     for F, G, mask in (
         (mf, mg, tri_strict),            # both exact
@@ -139,31 +143,20 @@ def extreme_discrepancy_oracle(points: np.ndarray) -> float:
     return best
 
 
-def star_discrepancy(ps: PointSet) -> float:
-    """max_i max(i/M - x_(i), x_(i) - (i-1)/M) over the sorted points."""
-    M = ps.M
-    i = np.arange(1, M + 1, dtype=np.float64)
-    xs = ps.sorted_points
-    return float(np.max(np.maximum(i / M - xs, xs - (i - 1) / M)))
-
-
 def decay_fit(
     alpha: IrrationalSpec,
     beta,
     M_grid: list[int],
     precision_bits: int = DEFAULT_BITS,
 ) -> tuple[float, list[tuple[int, float, float]]]:
-    """OLS slope of log D(M) against log M over a grid of prefix sizes."""
-    if len(M_grid) < 2:
-        raise ValueError("need at least two grid points")
-    top = max(M_grid)
-    full = build_pointset(alpha, beta, top, precision_bits)
+    """OLS slope of log D(M) against log M over prefix sizes; NaN below two sizes."""
+    full = build_pointset(alpha, beta, max(M_grid, default=1), precision_bits)
     per_M: list[tuple[int, float, float]] = []
     for M in sorted(M_grid):
-        ps = PointSet(full.points[:M], M)
-        res = extreme_discrepancy(ps)
+        res = extreme_discrepancy(full if M == full.M else PointSet(full.points[:M], M))
         per_M.append((M, res.extreme, res.star))
+    if len(per_M) < 2:
+        return math.nan, per_M
     logm = np.log([row[0] for row in per_M])
     logd = np.log([row[1] for row in per_M])
-    slope = float(np.polyfit(logm, logd, 1)[0])
-    return slope, per_M
+    return float(np.polyfit(logm, logd, 1)[0]), per_M

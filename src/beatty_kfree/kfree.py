@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -136,17 +137,28 @@ def sieve_kfree(k: int, lo: int, hi: int, memory_bytes: int = DEFAULT_MEMORY_BYT
 
 @lru_cache(maxsize=None)
 def zeta(k: int) -> float:
-    """zeta(k) for integer k >= 2 by direct series plus integral tail bounds.
+    """zeta(k) for integer k >= 2, correctly rounded, by Euler-Maclaurin in Fractions.
 
-    The tail over n > N lies between the integrals from N and N+1, so the
-    midpoint estimate is certified to within N**-k / 2 <= 5e-14.
+    Sum n**-k for n < N = 10, add the integral, the half term and ten corrections
+    B_2j/(2j)! * k(k+1)...(k+2j-2) * N**(1-k-2j). For real k the eleventh
+    correction bounds the remainder; N doubles until both ends round alike.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError("k must be an integer >= 2")
-    N = max(4, int(math.ceil((2.0 / 1e-13) ** (1.0 / k))))
-    head = float(np.sum(np.arange(1, N + 1, dtype=np.float64) ** float(-k)))
-    tail = (N ** (1.0 - k) + (N + 1) ** (1.0 - k)) / (2.0 * (k - 1))
-    return head + tail
+    bern = [Fraction(1)]
+    for m in range(1, 23):
+        bern.append(-sum(math.comb(m + 1, i) * bern[i] for i in range(m)) / (m + 1))
+    N = 10
+    while True:
+        mid = sum(Fraction(1, n**k) for n in range(1, N))
+        mid += Fraction(2 * N + k - 1, 2 * (k - 1) * N**k)  # N**(1-k)/(k-1) + N**-k/2
+        terms = [bern[2 * j] * math.perm(k + 2 * j - 2, 2 * j - 1) / math.factorial(2 * j)
+                 / N ** (k + 2 * j - 1) for j in range(1, 12)]
+        mid += sum(terms[:10])
+        lo, hi = float(mid - abs(terms[10])), float(mid + abs(terms[10]))
+        if lo == hi:
+            return lo
+        N *= 2
 
 
 def count_kfree(x: int, k: int,

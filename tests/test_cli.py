@@ -54,6 +54,13 @@ def test_fit_exponent_slope_is_the_fit_of_the_csv(tmp_path, capsys):
     assert re.search(r"slope=(\S+)", err).group(1) == repr(slope)
 
 
+def test_fit_exponent_defaults_give_four_points(tmp_path, capsys):
+    code, rows, err = run_cli(tmp_path, capsys, "fit-exponent")
+    assert code in (cli.EXIT_OK, cli.EXIT_CHECK)
+    assert code == verdict_code(err)
+    assert [r[8] for r in rows[1:]] == ["1000", "10000", "100000", "1000000"]
+
+
 def test_expsum_sweep_smoke(tmp_path, capsys):
     code, rows, _ = run_cli(
         tmp_path, capsys, "expsum-sweep", "--trials", "3", "--x-max", "2000", "--h-max", "3"
@@ -74,6 +81,14 @@ def test_discrepancy_smoke(tmp_path, capsys):
         "extreme", "star", "bound", "wall_ms",
     ]
     assert [r[6] for r in rows[1:]] == ["1000", "2000", "4000"]
+
+
+@pytest.mark.parametrize("grid, Ms", [("5000:5000:10", ["5000"]), ("5000:10:10", [])])
+def test_discrepancy_below_two_points_has_no_slope(grid, Ms, tmp_path, capsys):
+    code, rows, err = run_cli(tmp_path, capsys, "discrepancy", "--grid", grid)
+    assert code == cli.EXIT_OK
+    assert [r[6] for r in rows[1:]] == Ms
+    assert "slope=nan" in err
 
 
 def test_smoothing_check_smoke(tmp_path, capsys):
@@ -134,3 +149,19 @@ def test_config_without_a_readable_file_is_a_usage_error(argv, tmp_path, monkeyp
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, filled", [("1", True), ("0", False)])
+def test_config_file_sets_a_store_true_flag_by_1_or_0(value, filled, tmp_path, capsys):
+    config = tmp_path / "count.cfg"
+    config.write_text(f"grid=100:100:10\ntimings={value}\n")
+    code, rows, _ = run_cli(tmp_path, capsys, "count", "--config", str(config))
+    assert code == cli.EXIT_OK
+    assert (rows[1][-1] != "") == filled
+
+
+def test_config_file_store_true_flag_rejects_other_values(tmp_path, capsys):
+    config = tmp_path / "count.cfg"
+    config.write_text("grid=100:100:10\ntimings=yes\n")
+    assert cli.main(["count", "--config", str(config)]) == cli.EXIT_USAGE
+    assert "'timings'" in capsys.readouterr().err

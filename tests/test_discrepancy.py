@@ -1,0 +1,97 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from beatty_kfree.cfrac import PHI
+from beatty_kfree.discrepancy import (
+    PointSet,
+    _endpoint_arrays,
+    build_pointset,
+    decay_fit,
+    extreme_discrepancy,
+    extreme_discrepancy_oracle,
+)
+
+unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+@st.composite
+def multisets(draw):
+    """Points in [0, 1) with repeated values and extra zeros, in random order."""
+    base = draw(st.lists(unit_floats, min_size=1, max_size=30))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=30))
+    zeros = draw(st.integers(min_value=0, max_value=3))
+    return np.array(draw(st.permutations(base + repeats + [0.0] * zeros)))
+
+
+def star_by_index(points: np.ndarray) -> float:
+    xs = np.sort(points)
+    M = len(xs)
+    i = np.arange(1, M + 1, dtype=np.float64)
+    return float(np.max(np.maximum(i / M - xs, xs - (i - 1) / M)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multisets())
+@example(np.array([0.5]))
+@example(np.array([0.0]))
+@example(np.full(7, 0.25))
+@example(np.zeros(5))
+@example(np.array([0.0, 0.0, 0.5, 0.5, 0.5, np.nextafter(1.0, 0.0)]))
+def test_scan_matches_oracle_and_star_by_index(points):
+    res = extreme_discrepancy(PointSet(points, len(points)))
+    assert res.extreme == extreme_discrepancy_oracle(points)
+    assert res.star == star_by_index(points)
+    c, d = res.witness_interval
+    assert 0.0 <= c <= d <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(multisets())
+def test_ranks_are_the_searchsorted_ranks(points):
+    xs = np.sort(points)
+    M = len(xs)
+    u, lr_m, ur_m, *_ = _endpoint_arrays(xs, M)
+    assert np.array_equal(u, np.unique(np.concatenate(([0.0, 1.0], xs))))
+    assert np.array_equal(lr_m, np.searchsorted(xs, u, side="left") / M)
+    assert np.array_equal(ur_m, np.searchsorted(xs, u, side="right") / M)
+
+
+def test_decay_fit_rows_are_the_prefix_scans():
+    grid = [1 << e for e in range(10, 15)]
+    slope, per_M = decay_fit(PHI, 0, grid)
+    assert [row[0] for row in per_M] == grid
+    for M, extreme, star in per_M:
+        res = extreme_discrepancy(build_pointset(PHI, 0, M))
+        assert (extreme, star) == (res.extreme, res.star)
+    logs = np.log([[M, extreme] for M, extreme, _ in per_M])
+    assert slope == float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
+    assert -1.2 < slope < -0.8
+
+
+def test_decay_fit_has_no_slope_below_two_sizes():
+    slope, per_M = decay_fit(PHI, 0, [5000])
+    res = extreme_discrepancy(build_pointset(PHI, 0, 5000))
+    assert math.isnan(slope)
+    assert per_M == [(5000, res.extreme, res.star)]
+    slope, per_M = decay_fit(PHI, 0, [])
+    assert math.isnan(slope) and per_M == []
+
+
+@pytest.mark.parametrize("points, M", [
+    (np.array([0.1, 0.2]), 3),
+    (np.array([0.1, 0.2]), 1),
+    (np.array([]), 0),
+])
+def test_pointset_rejects_a_wrong_M(points, M):
+    with pytest.raises(ValueError, match="M must equal"):
+        PointSet(points, M)
+
+
+@pytest.mark.parametrize("bad", [-0.25, 1.0, 1.5, math.nan])
+def test_pointset_rejects_points_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        PointSet(np.array([0.5, bad]), 2)

@@ -171,6 +171,12 @@ class TestZeta:
         assert abs(zeta(3) - float(mp.zeta(3))) < 1e-12
         assert abs(zeta(3) - 1.202056903159594) < 1e-12
 
+    def test_correctly_rounded_vs_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for k in range(2, 31):
+                assert zeta(k) == float(mp.zeta(k)), k
+
     def test_large_k_tail(self):
         assert 1.0 < zeta(20) < 1.0 + 2.0**-19
 
