@@ -3,10 +3,10 @@
 The supremum over open subintervals (c, d) of [0,1) of
 |count/M - (d - c)| is attained in the limit at endpoints drawn from the
 sample values (approached from either side) or the boundary points 0 and 1.
-One O(M) pass over the sorted points ranks every endpoint by the runs of
-equal values. The scan reads the extreme and the star discrepancy off those
-arrays; the O(M^2) oracle enumerates every endpoint-pair/side combination
-over the same arrays, so the two agree bit for bit.
+The scan reads the extreme and the star discrepancy off two reductions of
+per-index arrays over the sorted points, one max and one min. The O(M^2)
+oracle ranks every endpoint by the runs of equal values instead and
+enumerates every endpoint-pair/side combination; the two agree bit for bit.
 """
 from __future__ import annotations
 
@@ -56,50 +56,42 @@ def build_pointset(alpha: IrrationalSpec, beta, M: int,
 
 
 def _endpoint_arrays(sorted_points: np.ndarray, M: int):
-    """Endpoint values u (samples plus 0 and 1), lr/M, ur/M and score arrays.
+    """Endpoint values u (samples plus 0 and 1) and their ranks lr/M, ur/M.
 
     O(M) on sorted points in [0, 1). The lower/upper ranks lr/ur of u
     (# points < u, # points <= u) are the starts of its run of equal values
-    and of the next run. The four score families decompose as F[t] - G[s]:
-      surplus, both endpoints inclusive:  (ur_t/M - u_t) - (lr_s/M - u_s)
-      deficit, both endpoints exclusive:  (u_t - lr_t/M) - (u_s - ur_s/M)
-    Inclusive sides are invalid at the domain boundary (no room to approach
-    0 from below or 1 from above); those entries are masked with infinities.
+    and of the next run. Only the oracle reads these arrays.
     """
     starts = np.flatnonzero(np.concatenate(([True], sorted_points[1:] != sorted_points[:-1])))
     head = [0.0] if sorted_points[0] > 0.0 else []  # 0 is an endpoint unless sampled
     u = np.concatenate((head, sorted_points[starts], [1.0]))
     lr = np.concatenate((head, starts, [M])) / M
     ur = np.concatenate((head, starts[1:], [M, M])) / M
-    plus_f, plus_g = ur - u, lr - u
-    plus_f[-1] = -np.inf
-    if u[0] == 0.0:
-        plus_g[0] = np.inf
-    return u, lr, ur, plus_f, plus_g, u - lr, u - ur
+    return u, lr, ur
 
 
 def extreme_discrepancy(ps: PointSet) -> DiscrepancyResult:
-    """Exact sup over open subintervals, O(M) after sorting, and the star
-    discrepancy: max(i/M - x_(i), x_(i) - (i-1)/M) peaks in each run of equal
-    values at its last or first index, i.e. at ur/M - u or u - lr/M."""
-    u, _, _, pf, pg, mf, mg = _endpoint_arrays(ps.sorted_points, ps.M)
-    # surplus: short interval swallowing many points; s <= t
-    run_g = np.minimum.accumulate(pg)
-    plus_scores = pf - run_g
-    t_plus = int(np.argmax(plus_scores))
-    plus = float(plus_scores[t_plus])
-    # deficit: long interval with few interior points; s < t strictly
-    run_mg = np.minimum.accumulate(mg)
-    minus_scores = mf[1:] - run_mg[:-1]
-    t_minus = int(np.argmax(minus_scores)) + 1
-    minus = float(minus_scores[t_minus - 1])
-    if plus >= minus:
-        s_idx = int(np.argmin(pg[: t_plus + 1]))
-        extreme, witness = plus, (float(u[s_idx]), float(u[t_plus]))
-    else:
-        s_idx = int(np.argmin(mg[:t_minus]))
-        extreme, witness = minus, (float(u[s_idx]), float(u[t_minus]))
-    return DiscrepancyResult(extreme, float(max(pf.max(), mf.max())), witness)
+    """Exact sup over open subintervals, O(M) after sorting, as one max and
+    one min (Kuipers-Niederreiter, Ch. 2, Thm 1.4/1.5).
+
+    With x_i sorted from i = 0, pf_i = (i+1)/M - x_i peaks in a run of equal
+    values at its last index (ur/M - u), pg_i = i/M - x_i at its first
+    (lr/M - u). Closed [x_s, x_t] (s <= t) and open (x_t, x_s) (t < s) both
+    score pf_t - pg_s, so the sup is max pf - min pg. The star discrepancy
+    is max(pf_i, -pg_i), from the same two reductions.
+    """
+    xs, M = ps.sorted_points, ps.M
+    r = np.arange(M + 1) / M
+    pf = r[1:] - xs
+    t = int(np.argmax(pf))
+    f_max = float(pf[t])
+    pg = np.subtract(r[:-1], xs, out=pf)
+    s = int(np.argmin(pg))
+    # the endpoint 1 adds pg = 0; a sampled 0 (no inclusive c-side) has pg >= 0
+    g_min = min(0.0, float(pg[s]))
+    c_end = float(xs[s]) if g_min < 0.0 else 1.0
+    witness = tuple(sorted((c_end, float(xs[t]))))
+    return DiscrepancyResult(f_max - g_min, max(f_max, -g_min), witness)
 
 
 def extreme_discrepancy_oracle(points: np.ndarray) -> float:
@@ -111,7 +103,12 @@ def extreme_discrepancy_oracle(points: np.ndarray) -> float:
     exactly.
     """
     ps = PointSet(np.asarray(points, dtype=np.float64), len(points))
-    u, lr_m, ur_m, pf, pg, mf, mg = _endpoint_arrays(ps.sorted_points, ps.M)
+    u, lr_m, ur_m = _endpoint_arrays(ps.sorted_points, ps.M)
+    # no inclusive side at the boundary: 0 from below, 1 from above
+    pf, pg, mf, mg = ur_m - u, lr_m - u, u - lr_m, u - ur_m
+    pf[-1] = -np.inf
+    if u[0] == 0.0:
+        pg[0] = np.inf
     n = len(u)
     tri = np.tril(np.ones((n, n), dtype=bool))          # s <= t
     tri_strict = np.tril(np.ones((n, n), dtype=bool), -1)  # s < t

@@ -157,7 +157,8 @@ def frac_vector(
     f += np.multiply(u, _TWO_M96, out=g)
     if offset_mantissa:
         f += frac_to_float(offset_mantissa % one, scale_bits)
-    return np.mod(f, 1.0, out=f)
+    f -= np.floor(f, out=g)  # exact, since f >= 0; an integer f gives +0.0
+    return f
 
 
 def sin_pi_reduced(mantissa: int, scale_bits: int) -> float:

@@ -1,9 +1,10 @@
 import csv
 import re
 
+import numpy as np
 import pytest
 
-from beatty_kfree import cli
+from beatty_kfree import beatty, cfrac, cli, smoothing
 
 
 def test_selftest_passes(capsys):
@@ -99,6 +100,37 @@ def test_smoothing_check_smoke(tmp_path, capsys):
         "bound", "status",
     ]
     assert [r[-1] for r in rows[1:]] == ["PASS"] * 5
+
+
+def simpson_by_direct_phases(gamma_f: float, delta: float, n: int,
+                             panels: int = 1 << 14) -> np.ndarray:
+    """The same composite Simpson rule, every phase e(-j x) from its own exp."""
+    js = np.arange(1, n + 1)
+    breaks = np.unique(
+        np.clip([0.0, delta, gamma_f - delta, gamma_f + delta, 1.0 - delta, 1.0], 0.0, 1.0)
+    )
+    total = np.zeros(n, dtype=np.complex128)
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        if b - a < 1e-15:
+            continue
+        xs = np.linspace(a, b, 2 * panels + 1)
+        weights = np.ones_like(xs)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        fx = smoothing._psi_values(np.mod(xs, 1.0), gamma_f, delta)
+        phase = np.exp(-2j * np.pi * np.outer(js, xs))
+        total += (b - a) / (6 * panels) * (phase @ (weights * fx))
+    return total
+
+
+@pytest.mark.parametrize("alpha, beta, k", [("quad:1,5,2", "0", 2), ("quad:0,2,1", "1/2", 3)])
+def test_simpson_oracle_by_powers_matches_direct_phases(alpha, beta, k):
+    # gamma and delta as smoothing-check forms them at x = 2**22
+    spec, b = cfrac.parse_irrational(alpha), beatty.parse_beta(beta)
+    gf = beatty.BeattyParams(spec, b, 192).gamma.to_float()
+    delta = min(smoothing.default_delta(1 << 22, k), min(gf, 1.0 - gf) / 2.0, 0.124)
+    by_powers = cli._simpson_coefficient(gf, delta, 48)
+    assert np.max(np.abs(by_powers - simpson_by_direct_phases(gf, delta, 48))) <= 1e-13
 
 
 def test_threads_is_a_usage_error(capsys):

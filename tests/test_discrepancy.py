@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,6 +48,25 @@ def test_scan_matches_oracle_and_star_by_index(points):
     assert res.star == star_by_index(points)
     c, d = res.witness_interval
     assert 0.0 <= c <= d <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(multisets())
+@example(np.array([0.5]))
+@example(np.zeros(5))
+@example(np.array([0.0, 0.0, 0.5, 0.5, 0.5, np.nextafter(1.0, 0.0)]))
+def test_the_witness_attains_the_extreme(points):
+    """Closed [c, d] scores a surplus, open (c, d) a deficit; the better of the
+    two, in exact rationals, is the extreme up to its five float roundings
+    (fl(i/M) twice, two differences and their difference, each <= 2**-54)."""
+    M = len(points)
+    res = extreme_discrepancy(PointSet(points, M))
+    c, d = res.witness_interval
+    closed = int(np.count_nonzero((c <= points) & (points <= d)))
+    opened = int(np.count_nonzero((c < points) & (points < d)))
+    length = Fraction(d) - Fraction(c)
+    best = max(abs(Fraction(closed, M) - length), abs(Fraction(opened, M) - length))
+    assert abs(Fraction(res.extreme) - best) <= 5 * Fraction(1, 1 << 54)
 
 
 @settings(max_examples=200, deadline=None)

@@ -164,5 +164,11 @@ class TestFracVectorBeyond2To32:
         with pytest.raises(ValueError, match=r"max\(n\) = 17592186044423"):
             frac_vector(to_fixed(PHI, 192).mantissa, 192, n)
 
+    def test_an_integer_sum_reduces_to_positive_zero(self):
+        # n * 1/2 + 1/2 and n * 3/4 + 1/4 are whole turns before the reduction
+        for mant, off, ns in ((1 << 191, 1 << 191, [1, 3]), (3 << 190, 1 << 190, [1, 5])):
+            out = frac_vector(mant, 192, np.array(ns, dtype=np.uint64), offset_mantissa=off)
+            assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in out)
+
     def test_empty_input(self):
         assert frac_vector(12345, 64, np.array([], dtype=np.uint64)).shape == (0,)
