@@ -9,9 +9,14 @@ fixed-point arithmetic with precision escalation. The block
 kernels decide in float64 away from the borders and send entries near a
 border (border_indices) to the certified scalar path.
 
-The k-free count along the sequence enumerates no terms: it sums Moebius
-weights of floor sums over a rational slope certified to reproduce every
-term up to x, O(x**(1/k)) floor sums of O(log x) steps each.
+The k-free count along the sequence enumerates no terms. It replaces alpha
+by a rational slope certified to reproduce every term up to x and sums
+mu(d) * #{n <= x : d**k | t_n} over d <= t_x**(1/k): by two floor sums of
+O(log x) steps for d up to a cut-off D0 from a cost model, and above D0 by
+the block membership test on the multiples of d**k up to t_x, about
+t_x/D0**(k-1) of them. For k = 2 both halves take O(sqrt(t_x)) steps. The
+multiples must stay below 2**44 (frac_vector); past that every d takes
+floor sums. The Moebius table takes 9 bytes per d <= t_x**(1/k).
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ from .cfrac import IrrationalSpec
 from .errors import PrecisionExhausted
 from .fixed import (
     DEFAULT_BITS,
+    FRAC_VECTOR_LIMIT,
     MAX_BITS,
     FixedReal,
     frac_to_float,
@@ -33,6 +39,7 @@ from .fixed import (
 from .kfree import (  # noqa: F401  perfbench's tracer self-test expects beatty.sieve_kfree
     DEFAULT_MEMORY_BYTES,
     floor_sum,
+    group_offsets,
     iroot,
     sieve_kfree,
     sieve_moebius,
@@ -40,6 +47,10 @@ from .kfree import (  # noqa: F401  perfbench's tracer self-test expects beatty.
 )
 
 _BORDER_TOL = 2.0**-40
+_PAIR_CHUNK = 1 << 22  # membership pairs per chunk of the count
+# cost of one membership pair over the two floor sums of one d; measured
+# 60-110 ns against 11-15 us on a 2-core Xeon, and 0.01 timed best at 1e10-1e12
+_PAIR_COST = 0.01
 
 
 @dataclass(frozen=True)
@@ -212,14 +223,20 @@ def is_member(p: BeattyParams, m: int) -> bool:
     return member_witness(p, m) is not None
 
 
-def member_flags_block(p: BeattyParams, m_lo: int, m_hi: int) -> np.ndarray:
-    """Vectorized membership criterion for m in [m_lo, m_hi] (bool array)."""
-    lv = p.level(p.precision_bits)
-    m = np.arange(m_lo, m_hi + 1, dtype=np.uint64)
+def _gamma_test(lv: _Level, m: np.ndarray, m_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float membership test 0 < {gamma*m + delta} <= gamma at level lv
+    for uint64 m <= m_hi, and the indices (border_indices) whose float
+    decision does not hold, which the caller decides exactly."""
     f = frac_vector(lv.gamma.mantissa, lv.bits, m, offset_mantissa=lv.delta.mantissa)
     gf = lv.gamma.to_float()
-    flags = (f > 0.0) & (f <= gf)
-    for i in border_indices(f, lv.gamma, lv.delta, m_hi, gf):
+    return (f > 0.0) & (f <= gf), border_indices(f, lv.gamma, lv.delta, m_hi, gf)
+
+
+def member_flags_block(p: BeattyParams, m_lo: int, m_hi: int) -> np.ndarray:
+    """Vectorized membership criterion for m in [m_lo, m_hi] (bool array)."""
+    m = np.arange(m_lo, m_hi + 1, dtype=np.uint64)
+    flags, border = _gamma_test(p.level(p.precision_bits), m, m_hi)
+    for i in border:
         flags[i] = is_member(p, m_lo + int(i))
     return flags
 
@@ -256,6 +273,77 @@ def _certified_slope(p: BeattyParams, x: int) -> Fraction:
     )
 
 
+def _member_pairs(p: BeattyParams, A: int, B: int, Q: int, x: int, k: int,
+                  d: np.ndarray, mu: np.ndarray) -> int:
+    """sum over the given d of mu(d) * #{n <= x : d**k | t_n}, with
+    t_n = floor((A*n + B)/Q) < 2**44: the Beatty members among the
+    multiples m = j*d**k in [t_1, t_x], in chunks of consecutive d of at
+    most _PAIR_CHUNK pairs. The float gamma-test decides them; a border
+    entry counts iff n = ceil((Q*m - B)/A) has t_n = m. Since the terms
+    increase and t_1 <= m <= t_x, such an n lies in [1, x]."""
+    t_1, t_x = (A + B) // Q, (A * x + B) // Q
+    dk = d**k
+    j_lo = (t_1 - 1) // dk + 1
+    per_d = t_x // dk - j_lo + 1
+    ends = np.cumsum(per_d)
+    lv = p.level(p.precision_bits)
+    count = g0 = 0
+    while g0 < len(d):
+        g1 = max(g0 + 1, int(np.searchsorted(ends, ends[g0] - per_d[g0] + _PAIR_CHUNK, "right")))
+        g, j = group_offsets(per_d[g0:g1])
+        m = ((j_lo[g0:g1][g] + j) * dk[g0:g1][g]).astype(np.uint64)
+        flags, border = _gamma_test(lv, m, t_x)
+        for i in border.tolist():
+            mi = int(m[i])
+            n = -((B - Q * mi) // A)  # least n with t_n >= mi
+            flags[i] = (A * n + B) // Q == mi
+        members = np.bincount(g[flags], minlength=g1 - g0)
+        count += int(members @ mu[g0:g1])
+        g0 = g1
+    return count
+
+
+def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: int) -> int:
+    """Exact count of n <= x with t_n k-free,
+
+        sum_{d <= r} mu(d) * #{n <= x : d**k | t_n},   r = t_x**(1/k),
+
+    with t_n = floor((A*n + B)/Q) from the certified slope. Each d <= D0 is
+    a difference of two floor sums; the d > D0 go to _member_pairs, whose
+    border entries are decided from the same A/Q. D0 = d0, or by default
+    the cost model below. The pairs need t_x < 2**44 (frac_vector), so
+    past that D0 = r.
+    """
+    s = _certified_slope(p, x)
+    # t_n = floor((A*n + B) / Q) exactly for 1 <= n <= x
+    A = s.numerator * p.beta.denominator
+    B = p.beta.numerator * s.denominator
+    Q = s.denominator * p.beta.denominator
+    t_1, t_x = (A + B) // Q, (A * x + B) // Q
+    if t_1 < 1:
+        raise ValueError("terms must be positive; increase beta or n range")
+    r = iroot(t_x, k)
+    if d0 is None:
+        # Cost c_f per squarefree d <= D0 (two floor sums), about 0.61*D0 of
+        # them; cost c_p per pair, about 0.61*t_x*D0**(1-k)/(k-1) of them.
+        # The sum is least at D0 = (t_x * c_p/c_f)**(1/k).
+        d0 = iroot(int(_PAIR_COST * t_x), k)
+    # no d above D0 has more than _PAIR_CHUNK pairs
+    d0 = r if t_x >= FRAC_VECTOR_LIMIT else max(d0, iroot(t_x // _PAIR_CHUNK, k))
+    mu = sieve_moebius(1, r, memory_bytes).mu
+    nz = np.flatnonzero(mu)
+    n_small = int(np.searchsorted(nz, d0))  # d = nz + 1 <= d0
+    count = 0
+    for d, m in zip((nz[:n_small] + 1).tolist(), mu[nz[:n_small]].tolist()):
+        # sum over i = n - 1 of floor(t_n / d**k) - floor((t_n - 1) / d**k)
+        D = Q * d**k
+        count += m * (floor_sum(x, D, A, A + B) - floor_sum(x, D, A, A + B - Q))
+    large = nz[n_small:]
+    if len(large):
+        count += _member_pairs(p, A, B, Q, x, k, large + 1, mu[large])
+    return count
+
+
 def count_kfree_beatty(
     p: BeattyParams,
     x: int,
@@ -266,30 +354,21 @@ def count_kfree_beatty(
 
     Exact without enumerating terms:
         count = sum_{d <= t_x**(1/k)} mu(d) * #{n <= x : d**k | t_n},
-    with alpha replaced by a certified rational slope (_certified_slope),
-    so each inner count is a difference of two floor sums. Cost: about
-    t_x**(1/k) floor sums of O(log x) steps. The Moebius table takes
-    9 bytes per d from memory_bytes, so 256 MiB reaches x near 1e14 at
-    k = 2 (MemoryBudgetExceeded beyond).
+    with alpha replaced by a certified rational slope (_certified_slope).
+    Up to D0 = (c*t_x)**(1/k), c = 0.01 from a cost model (_count_split),
+    each inner count is a difference of two floor sums of O(log x) steps;
+    above D0 it counts the Beatty members among the multiples of d**k in
+    [t_1, t_x], tested in numpy chunks of at most 2**22 pairs. For k = 2
+    that is about 0.61*sqrt(c*t_x) squarefree d of floor sums and
+    0.61*sqrt(t_x/c) pairs. The pairs need t_x < 2**44; beyond, every d
+    takes floor sums (about 0.61*t_x**(1/k) of them). The Moebius table
+    takes 9 bytes per d <= t_x**(1/k) from memory_bytes, so 256 MiB
+    reaches x near 1e14 at k = 2 (MemoryBudgetExceeded beyond).
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if x < 1:
         return 0, 0.0, 0.0
-    s = _certified_slope(p, x)
-    # t_n = floor((A*n + B) / Q) exactly for 1 <= n <= x
-    A = s.numerator * p.beta.denominator
-    B = p.beta.numerator * s.denominator
-    Q = s.denominator * p.beta.denominator
-    if (A + B) // Q < 1:
-        raise ValueError("terms must be positive; increase beta or n range")
-    mu = sieve_moebius(1, iroot((A * x + B) // Q, k), memory_bytes).mu
-    nz = np.flatnonzero(mu)
-    count = 0
-    for d, m in zip((nz + 1).tolist(), mu[nz].tolist()):
-        # sum over i = n - 1 of floor(t_n / d**k) - floor((t_n - 1) / d**k)
-        D = Q * d**k
-        count += m * (floor_sum(x, D, A, A + B) - floor_sum(x, D, A, A + B - Q))
+    count = _count_split(p, x, k, None, memory_bytes)
     main = x / zeta(k)
     return count, main, count - main
-

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fixed import FixedReal, exp_circle, frac_to_float, frac_vector, sin_pi_reduced
-from .kfree import DEFAULT_MEMORY_BYTES, iroot, sieve_kfree, sieve_moebius
+from .kfree import DEFAULT_MEMORY_BYTES, group_offsets, iroot, sieve_kfree, sieve_moebius
 
 TWO_PI = 2.0 * math.pi
 SMALL_NORM_BITS = 30  # ||alpha|| below 2**-30 switches to direct summation
@@ -183,10 +183,8 @@ def double_kfree_sum_hyperbola(
     per_l_c = np.full(lc, np.searchsorted(nz, ma, side="left"))
     sums = []
     for per_l in (per_l_b, per_l_c):
-        start = np.cumsum(per_l) - per_l
-        idx = np.arange(int(np.sum(per_l))) - np.repeat(start, per_l)
-        ns = np.repeat(ls, per_l) * mk[idx]
-        sums.append(_power_sum(t, bits, ns, H, mus[idx]))
+        li, idx = group_offsets(per_l)
+        sums.append(_power_sum(t, bits, ls[li] * mk[idx], H, mus[idx]))
 
     return HyperbolaSplit(y, complex_fsum(parts_a), sums[0], sums[1])
 

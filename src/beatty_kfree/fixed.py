@@ -23,7 +23,7 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _TWO_M32 = 2.0 ** -32
 _TWO_M64 = 2.0 ** -64
 _TWO_M96 = 2.0 ** -96
-_N_LIMIT = 1 << 44  # beyond it the 96-bit truncation error n * 2**-96 exceeds 2**-52
+FRAC_VECTOR_LIMIT = 1 << 44  # beyond it the 96-bit truncation error n * 2**-96 exceeds 2**-52
 
 
 def decision_margin(err_ulps: int) -> int:
@@ -130,7 +130,7 @@ def frac_vector(
     """
     n64 = np.ascontiguousarray(n, dtype=np.uint64)
     n_max = int(n64.max()) if n64.size else 0
-    if n_max >= _N_LIMIT:
+    if n_max >= FRAC_VECTOR_LIMIT:
         raise ValueError(f"frac_vector needs n < 2**44, got max(n) = {n_max}")
     one = 1 << scale_bits
     r = mantissa % one

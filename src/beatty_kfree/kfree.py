@@ -66,16 +66,28 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(flags)[0].astype(np.int64)
 
 
-def _check_window(lo: int, hi: int, bytes_per_entry: int, memory_bytes: int) -> int:
+def group_offsets(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(group, offset) of every item, in order, when group i holds counts[i]
+    items: the index pairs of a ragged double loop, built in numpy."""
+    group = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return group, np.arange(len(group)) - starts[group]
+
+
+def _check_window(lo: int, hi: int, bytes_per_entry: int, prime_top: int,
+                  memory_bytes: int) -> int:
+    """Window length; the budget covers the window and the prime_top + 1
+    bytes of flags primes_upto(prime_top) takes."""
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")
-    if hi > 1 << 40:
-        raise ValueError("window end exceeds 2**40")
+    if hi > 1 << 62:  # sieve values and offsets stay in int64
+        raise ValueError(f"window end {hi} exceeds 2**62")
     n = hi - lo + 1
-    if n * bytes_per_entry > memory_bytes:
+    need = n * bytes_per_entry + prime_top + 1
+    if need > memory_bytes:
         raise MemoryBudgetExceeded(
-            f"window [{lo},{hi}] needs {n * bytes_per_entry} bytes "
-            f"(budget {memory_bytes})"
+            f"window [{lo},{hi}] needs {need} bytes with its primes up to "
+            f"{prime_top} (budget {memory_bytes})"
         )
     return n
 
@@ -92,10 +104,11 @@ class MoebiusTable:
 
 def sieve_moebius(lo: int, hi: int, memory_bytes: int = DEFAULT_MEMORY_BYTES) -> MoebiusTable:
     """Exact Moebius values on [lo, hi] by a segmented residual-factor sieve."""
-    n = _check_window(lo, hi, 9, memory_bytes)
+    top = math.isqrt(hi)
+    n = _check_window(lo, hi, 9, top, memory_bytes)
     mu = np.ones(n, dtype=np.int8)
     val = np.arange(lo, hi + 1, dtype=np.int64)
-    for p in primes_upto(math.isqrt(hi)):
+    for p in primes_upto(top):
         p = int(p)
         start = ((lo + p - 1) // p) * p - lo
         mu[start::p] = -mu[start::p]
@@ -126,9 +139,10 @@ def sieve_kfree(k: int, lo: int, hi: int, memory_bytes: int = DEFAULT_MEMORY_BYT
     """Flags for [lo, hi]: n is k-free iff no prime power p**k divides n."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    n = _check_window(lo, hi, 1, memory_bytes)
+    top = iroot(hi, k)
+    n = _check_window(lo, hi, 1, top, memory_bytes)
     flags = np.ones(n, dtype=bool)
-    for p in primes_upto(iroot(hi, k)):
+    for p in primes_upto(top):
         pk = int(p) ** k
         start = ((lo + pk - 1) // pk) * pk - lo
         flags[start::pk] = False

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beatty_kfree import beatty
 from beatty_kfree.beatty import (
     BeattyParams,
+    _count_split,
     beatty_term,
     beatty_terms_block,
     count_kfree_beatty,
@@ -18,10 +20,11 @@ from beatty_kfree.beatty import (
 )
 from beatty_kfree.cfrac import PHI, SQRT2, SQRT3, QuadraticIrrational, parse_irrational
 from beatty_kfree.errors import PrecisionExhausted
-from beatty_kfree.kfree import iroot, primes_upto, sieve_kfree
+from beatty_kfree.kfree import DEFAULT_MEMORY_BYTES, iroot, primes_upto, sieve_kfree
 
 BIG_ALPHA = "quad:0,200000000000000,1"  # sqrt(2e14): term n is isqrt(2e14 * n * n)
 SHORT_SPECS = ("cf:1,1,1,1,1,1,1,1", "dec:3.14159:12")
+ALL_FLOOR_SUMS = 1 << 62  # a cut-off D0 above every r = t_x**(1/k): no pairs
 
 
 def big_alpha_term(n: int) -> int:
@@ -262,6 +265,80 @@ class TestFloorSumCount:
         terms = [beatty_term(p, n) for n in range(x - w + 1, x + 1)]
         assert count - count_kfree_beatty(p, x - w, 3)[0] == kfree_by_trial(terms, 3)
         assert abs(err) < x ** (3 / 5)
+
+
+class TestSplitCount:
+    """The floor-sum/membership-pair split against either half alone."""
+
+    @staticmethod
+    def split(p, x, k, d0):
+        return outcome(lambda: _count_split(p, x, k, d0, DEFAULT_MEMORY_BYTES))
+
+    @pytest.mark.parametrize(
+        "spec", ["quad:1,5,2", "quad:0,2,1", "quad:7,2,3", "cf:1," + ",".join(["1", "2"] * 40),
+                 "dec:3.14159265358979323846264338327950288:100", *SHORT_SPECS],
+    )
+    def test_all_pairs_and_all_floor_sums_agree(self, spec, monkeypatch):
+        borders = []
+        real = beatty.border_indices
+
+        def counted(*args):
+            out = real(*args)
+            borders.append(len(out))
+            return out
+
+        monkeypatch.setattr(beatty, "border_indices", counted)
+        alpha = parse_irrational(spec)
+        # the short specs certify only small x, where their wide intervals
+        # send pair entries to the integer decision
+        xs = range(1, 100) if spec in SHORT_SPECS else (1, 10, 1000, 10**5)
+        for beta in ("0", "1/2", "-7/10", "3", "-2"):
+            p = BeattyParams(alpha, parse_beta(beta))
+            for k in (2, 3):
+                for x in xs:
+                    public = outcome(lambda: count_kfree_beatty(p, x, k)[0])
+                    assert self.split(p, x, k, 0) == self.split(p, x, k, ALL_FLOOR_SUMS) == public, (
+                        beta, k, x)
+        if spec in SHORT_SPECS:
+            assert sum(borders) > 100
+
+    def test_border_decision_alone(self, monkeypatch):
+        # every pair goes to the integer decision, with its float flag inverted
+        real = beatty._gamma_test
+
+        def all_border(lv, m, m_hi):
+            flags, _ = real(lv, m, m_hi)
+            return ~flags, np.arange(len(m))
+
+        monkeypatch.setattr(beatty, "_gamma_test", all_border)
+        for spec in ("quad:1,5,2", "quad:7,2,3", "dec:3.14159265358979323846264338327950288:100"):
+            for beta in ("0", "-7/10", "3"):
+                p = BeattyParams(parse_irrational(spec), parse_beta(beta))
+                for k in (2, 3):
+                    for x in (1, 10, 1000, 20000):
+                        assert self.split(p, x, k, 0) == self.split(p, x, k, ALL_FLOOR_SUMS), (spec, beta, k, x)
+
+    def test_phi_squarefree_at_1e10(self):
+        p = BeattyParams(PHI, 0)
+        assert count_kfree_beatty(p, 10**10, 2)[0] == _count_split(
+            p, 10**10, 2, ALL_FLOOR_SUMS, DEFAULT_MEMORY_BYTES) == 6079271025
+
+    def test_terms_past_the_pair_limit(self, monkeypatch):
+        # frac_vector takes m < 2**44, so past t_x = 2**44 every d takes floor sums
+        calls = []
+        real = beatty.frac_vector
+
+        def counted(*args, **kwargs):
+            calls.append(x)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(beatty, "frac_vector", counted)
+        p = BeattyParams(parse_irrational(BIG_ALPHA), 0)
+        for x in (1_240_000, 1_250_000):
+            assert (big_alpha_term(x) < 1 << 44) == (x == 1_240_000)
+            assert count_kfree_beatty(p, x, 3)[0] == _count_split(
+                p, x, 3, ALL_FLOOR_SUMS, DEFAULT_MEMORY_BYTES)
+        assert set(calls) == {1_240_000}
 
 
 class TestIntervalWidth:

@@ -9,6 +9,7 @@ from beatty_kfree.errors import MemoryBudgetExceeded
 from beatty_kfree.kfree import (
     count_kfree,
     floor_sum,
+    group_offsets,
     iroot,
     kfree_indicator_moebius_range,
     sieve_kfree,
@@ -31,6 +32,22 @@ def mu_by_trial_factorization(n: int) -> int:
     if n > 1:
         out = -out
     return out
+
+
+def exponents_by_trial(n: int) -> list[int]:
+    """Oracle for n up to about 2**44: the prime exponents of n, dividing by
+    2 and, in increasing order, by each odd d <= isqrt(n) that divides n
+    (a composite d no longer divides once its prime factors are out)."""
+    odd = np.arange(3, math.isqrt(n) + 1, 2, dtype=np.int64)
+    out = []
+    for d in [2] + odd[n % odd == 0].tolist():
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append(e)
+    return out + [1] if n > 1 else out
 
 
 class TestMoebius:
@@ -119,6 +136,41 @@ class TestKFreeSieve:
             t = sieve_kfree(k, lo, lo + 500)
             for n in range(lo, lo + 501):
                 assert t.is_kfree(n) == kfree_brute(n, k)
+
+
+class TestFarWindows:
+    @pytest.mark.parametrize("hi", [(1 << 40) - 3, (1 << 40) + 3, 1 << 44])
+    def test_sieves_match_trial_division(self, hi):
+        lo = hi - 31
+        exps = [exponents_by_trial(n) for n in range(lo, hi + 1)]
+        mu = [0 if max(es, default=0) > 1 else (-1) ** len(es) for es in exps]
+        assert sieve_moebius(lo, hi).mu.tolist() == mu
+        for k in (2, 3):
+            assert sieve_kfree(k, lo, hi).flags.tolist() == [max(es, default=0) < k for es in exps]
+
+    def test_prime_table_counts_against_the_budget(self):
+        lo, hi = 10**12, 10**12 + 99
+        sieve_kfree(2, lo, hi, memory_bytes=100 + 10**6 + 1)
+        with pytest.raises(MemoryBudgetExceeded, match=rf"window \[{lo},{hi}\] .* \(budget 1000100\)"):
+            sieve_kfree(2, lo, hi, memory_bytes=100 + 10**6)
+        sieve_moebius(lo, hi, memory_bytes=900 + 10**6 + 1)
+        with pytest.raises(MemoryBudgetExceeded, match=r"budget 1000900"):
+            sieve_moebius(lo, hi, memory_bytes=900 + 10**6)
+        # near 2**62 the 2**31-byte prime table alone exceeds the default budget
+        with pytest.raises(MemoryBudgetExceeded, match=r"primes up to 2147483648 \(budget 268435456\)"):
+            sieve_kfree(2, (1 << 62) - 10, 1 << 62)
+
+    def test_window_end_cap(self):
+        with pytest.raises(ValueError, match=r"window end 4611686018427387905 exceeds 2\*\*62"):
+            sieve_moebius((1 << 62) - 10, (1 << 62) + 1)
+
+
+class TestGroupOffsets:
+    def test_matches_nested_loop(self, rng):
+        for counts in ([], [0], [3], [2, 0, 1, 4, 0], rng.integers(0, 6, size=50).tolist()):
+            g, j = group_offsets(np.array(counts, dtype=np.int64))
+            assert list(zip(g.tolist(), j.tolist())) == [
+                (i, o) for i, c in enumerate(counts) for o in range(c)]
 
 
 class TestCountKFree:
