@@ -48,8 +48,10 @@ from .kfree import (  # noqa: F401  perfbench's tracer self-test expects beatty.
 
 _BORDER_TOL = 2.0**-40
 _PAIR_CHUNK = 1 << 22  # membership pairs per chunk of the count
-# cost of one membership pair over the two floor sums of one d; measured
-# 60-110 ns against 11-15 us on a 2-core Xeon, and 0.01 timed best at 1e10-1e12
+# c = c_p/c_f, the cost of one membership pair over the two floor sums of one
+# d (60-110 ns against 11-15 us on a 2-core Xeon). About 0.61*D0 squarefree d
+# take floor sums and 0.61*t_x*D0**(1-k)/(k-1) pairs lie above D0, so the
+# total is least at D0 = (c*t_x)**(1/k); c = 0.01 also timed best at 1e10-1e12.
 _PAIR_COST = 0.01
 
 
@@ -304,16 +306,9 @@ def _member_pairs(p: BeattyParams, A: int, B: int, Q: int, x: int, k: int,
 
 
 def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: int) -> int:
-    """Exact count of n <= x with t_n k-free,
-
-        sum_{d <= r} mu(d) * #{n <= x : d**k | t_n},   r = t_x**(1/k),
-
-    with t_n = floor((A*n + B)/Q) from the certified slope. Each d <= D0 is
-    a difference of two floor sums; the d > D0 go to _member_pairs, whose
-    border entries are decided from the same A/Q. D0 = d0, or by default
-    the cost model below. The pairs need t_x < 2**44 (frac_vector), so
-    past that D0 = r.
-    """
+    """The exact count of count_kfree_beatty, split at D0 = d0 (None: the
+    cost model of _PAIR_COST): floor sums for d <= D0, _member_pairs above.
+    The pairs need t_x < 2**44 (frac_vector), so past that D0 = r."""
     s = _certified_slope(p, x)
     # t_n = floor((A*n + B) / Q) exactly for 1 <= n <= x
     A = s.numerator * p.beta.denominator
@@ -324,9 +319,6 @@ def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: 
         raise ValueError("terms must be positive; increase beta or n range")
     r = iroot(t_x, k)
     if d0 is None:
-        # Cost c_f per squarefree d <= D0 (two floor sums), about 0.61*D0 of
-        # them; cost c_p per pair, about 0.61*t_x*D0**(1-k)/(k-1) of them.
-        # The sum is least at D0 = (t_x * c_p/c_f)**(1/k).
         d0 = iroot(int(_PAIR_COST * t_x), k)
     # no d above D0 has more than _PAIR_CHUNK pairs
     d0 = r if t_x >= FRAC_VECTOR_LIMIT else max(d0, iroot(t_x // _PAIR_CHUNK, k))
@@ -355,7 +347,7 @@ def count_kfree_beatty(
     Exact without enumerating terms:
         count = sum_{d <= t_x**(1/k)} mu(d) * #{n <= x : d**k | t_n},
     with alpha replaced by a certified rational slope (_certified_slope).
-    Up to D0 = (c*t_x)**(1/k), c = 0.01 from a cost model (_count_split),
+    Up to D0 = (c*t_x)**(1/k), c = 0.01 from a cost model (_PAIR_COST),
     each inner count is a difference of two floor sums of O(log x) steps;
     above D0 it counts the Beatty members among the multiples of d**k in
     [t_1, t_x], tested in numpy chunks of at most 2**22 pairs. For k = 2

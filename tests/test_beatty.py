@@ -25,6 +25,8 @@ from beatty_kfree.kfree import DEFAULT_MEMORY_BYTES, iroot, primes_upto, sieve_k
 BIG_ALPHA = "quad:0,200000000000000,1"  # sqrt(2e14): term n is isqrt(2e14 * n * n)
 SHORT_SPECS = ("cf:1,1,1,1,1,1,1,1", "dec:3.14159:12")
 ALL_FLOOR_SUMS = 1 << 62  # a cut-off D0 above every r = t_x**(1/k): no pairs
+COUNT_SPECS = ["quad:1,5,2", "quad:0,2,1", "quad:7,2,3", "cf:1," + ",".join(["1", "2"] * 40),
+               "dec:3.14159265358979323846264338327950288:100", *SHORT_SPECS]
 
 
 def big_alpha_term(n: int) -> int:
@@ -219,11 +221,7 @@ class TestCounting:
 class TestFloorSumCount:
     """count_kfree_beatty against enumerating the terms."""
 
-    @pytest.mark.parametrize(
-        "spec",
-        ["quad:1,5,2", "quad:0,2,1", "quad:7,2,3", "cf:1," + ",".join(["1", "2"] * 40),
-         "dec:3.14159265358979323846264338327950288:100", *SHORT_SPECS],
-    )
+    @pytest.mark.parametrize("spec", COUNT_SPECS)
     def test_matches_streaming_oracle(self, spec):
         alpha = parse_irrational(spec)
         for beta in ("0", "1/2", "-7/10", "3", "-2"):
@@ -274,10 +272,7 @@ class TestSplitCount:
     def split(p, x, k, d0):
         return outcome(lambda: _count_split(p, x, k, d0, DEFAULT_MEMORY_BYTES))
 
-    @pytest.mark.parametrize(
-        "spec", ["quad:1,5,2", "quad:0,2,1", "quad:7,2,3", "cf:1," + ",".join(["1", "2"] * 40),
-                 "dec:3.14159265358979323846264338327950288:100", *SHORT_SPECS],
-    )
+    @pytest.mark.parametrize("spec", COUNT_SPECS)
     def test_all_pairs_and_all_floor_sums_agree(self, spec, monkeypatch):
         borders = []
         real = beatty.border_indices
