@@ -47,12 +47,13 @@ from .kfree import (  # noqa: F401  perfbench's tracer self-test expects beatty.
 )
 
 _BORDER_TOL = 2.0**-40
-_PAIR_CHUNK = 1 << 22  # membership pairs per chunk of the count
+_PAIR_CHUNK = 1 << 16  # membership pairs per chunk of the count
 # c = c_p/c_f, the cost of one membership pair over the two floor sums of one
-# d (60-110 ns against 11-15 us on a 2-core Xeon). About 0.61*D0 squarefree d
-# take floor sums and 0.61*t_x*D0**(1-k)/(k-1) pairs lie above D0, so the
-# total is least at D0 = (c*t_x)**(1/k); c = 0.01 also timed best at 1e10-1e12.
-_PAIR_COST = 0.01
+# d. About 0.61*D0 squarefree d take floor sums and 0.61*t_x*D0**(1-k)/(k-1)
+# pairs lie above D0, so the total is least at D0 = (c*t_x)**(1/k). Measured
+# on a 2-core Xeon: 38-46 ns per pair against 15-23 us per d, so c is near
+# 0.003; of c = 0.0025-0.02, 0.005 timed best overall at x = 1e10-1e12.
+_PAIR_COST = 0.005
 
 
 @dataclass(frozen=True)
@@ -279,20 +280,29 @@ def _member_pairs(p: BeattyParams, A: int, B: int, Q: int, x: int, k: int,
                   d: np.ndarray, mu: np.ndarray) -> int:
     """sum over the given d of mu(d) * #{n <= x : d**k | t_n}, with
     t_n = floor((A*n + B)/Q) < 2**44: the Beatty members among the
-    multiples m = j*d**k in [t_1, t_x], in chunks of consecutive d of at
-    most _PAIR_CHUNK pairs. The float gamma-test decides them; a border
-    entry counts iff n = ceil((Q*m - B)/A) has t_n = m. Since the terms
-    increase and t_1 <= m <= t_x, such an n lies in [1, x]."""
+    multiples m = j*d**k in [t_1, t_x], in chunks of _PAIR_CHUNK pairs.
+    The float gamma-test decides them; a border entry counts iff
+    n = ceil((Q*m - B)/A) has t_n = m. Since the terms increase and
+    t_1 <= m <= t_x, such an n lies in [1, x]."""
     t_1, t_x = (A + B) // Q, (A * x + B) // Q
     dk = d**k
     j_lo = (t_1 - 1) // dk + 1
     per_d = t_x // dk - j_lo + 1
     ends = np.cumsum(per_d)
+    total = int(ends[-1])
     lv = p.level(p.precision_bits)
-    count = g0 = 0
-    while g0 < len(d):
-        g1 = max(g0 + 1, int(np.searchsorted(ends, ends[g0] - per_d[g0] + _PAIR_CHUNK, "right")))
-        g, j = group_offsets(per_d[g0:g1])
+    count = 0
+    for p0 in range(0, total, _PAIR_CHUNK):
+        # pairs p0 <= i < p1 in order of (d, j): d[g0:g1], cut at both ends
+        p1 = min(p0 + _PAIR_CHUNK, total)
+        g0 = int(np.searchsorted(ends, p0, "right"))
+        g1 = int(np.searchsorted(ends, p1 - 1, "right")) + 1
+        per = per_d[g0:g1].copy()
+        done = p0 - int(ends[g0] - per_d[g0])  # pairs of d[g0] in earlier chunks
+        per[0] -= done
+        per[-1] -= int(ends[g1 - 1]) - p1
+        g, j = group_offsets(per)
+        j[: per[0]] += done
         m = ((j_lo[g0:g1][g] + j) * dk[g0:g1][g]).astype(np.uint64)
         flags, border = _gamma_test(lv, m, t_x)
         for i in border.tolist():
@@ -301,7 +311,6 @@ def _member_pairs(p: BeattyParams, A: int, B: int, Q: int, x: int, k: int,
             flags[i] = (A * n + B) // Q == mi
         members = np.bincount(g[flags], minlength=g1 - g0)
         count += int(members @ mu[g0:g1])
-        g0 = g1
     return count
 
 
@@ -320,8 +329,8 @@ def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: 
     r = iroot(t_x, k)
     if d0 is None:
         d0 = iroot(int(_PAIR_COST * t_x), k)
-    # no d above D0 has more than _PAIR_CHUNK pairs
-    d0 = r if t_x >= FRAC_VECTOR_LIMIT else max(d0, iroot(t_x // _PAIR_CHUNK, k))
+    if t_x >= FRAC_VECTOR_LIMIT:
+        d0 = r
     mu = sieve_moebius(1, r, memory_bytes).mu
     nz = np.flatnonzero(mu)
     n_small = int(np.searchsorted(nz, d0))  # d = nz + 1 <= d0
@@ -347,10 +356,10 @@ def count_kfree_beatty(
     Exact without enumerating terms:
         count = sum_{d <= t_x**(1/k)} mu(d) * #{n <= x : d**k | t_n},
     with alpha replaced by a certified rational slope (_certified_slope).
-    Up to D0 = (c*t_x)**(1/k), c = 0.01 from a cost model (_PAIR_COST),
+    Up to D0 = (c*t_x)**(1/k), c = 0.005 from a cost model (_PAIR_COST),
     each inner count is a difference of two floor sums of O(log x) steps;
     above D0 it counts the Beatty members among the multiples of d**k in
-    [t_1, t_x], tested in numpy chunks of at most 2**22 pairs. For k = 2
+    [t_1, t_x], tested in numpy chunks of 2**16 pairs. For k = 2
     that is about 0.61*sqrt(c*t_x) squarefree d of floor sums and
     0.61*sqrt(t_x/c) pairs. The pairs need t_x < 2**44; beyond, every d
     takes floor sums (about 0.61*t_x**(1/k) of them). The Moebius table

@@ -313,6 +313,16 @@ class TestSplitCount:
                     for x in (1, 10, 1000, 20000):
                         assert self.split(p, x, k, 0) == self.split(p, x, k, ALL_FLOOR_SUMS), (spec, beta, k, x)
 
+    @pytest.mark.parametrize("chunk", [2, 7, 64])
+    def test_chunks_cut_inside_and_across_d(self, chunk, monkeypatch):
+        monkeypatch.setattr(beatty, "_PAIR_CHUNK", chunk)
+        for spec, beta in (("quad:1,5,2", "0"), ("quad:7,2,3", "-7/10")):
+            p = BeattyParams(parse_irrational(spec), parse_beta(beta))
+            for k in (2, 3):
+                for x in (1, 10, 1000):
+                    want = self.split(p, x, k, ALL_FLOOR_SUMS)
+                    assert self.split(p, x, k, 0) == self.split(p, x, k, None) == want, (spec, k, x)
+
     def test_phi_squarefree_at_1e10(self):
         p = BeattyParams(PHI, 0)
         assert count_kfree_beatty(p, 10**10, 2)[0] == _count_split(
