@@ -15,8 +15,7 @@ mu(d) * #{n <= x : d**k | t_n} over d <= t_x**(1/k): by two floor sums of
 O(log x) steps for d up to a cut-off D0 from a cost model, and above D0 by
 the block membership test on the multiples of d**k up to t_x, about
 t_x/D0**(k-1) of them. For k = 2 both halves take O(sqrt(t_x)) steps. The
-multiples must stay below 2**44 (frac_vector); past that every d takes
-floor sums. The Moebius table takes 9 bytes per d <= t_x**(1/k).
+reach is capped by the Moebius table, which takes 9 bytes per d <= t_x**(1/k).
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ from .cfrac import IrrationalSpec
 from .errors import PrecisionExhausted
 from .fixed import (
     DEFAULT_BITS,
-    FRAC_VECTOR_LIMIT,
     MAX_BITS,
     FixedReal,
     frac_to_float,
@@ -48,6 +46,7 @@ from .kfree import (  # noqa: F401  perfbench's tracer self-test expects beatty.
 
 _BORDER_TOL = 2.0**-40
 _PAIR_CHUNK = 1 << 16  # membership pairs per chunk of the count
+_PAIR_SEGMENT = 1 << 18  # d per _member_pairs call, which holds 5 int64 arrays over its d
 # c = c_p/c_f, the cost of one membership pair over the two floor sums of one
 # d. About 0.61*D0 squarefree d take floor sums and 0.61*t_x*D0**(1-k)/(k-1)
 # pairs lie above D0, so the total is least at D0 = (c*t_x)**(1/k). Measured
@@ -192,9 +191,10 @@ def beatty_terms_block(p: BeattyParams, n_lo: int, n_hi: int) -> np.ndarray:
         raise ValueError(
             f"terms of alpha={p.alpha} up to n_hi={n_hi} exceed the int64 limit 2**63"
         )
-    n = np.arange(n_lo, n_hi + 1, dtype=np.uint64)
-    f = frac_vector(lv.alpha.mantissa, lv.bits, n, offset_mantissa=lv.beta.mantissa)
-    v = frac_to_float(lv.alpha.mantissa, lv.bits) * n.astype(np.float64) + lv.beta.to_float()
+    a, j = lv.alpha.mantissa, np.arange(n_hi - n_lo + 1, dtype=np.uint64)
+    f = frac_vector(a, lv.bits, j, offset_mantissa=a * n_lo + lv.beta.mantissa)
+    n = j + np.uint64(n_lo)
+    v = frac_to_float(a, lv.bits) * n.astype(np.float64) + lv.beta.to_float()
     m = np.rint(v - f).astype(np.int64) + np.int64(a0) * n.view(np.int64)
     for i in border_indices(f, lv.alpha, lv.beta, n_hi):
         m[i] = beatty_term(p, n_lo + int(i))
@@ -226,19 +226,20 @@ def is_member(p: BeattyParams, m: int) -> bool:
     return member_witness(p, m) is not None
 
 
-def _gamma_test(lv: _Level, m: np.ndarray, m_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The float membership test 0 < {gamma*m + delta} <= gamma at level lv
-    for uint64 m <= m_hi, and the indices (border_indices) whose float
-    decision does not hold, which the caller decides exactly."""
-    f = frac_vector(lv.gamma.mantissa, lv.bits, m, offset_mantissa=lv.delta.mantissa)
+def _gamma_test(lv: _Level, m: np.ndarray, m_hi: int, m_lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The float membership test 0 < {gamma*(m_lo + m) + delta} <= gamma at level
+    lv for uint64 m, m_lo + m <= m_hi, and the indices (border_indices) whose
+    float decision does not hold, which the caller decides exactly."""
+    g = lv.gamma.mantissa
+    f = frac_vector(g, lv.bits, m, offset_mantissa=g * m_lo + lv.delta.mantissa)
     gf = lv.gamma.to_float()
     return (f > 0.0) & (f <= gf), border_indices(f, lv.gamma, lv.delta, m_hi, gf)
 
 
 def member_flags_block(p: BeattyParams, m_lo: int, m_hi: int) -> np.ndarray:
     """Vectorized membership criterion for m in [m_lo, m_hi] (bool array)."""
-    m = np.arange(m_lo, m_hi + 1, dtype=np.uint64)
-    flags, border = _gamma_test(p.level(p.precision_bits), m, m_hi)
+    m = np.arange(m_hi - m_lo + 1, dtype=np.uint64)
+    flags, border = _gamma_test(p.level(p.precision_bits), m, m_hi, m_lo)
     for i in border:
         flags[i] = is_member(p, m_lo + int(i))
     return flags
@@ -279,7 +280,7 @@ def _certified_slope(p: BeattyParams, x: int) -> Fraction:
 def _member_pairs(p: BeattyParams, A: int, B: int, Q: int, x: int, k: int,
                   d: np.ndarray, mu: np.ndarray) -> int:
     """sum over the given d of mu(d) * #{n <= x : d**k | t_n}, with
-    t_n = floor((A*n + B)/Q) < 2**44: the Beatty members among the
+    t_n = floor((A*n + B)/Q) < 2**63: the Beatty members among the
     multiples m = j*d**k in [t_1, t_x], in chunks of _PAIR_CHUNK pairs.
     The float gamma-test decides them; a border entry counts iff
     n = ceil((Q*m - B)/A) has t_n = m. Since the terms increase and
@@ -316,8 +317,7 @@ def _member_pairs(p: BeattyParams, A: int, B: int, Q: int, x: int, k: int,
 
 def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: int) -> int:
     """The exact count of count_kfree_beatty, split at D0 = d0 (None: the
-    cost model of _PAIR_COST): floor sums for d <= D0, _member_pairs above.
-    The pairs need t_x < 2**44 (frac_vector), so past that D0 = r."""
+    cost model of _PAIR_COST): floor sums for d <= D0, _member_pairs above."""
     s = _certified_slope(p, x)
     # t_n = floor((A*n + B) / Q) exactly for 1 <= n <= x
     A = s.numerator * p.beta.denominator
@@ -329,7 +329,7 @@ def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: 
     r = iroot(t_x, k)
     if d0 is None:
         d0 = iroot(int(_PAIR_COST * t_x), k)
-    if t_x >= FRAC_VECTOR_LIMIT:
+    if t_x >= 1 << 63:  # the pairs' multiples are int64
         d0 = r
     mu = sieve_moebius(1, r, memory_bytes).mu
     nz = np.flatnonzero(mu)
@@ -339,8 +339,8 @@ def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: 
         # sum over i = n - 1 of floor(t_n / d**k) - floor((t_n - 1) / d**k)
         D = Q * d**k
         count += m * (floor_sum(x, D, A, A + B) - floor_sum(x, D, A, A + B - Q))
-    large = nz[n_small:]
-    if len(large):
+    for i0 in range(n_small, len(nz), _PAIR_SEGMENT):
+        large = nz[i0:i0 + _PAIR_SEGMENT]
         count += _member_pairs(p, A, B, Q, x, k, large + 1, mu[large])
     return count
 
@@ -361,10 +361,9 @@ def count_kfree_beatty(
     above D0 it counts the Beatty members among the multiples of d**k in
     [t_1, t_x], tested in numpy chunks of 2**16 pairs. For k = 2
     that is about 0.61*sqrt(c*t_x) squarefree d of floor sums and
-    0.61*sqrt(t_x/c) pairs. The pairs need t_x < 2**44; beyond, every d
-    takes floor sums (about 0.61*t_x**(1/k) of them). The Moebius table
-    takes 9 bytes per d <= t_x**(1/k) from memory_bytes, so 256 MiB
-    reaches x near 1e14 at k = 2 (MemoryBudgetExceeded beyond).
+    0.61*sqrt(t_x/c) pairs. The reach is capped by the Moebius table,
+    which takes 9 bytes per d <= t_x**(1/k) from memory_bytes, so 256 MiB
+    reaches t_x near 8.9e14 at k = 2 (MemoryBudgetExceeded beyond).
     """
     if k < 2:
         raise ValueError("k must be >= 2")

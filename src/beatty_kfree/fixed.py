@@ -5,6 +5,11 @@ conservative error bound in ulps, so floor/fractional-part decisions can be
 certified: a decision is made only when the whole error interval clears the
 boundary. Callers escalate precision (recompute the mantissa with more bits)
 when a decision cannot be certified.
+
+frac_vector reduces whole arrays of multiples mod 1 without certification:
+exact fixed point in units of 2**-64, where uint64 wraparound is the
+reduction, rounded to nearest float64 within 2**-54 + 2**-62 for any
+n < 2**64. The block kernels decide in float only away from the borders.
 """
 from __future__ import annotations
 
@@ -14,16 +19,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PrecisionExhausted
-
 DEFAULT_BITS = 192
 MAX_BITS = 1024
 
 _MASK32 = np.uint64(0xFFFFFFFF)
-_TWO_M32 = 2.0 ** -32
-_TWO_M64 = 2.0 ** -64
-_TWO_M96 = 2.0 ** -96
-FRAC_VECTOR_LIMIT = 1 << 44  # beyond it the 96-bit truncation error n * 2**-96 exceeds 2**-52
+_MASK64 = (1 << 64) - 1
+_32 = np.uint64(32)
 
 
 def decision_margin(err_ulps: int) -> int:
@@ -86,20 +87,6 @@ class FixedReal:
             return self.mantissa >> self.scale_bits
         return None
 
-    def frac(self) -> "FixedReal":
-        """x - floor(x), in [0, 1).
-
-        Raises PrecisionExhausted when floor cannot be certified; the caller
-        must recompute the value at higher precision before retrying.
-        """
-        f = self.floor_certified()
-        if f is None:
-            raise PrecisionExhausted(
-                f"fractional part undecidable at {self.scale_bits} bits "
-                f"(err {self.err_ulps} ulps)"
-            )
-        return FixedReal(self.mantissa - (f << self.scale_bits), self.scale_bits, self.err_ulps)
-
 
 def frac_to_float(mantissa: int, scale_bits: int, wrap: bool = True) -> float:
     """mantissa / 2**scale_bits as float64, safe for arbitrarily wide mantissas."""
@@ -120,45 +107,41 @@ def frac_vector(
     n: np.ndarray,
     offset_mantissa: int = 0,
 ) -> np.ndarray:
-    """Fractional parts of (mantissa*n + offset) / 2**scale_bits as float64.
+    """Fractional parts of (mantissa*n + offset) / 2**scale_bits as float64,
+    for any uint64 n.
 
-    Exact modular reduction through the top 96 bits of the mantissa, split
-    into limbs whose integer products wrap only by whole turns. Truncating
-    the mantissa to 96 bits costs at most n * 2**-96, so the result is within
-    ~2**-50 of the true fractional part for 0 <= n < 2**44; larger n raise
-    ValueError.
+    Fixed point in units of 2**-64, where uint64 wraparound is the reduction
+    mod 1. With t the top 128 bits of the fraction of mantissa / 2**scale_bits,
+    split into th (64 bits), tl and tl2 (32 bits each), and n = n_hi*2**32 + n_lo:
+        u = th*n + tl*n_hi + (tl*n_lo >> 32) + (tl2*n_hi >> 32) + o  (mod 2**64),
+    with o = floor(frac(offset) * 2**64) + 2**10. The truncations cost less
+    than 2**-62 and the rounding to 53 bits, to nearest by the 2**10, at most
+    2**-54: every output lies in [0, 1) within 2**-54 + 2**-62 of the exact
+    fractional part on the circle, and one that rounds up to 1 wraps to +0.0.
+    For n < 2**32 the n_hi terms vanish and two products remain.
     """
     n64 = np.ascontiguousarray(n, dtype=np.uint64)
-    n_max = int(n64.max()) if n64.size else 0
-    if n_max >= FRAC_VECTOR_LIMIT:
-        raise ValueError(f"frac_vector needs n < 2**44, got max(n) = {n_max}")
     one = 1 << scale_bits
-    r = mantissa % one
-    if scale_bits >= 96:
-        t = r >> (scale_bits - 96)
+    t = ((mantissa % one) << 128) >> scale_bits
+    o = ((((offset_mantissa % one) << 64) >> scale_bits) + (1 << 10)) & _MASK64
+    tl = np.uint64((t >> 32) & 0xFFFFFFFF)
+    u = np.multiply(n64, np.uint64(t >> 64))
+    if n64.size and int(n64.max()) >> 32:
+        hi = np.right_shift(n64, _32)
+        w = np.multiply(hi, tl)
+        u += w
+        hi *= np.uint64(t & 0xFFFFFFFF)
+        hi >>= _32
+        u += hi
+        np.bitwise_and(n64, _MASK32, out=w)
+        w *= tl
     else:
-        t = r << (96 - scale_bits)
-    a = np.uint64(t >> 64)
-    b = np.uint64((t >> 32) & 0xFFFFFFFF)
-    c = np.uint64(t & 0xFFFFFFFF)
-    # limb products reuse two buffers; uint64 * float scales while converting
-    u = np.multiply(a, n64)
-    u &= _MASK32
-    f = np.multiply(u, _TWO_M32)
-    g = np.empty_like(f)
-    np.multiply(b, n64, out=u)
-    f += np.multiply(u, _TWO_M64, out=g)
-    # c*n would wrap by multiples of 2**-32, so split n at bit 32
-    np.right_shift(n64, np.uint64(32), out=u)
-    u *= c
-    f += np.multiply(u, _TWO_M64, out=g)
-    np.bitwise_and(n64, _MASK32, out=u)
-    u *= c
-    f += np.multiply(u, _TWO_M96, out=g)
-    if offset_mantissa:
-        f += frac_to_float(offset_mantissa % one, scale_bits)
-    f -= np.floor(f, out=g)  # exact, since f >= 0; an integer f gives +0.0
-    return f
+        w = np.multiply(n64, tl)
+    w >>= _32
+    u += w
+    u += np.uint64(o)
+    u >>= np.uint64(11)
+    return np.multiply(u.view(np.int64), 2.0**-53)
 
 
 def sin_pi_reduced(mantissa: int, scale_bits: int) -> float:

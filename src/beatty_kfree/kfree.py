@@ -92,6 +92,12 @@ def _check_window(lo: int, hi: int, bytes_per_entry: int, prime_top: int,
     return n
 
 
+def _single_hits(q: np.ndarray, lo: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(window index, q) of the q > n with a multiple (one at most) among the n entries from lo."""
+    idx = np.mod(-lo, q)
+    return idx[idx < n], q[idx < n]
+
+
 @dataclass(frozen=True)
 class MoebiusTable:
     lo: int
@@ -103,21 +109,27 @@ class MoebiusTable:
 
 
 def sieve_moebius(lo: int, hi: int, memory_bytes: int = DEFAULT_MEMORY_BYTES) -> MoebiusTable:
-    """Exact Moebius values on [lo, hi] by a segmented residual-factor sieve."""
+    """Exact Moebius values on [lo, hi] by a segmented residual-factor sieve.
+    Primes above the window length hit one entry at most: one numpy pass."""
     top = math.isqrt(hi)
     n = _check_window(lo, hi, 9, top, memory_bytes)
     mu = np.ones(n, dtype=np.int8)
     val = np.arange(lo, hi + 1, dtype=np.int64)
-    for p in primes_upto(top):
-        p = int(p)
+    primes = primes_upto(top)
+    small = int(np.searchsorted(primes, n, "right"))  # p <= n may hit several entries
+    for p in primes[:small].tolist():
         start = ((lo + p - 1) // p) * p - lo
         mu[start::p] = -mu[start::p]
         val[start::p] //= p
         p2 = p * p
         start2 = ((lo + p2 - 1) // p2) * p2 - lo
         mu[start2::p2] = 0
-    big = val > 1  # one prime factor above sqrt(hi) remains
-    mu[big] = -mu[big]
+    idx, big = _single_hits(primes[small:], lo, n)
+    np.multiply.at(mu, idx, -1)
+    np.floor_divide.at(val, idx, big)
+    mu[_single_hits(big * big, lo, n)[0]] = 0
+    rest = val > 1  # one prime factor above sqrt(hi) remains
+    mu[rest] = -mu[rest]
     return MoebiusTable(lo, hi, mu)
 
 
@@ -136,16 +148,19 @@ class KFreeTable:
 
 
 def sieve_kfree(k: int, lo: int, hi: int, memory_bytes: int = DEFAULT_MEMORY_BYTES) -> KFreeTable:
-    """Flags for [lo, hi]: n is k-free iff no prime power p**k divides n."""
+    """Flags for [lo, hi]: n is k-free iff no prime power p**k divides n.
+    The p**k above the window length hit one entry at most: one numpy pass."""
     if k < 2:
         raise ValueError("k must be >= 2")
     top = iroot(hi, k)
     n = _check_window(lo, hi, 1, top, memory_bytes)
     flags = np.ones(n, dtype=bool)
-    for p in primes_upto(top):
-        pk = int(p) ** k
+    pks = primes_upto(top) ** k
+    small = int(np.searchsorted(pks, n, "right"))
+    for pk in pks[:small].tolist():
         start = ((lo + pk - 1) // pk) * pk - lo
         flags[start::pk] = False
+    flags[_single_hits(pks[small:], lo, n)[0]] = False
     return KFreeTable(k, lo, hi, flags)
 
 

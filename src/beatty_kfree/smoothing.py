@@ -170,8 +170,9 @@ def smoothed_beatty_count(
     m0 = 1
     while m0 <= M:
         m1 = min(M, m0 + _BLOCK - 1)
-        m = np.arange(m0, m1 + 1, dtype=np.uint64)
-        f = frac_vector(lv.gamma.mantissa, lv.bits, m, offset_mantissa=lv.delta.mantissa)
+        m = np.arange(m1 - m0 + 1, dtype=np.uint64)
+        g = lv.gamma.mantissa
+        f = frac_vector(g, lv.bits, m, offset_mantissa=g * m0 + lv.delta.mantissa)
         kf = sieve_kfree(k, m0, m1, memory_bytes).flags
         exceptional += int(np.count_nonzero(_in_exceptional(f, gf, delta_param)))
 

@@ -316,6 +316,7 @@ class TestSplitCount:
     @pytest.mark.parametrize("chunk", [2, 7, 64])
     def test_chunks_cut_inside_and_across_d(self, chunk, monkeypatch):
         monkeypatch.setattr(beatty, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(beatty, "_PAIR_SEGMENT", 3)  # and the d in segments of 3
         for spec, beta in (("quad:1,5,2", "0"), ("quad:7,2,3", "-7/10")):
             p = BeattyParams(parse_irrational(spec), parse_beta(beta))
             for k in (2, 3):
@@ -329,21 +330,31 @@ class TestSplitCount:
             p, 10**10, 2, ALL_FLOOR_SUMS, DEFAULT_MEMORY_BYTES) == 6079271025
 
     def test_terms_past_the_pair_limit(self, monkeypatch):
-        # frac_vector takes m < 2**44, so past t_x = 2**44 every d takes floor sums
-        calls = []
+        # t_x >= 2**44, where frac_vector once stopped and every d took floor sums
+        largest = []
         real = beatty.frac_vector
 
-        def counted(*args, **kwargs):
-            calls.append(x)
-            return real(*args, **kwargs)
+        def counted(mantissa, scale_bits, n, offset_mantissa=0):
+            largest.append(int(n.max()))
+            return real(mantissa, scale_bits, n, offset_mantissa)
 
         monkeypatch.setattr(beatty, "frac_vector", counted)
         p = BeattyParams(parse_irrational(BIG_ALPHA), 0)
-        for x in (1_240_000, 1_250_000):
-            assert (big_alpha_term(x) < 1 << 44) == (x == 1_240_000)
-            assert count_kfree_beatty(p, x, 3)[0] == _count_split(
-                p, x, 3, ALL_FLOOR_SUMS, DEFAULT_MEMORY_BYTES)
-        assert set(calls) == {1_240_000}
+        x = 1_250_000
+        assert big_alpha_term(x) >= 1 << 44
+        assert count_kfree_beatty(p, x, 3)[0] == _count_split(
+            p, x, 3, ALL_FLOOR_SUMS, DEFAULT_MEMORY_BYTES)
+        assert max(largest) >= 1 << 44
+
+    def test_terms_past_2_63_take_floor_sums(self):
+        # the pairs' multiples are int64, so terms from 2**63 on take floor
+        # sums for every d; sqrt(1e38 + 7) puts t_10 near 1e20
+        p = BeattyParams(parse_irrational("quad:0,100000000000000000000000000000000000007,1"), 0)
+        terms = [beatty_term(p, n) for n in range(1, 11)]
+        assert terms[-1] >= 1 << 63
+        pks = [q**5 for q in primes_upto(iroot(terms[-1], 5)).tolist()]
+        want = sum(all(t % q for q in pks) for t in terms)
+        assert count_kfree_beatty(p, 10, 5)[0] == want
 
 
 class TestIntervalWidth:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beatty_kfree.cfrac import PHI, to_fixed
-from beatty_kfree.errors import PrecisionExhausted
 from beatty_kfree.fixed import (
     FixedReal,
     exp_circle,
@@ -18,30 +17,31 @@ from beatty_kfree.fixed import (
 
 
 class TestFrac:
+    """Certified floors, which decide fractional parts."""
+
     def test_exact_dyadic(self):
-        assert FixedReal.from_fraction(Fraction(13, 4), 128).frac().to_float() == 0.25
+        assert FixedReal.from_fraction(Fraction(13, 4), 128).floor_certified() == 3
 
     def test_negative_representative(self):
-        assert FixedReal.from_fraction(Fraction(-1, 2), 128).frac().to_float() == 0.5
+        assert FixedReal.from_fraction(Fraction(-1, 2), 128).floor_certified() == -1
 
     def test_exact_integer(self):
-        f = FixedReal.from_fraction(Fraction(7), 128).frac()
-        assert f.mantissa == 0
+        x = FixedReal.from_fraction(Fraction(7), 128)
+        assert x.err_ulps == 0 and x.floor_certified() == 7
 
     def test_phi_times_38_against_decimal_oracle(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 1000
-        fr = to_fixed(PHI, 192).mul_int(38).frac()
-        ours = mp.mpf(fr.mantissa) / mp.mpf(2) ** 192
+        x = to_fixed(PHI, 192).mul_int(38)
+        f = x.floor_certified()
         target = mp.mpf(mp.phi) * 38
-        gap = abs(ours - (target - mp.floor(target)))
-        assert gap < mp.mpf(2) ** -128
+        assert f == int(mp.floor(target))
+        ours = mp.mpf(x.mantissa - (f << 192)) / mp.mpf(2) ** 192
+        assert abs(ours - (target - f)) < mp.mpf(2) ** -128
 
-    def test_straddling_interval_raises(self):
+    def test_straddling_interval_is_undecided(self):
         # value 1.0 with nonzero error: floor undecidable
-        x = FixedReal(1 << 128, 128, 5)
-        with pytest.raises(PrecisionExhausted):
-            x.frac()
+        assert FixedReal(1 << 128, 128, 5).floor_certified() is None
 
     @given(
         p=st.integers(min_value=-(10**9), max_value=10**9),
@@ -50,10 +50,9 @@ class TestFrac:
     @settings(max_examples=1000, deadline=None)
     def test_interval_soundness_random_rationals(self, p, q):
         x = FixedReal.from_fraction(Fraction(p, q), 128)
-        got = Fraction(x.frac().mantissa, 1 << 128)
-        exact = Fraction(p, q) - (p // q)
-        # representation error is at most err_ulps ulps and floor matches
-        assert abs(got - exact) <= Fraction(x.err_ulps, 1 << 128)
+        # representation error is at most err_ulps ulps and a certified floor matches
+        assert abs(Fraction(x.mantissa, 1 << 128) - Fraction(p, q)) <= Fraction(x.err_ulps, 1 << 128)
+        assert x.floor_certified() in (None, p // q)
 
     def test_decisions_stable_under_precision_doubling(self, rng):
         # random multipliers plus convergent denominators (worst cases where
@@ -130,6 +129,57 @@ def circular_gap(fast: np.ndarray, mant: int, bits: int, ns, off: int = 0) -> fl
     return float(np.max(np.minimum(d, 1.0 - d)))
 
 
+FRAC_BOUND = Fraction(1, 1 << 54) + Fraction(1, 1 << 62)
+
+
+def exact_gap(fast: np.ndarray, mant: int, bits: int, ns, off: int = 0) -> Fraction:
+    """Largest distance on the circle, in exact rationals, between fast and
+    the fractional parts of (mant*n + off) / 2**bits."""
+    one = 1 << bits
+    gaps = [abs(Fraction(float(f)) - Fraction((mant * int(n) + off) % one, one))
+            for f, n in zip(fast, ns)]
+    return max(min(g, 1 - g) for g in gaps)
+
+
+class TestFracVectorKernel:
+    """The mod-2**64 kernel against exact reduction, over all of uint64."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bits=st.sampled_from([64, 100, 128, 192, 300]),
+        data=st.data(),
+        ns=st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=20),
+    )
+    def test_within_bound_of_exact(self, bits, data, ns):
+        span = 1 << (bits + 8)  # wider than one turn, and negative
+        mant = data.draw(st.integers(-span, span))
+        off = data.draw(st.integers(-span, span))
+        out = frac_vector(mant, bits, np.array(ns, dtype=np.uint64), offset_mantissa=off)
+        assert np.all((out >= 0.0) & (out < 1.0))
+        assert exact_gap(out, mant, bits, ns, off) <= FRAC_BOUND
+
+    def test_rounding_up_to_one_wraps_to_positive_zero(self):
+        # {1 - 2**-60} rounds to 1.0 at 53 bits and wraps to +0.0
+        mant = (1 << 64) - 16
+        out = frac_vector(mant, 64, np.array([1], dtype=np.uint64))
+        assert out[0] == 0.0 and math.copysign(1.0, out[0]) == 1.0
+        assert exact_gap(out, mant, 64, [1]) <= FRAC_BOUND
+
+    @pytest.mark.parametrize("n_lo", [1, (1 << 32) - 500, 1 << 44, (1 << 63) + 12345])
+    def test_folded_block_start(self, n_lo):
+        # a block's start folded into the offset, as the block callers do,
+        # against the absolute n; the two may round apart, so each is
+        # checked against the exact reduction
+        lv = to_fixed(PHI, 192)
+        mant, off = lv.mantissa, FixedReal.from_fraction(Fraction(-7, 10), 192).mantissa
+        j = np.arange(1000, dtype=np.uint64)
+        ns = [n_lo + int(v) for v in j]
+        folded = frac_vector(mant, 192, j, offset_mantissa=mant * n_lo + off)
+        plain = frac_vector(mant, 192, j + np.uint64(n_lo), offset_mantissa=off)
+        assert exact_gap(folded, mant, 192, ns, off) <= FRAC_BOUND
+        assert exact_gap(plain, mant, 192, ns, off) <= FRAC_BOUND
+
+
 class TestFracVectorBeyond2To32:
     @pytest.mark.parametrize("with_offset", [False, True])
     @settings(max_examples=200, deadline=None)
@@ -159,10 +209,11 @@ class TestFracVectorBeyond2To32:
         fast = frac_vector(mant, 64, np.array(ns, dtype=np.uint64))
         assert circular_gap(fast, mant, 64, ns) <= 1e-15
 
-    def test_refuses_n_from_2_to_44(self):
-        n = np.array([5, (1 << 44) + 7, 3], dtype=np.uint64)
-        with pytest.raises(ValueError, match=r"max\(n\) = 17592186044423"):
-            frac_vector(to_fixed(PHI, 192).mantissa, 192, n)
+    def test_n_past_2_to_44_up_to_2_to_64(self):
+        mant = to_fixed(PHI, 192).mantissa
+        ns = [5, (1 << 44) + 7, 3, (1 << 64) - 1]
+        out = frac_vector(mant, 192, np.array(ns, dtype=np.uint64))
+        assert exact_gap(out, mant, 192, ns) <= FRAC_BOUND
 
     def test_an_integer_sum_reduces_to_positive_zero(self):
         # n * 1/2 + 1/2 and n * 3/4 + 1/4 are whole turns before the reduction

@@ -34,11 +34,20 @@ def mu_by_trial_factorization(n: int) -> int:
     return out
 
 
-def exponents_by_trial(n: int) -> list[int]:
-    """Oracle for n up to about 2**44: the prime exponents of n, dividing by
-    2 and, in increasing order, by each odd d <= isqrt(n) that divides n
-    (a composite d no longer divides once its prime factors are out)."""
-    odd = np.arange(3, math.isqrt(n) + 1, 2, dtype=np.int64)
+def odd_primes_upto(n: int) -> np.ndarray:
+    """Oracle: the odd primes <= n by a sieve of Eratosthenes on odd numbers."""
+    odd = np.arange(3, n + 1, 2, dtype=np.int64)
+    composite = np.zeros(len(odd), dtype=bool)
+    for i, d in enumerate(odd[: max(0, (math.isqrt(n) - 1) // 2)].tolist()):
+        if not composite[i]:
+            composite[(d * d - 3) // 2 :: d] = True
+    return odd[~composite]
+
+
+def exponents_by_trial(n: int, odd: np.ndarray) -> list[int]:
+    """Oracle: the prime exponents of n, dividing by 2 and, in increasing
+    order, by each d in odd, the odd primes <= isqrt(n) or more, that
+    divides n."""
     out = []
     for d in [2] + odd[n % odd == 0].tolist():
         e = 0
@@ -139,10 +148,15 @@ class TestKFreeSieve:
 
 
 class TestFarWindows:
-    @pytest.mark.parametrize("hi", [(1 << 40) - 3, (1 << 40) + 3, 1 << 44])
+    # the fourth window holds 17 * 1000003**2, squared by a prime far above its length
+    @pytest.mark.parametrize("hi", [(1 << 40) - 3, (1 << 40) + 3, 1 << 44, 17 * 1000003**2 + 32,
+                                    1 << 50])
     def test_sieves_match_trial_division(self, hi):
-        lo = hi - 31
-        exps = [exponents_by_trial(n) for n in range(lo, hi + 1)]
+        # 64 entries: most primes <= sqrt(hi), and every p**2, p**3 above 64,
+        # hit at most one entry
+        lo = hi - 63
+        odd = odd_primes_upto(math.isqrt(hi))
+        exps = [exponents_by_trial(n, odd) for n in range(lo, hi + 1)]
         mu = [0 if max(es, default=0) > 1 else (-1) ** len(es) for es in exps]
         assert sieve_moebius(lo, hi).mu.tolist() == mu
         for k in (2, 3):
