@@ -180,10 +180,10 @@ def border_indices(
 def beatty_terms_block(p: BeattyParams, n_lo: int, n_hi: int) -> np.ndarray:
     """Vector of floor(alpha*n + beta) for n in [n_lo, n_hi] (int64).
 
-    The integer part a0*n of alpha*n is exact; a float64 estimate of
-    frac(alpha)*n + beta, less its exactly reduced fractional part, gives
-    the rest. Entries near a border are recomputed through the certified
-    scalar path. Raises ValueError when the terms could leave int64.
+    With n = n_lo + j, a0*j and floor(alpha*n_lo + beta) are exact integers;
+    a float64 estimate of the rest, less its exactly reduced fractional part,
+    gives its floor. Entries near a border are recomputed through the
+    certified scalar path. Raises ValueError when the terms could leave int64.
     """
     lv = p.level(p.precision_bits)
     a0 = lv.alpha.mantissa >> lv.bits
@@ -192,10 +192,11 @@ def beatty_terms_block(p: BeattyParams, n_lo: int, n_hi: int) -> np.ndarray:
             f"terms of alpha={p.alpha} up to n_hi={n_hi} exceed the int64 limit 2**63"
         )
     a, j = lv.alpha.mantissa, np.arange(n_hi - n_lo + 1, dtype=np.uint64)
-    f = frac_vector(a, lv.bits, j, offset_mantissa=a * n_lo + lv.beta.mantissa)
-    n = j + np.uint64(n_lo)
-    v = frac_to_float(a, lv.bits) * n.astype(np.float64) + lv.beta.to_float()
-    m = np.rint(v - f).astype(np.int64) + np.int64(a0) * n.view(np.int64)
+    c = a * n_lo + lv.beta.mantissa  # alpha*n_lo + beta
+    f = frac_vector(a, lv.bits, j, offset_mantissa=c)
+    v = frac_to_float(a, lv.bits) * j.astype(np.float64) + frac_to_float(c, lv.bits)
+    m = np.rint(v - f).astype(np.int64) + np.int64(a0) * j.view(np.int64)
+    m += np.int64(c >> lv.bits)
     for i in border_indices(f, lv.alpha, lv.beta, n_hi):
         m[i] = beatty_term(p, n_lo + int(i))
     return m

@@ -114,9 +114,10 @@ def frac_vector(
     mod 1. With t the top 128 bits of the fraction of mantissa / 2**scale_bits,
     split into th (64 bits), tl and tl2 (32 bits each), and n = n_hi*2**32 + n_lo:
         u = th*n + tl*n_hi + (tl*n_lo >> 32) + (tl2*n_hi >> 32) + o  (mod 2**64),
-    with o = floor(frac(offset) * 2**64) + 2**10. The truncations cost less
-    than 2**-62 and the rounding to 53 bits, to nearest by the 2**10, at most
-    2**-54: every output lies in [0, 1) within 2**-54 + 2**-62 of the exact
+    with o = floor(frac(offset) * 2**64) + 2**10. The five truncations lower u
+    by under 5*2**-64 in all; rounding the integer u to 53 bits, to nearest by
+    the 2**10, raises it by at most 2**-54 or lowers it by at most 2**-54 -
+    2**-64. So every output lies in [0, 1) within 2**-54 + 2**-62 of the exact
     fractional part on the circle, and one that rounds up to 1 wraps to +0.0.
     For n < 2**32 the n_hi terms vanish and two products remain.
     """

@@ -121,6 +121,14 @@ class TestTerms:
         block = beatty_terms_block(p, n0, n0 + 4095)
         assert block.tolist() == [big_alpha_term(n) for n in range(n0, n0 + 4096)]
 
+    def test_block_far_from_zero_matches_scalar(self):
+        # past n = 2**53 a float estimate of alpha*n is off by whole units;
+        # the block folds n_lo into an exact offset, so its terms stay exact
+        for alpha, beta, n0 in ((PHI, 0, 1 << 60), (SQRT2, Fraction(1, 2), 1 << 61)):
+            p = BeattyParams(alpha, beta)
+            block = beatty_terms_block(p, n0, n0 + 1023)
+            assert block.tolist() == [beatty_term(p, n) for n in range(n0, n0 + 1024)]
+
     def test_block_refuses_int64_overflow(self):
         p = BeattyParams(parse_irrational(BIG_ALPHA), 0)
         with pytest.raises(ValueError, match=r"n_hi=35184372088833 .* 2\*\*63"):
