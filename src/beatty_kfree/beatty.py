@@ -30,6 +30,7 @@ from .errors import PrecisionExhausted
 from .fixed import (
     DEFAULT_BITS,
     MAX_BITS,
+    TILE,
     FixedReal,
     frac_to_float,
     frac_vector,
@@ -180,10 +181,11 @@ def border_indices(
 def beatty_terms_block(p: BeattyParams, n_lo: int, n_hi: int) -> np.ndarray:
     """Vector of floor(alpha*n + beta) for n in [n_lo, n_hi] (int64).
 
-    With n = n_lo + j, a0*j and floor(alpha*n_lo + beta) are exact integers;
-    a float64 estimate of the rest, less its exactly reduced fractional part,
-    gives its floor. Entries near a border are recomputed through the
-    certified scalar path. Raises ValueError when the terms could leave int64.
+    Filled in tiles of TILE terms. With n = n_0 + j for a tile starting at
+    n_0, a0*j and floor(alpha*n_0 + beta) are exact integers; a float64
+    estimate of the rest, less its exactly reduced fractional part, gives its
+    floor. Entries near a border are recomputed through the certified scalar
+    path. Raises ValueError when the terms could leave int64.
     """
     lv = p.level(p.precision_bits)
     a0 = lv.alpha.mantissa >> lv.bits
@@ -191,15 +193,20 @@ def beatty_terms_block(p: BeattyParams, n_lo: int, n_hi: int) -> np.ndarray:
         raise ValueError(
             f"terms of alpha={p.alpha} up to n_hi={n_hi} exceed the int64 limit 2**63"
         )
-    a, j = lv.alpha.mantissa, np.arange(n_hi - n_lo + 1, dtype=np.uint64)
-    c = a * n_lo + lv.beta.mantissa  # alpha*n_lo + beta
-    f = frac_vector(a, lv.bits, j, offset_mantissa=c)
-    v = frac_to_float(a, lv.bits) * j.astype(np.float64) + frac_to_float(c, lv.bits)
-    m = np.rint(v - f).astype(np.int64) + np.int64(a0) * j.view(np.int64)
-    m += np.int64(c >> lv.bits)
-    for i in border_indices(f, lv.alpha, lv.beta, n_hi):
-        m[i] = beatty_term(p, n_lo + int(i))
-    return m
+    a, af = lv.alpha.mantissa, frac_to_float(lv.alpha.mantissa, lv.bits)
+    out = np.empty(n_hi - n_lo + 1, dtype=np.int64)
+    for t0 in range(0, len(out), TILE):
+        m = out[t0:t0 + TILE]
+        j = np.arange(len(m), dtype=np.uint64)
+        c = a * (n_lo + t0) + lv.beta.mantissa  # alpha*(n_lo + t0) + beta
+        f = frac_vector(a, lv.bits, j, offset_mantissa=c)
+        v = af * j.astype(np.float64) + frac_to_float(c, lv.bits)
+        m[:] = np.rint(v - f)
+        m += np.int64(a0) * j.view(np.int64)
+        m += np.int64(c >> lv.bits)
+        for i in border_indices(f, lv.alpha, lv.beta, n_hi):
+            m[i] = beatty_term(p, n_lo + t0 + int(i))
+    return out
 
 
 def member_witness(p: BeattyParams, m: int) -> int | None:
@@ -238,11 +245,16 @@ def _gamma_test(lv: _Level, m: np.ndarray, m_hi: int, m_lo: int = 0) -> tuple[np
 
 
 def member_flags_block(p: BeattyParams, m_lo: int, m_hi: int) -> np.ndarray:
-    """Vectorized membership criterion for m in [m_lo, m_hi] (bool array)."""
-    m = np.arange(m_hi - m_lo + 1, dtype=np.uint64)
-    flags, border = _gamma_test(p.level(p.precision_bits), m, m_hi, m_lo)
-    for i in border:
-        flags[i] = is_member(p, m_lo + int(i))
+    """Vectorized membership criterion for m in [m_lo, m_hi] (bool array),
+    filled in tiles of TILE entries."""
+    lv = p.level(p.precision_bits)
+    flags = np.empty(m_hi - m_lo + 1, dtype=bool)
+    for t0 in range(0, len(flags), TILE):
+        m = np.arange(min(TILE, len(flags) - t0), dtype=np.uint64)
+        tile, border = _gamma_test(lv, m, m_hi, m_lo + t0)
+        for i in border:
+            tile[i] = is_member(p, m_lo + t0 + int(i))
+        flags[t0:t0 + len(m)] = tile
     return flags
 
 

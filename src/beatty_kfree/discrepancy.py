@@ -17,7 +17,7 @@ import numpy as np
 
 from .beatty import parse_beta
 from .cfrac import IrrationalSpec, to_fixed
-from .fixed import DEFAULT_BITS, FixedReal, frac_vector
+from .fixed import DEFAULT_BITS, TILE, FixedReal, frac_vector
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,11 @@ def build_pointset(alpha: IrrationalSpec, beta, M: int,
     a = to_fixed(alpha, precision_bits)
     b = FixedReal.from_fraction(parse_beta(beta) if isinstance(beta, str) else beta,
                                 precision_bits)
-    m = np.arange(1, M + 1, dtype=np.uint64)
-    pts = frac_vector(a.mantissa, precision_bits, m, offset_mantissa=b.mantissa)
+    pts = np.empty(M)
+    for m0 in range(0, M, TILE):
+        m = np.arange(m0 + 1, min(M, m0 + TILE) + 1, dtype=np.uint64)
+        pts[m0:m0 + len(m)] = frac_vector(a.mantissa, precision_bits, m,
+                                          offset_mantissa=b.mantissa)
     return PointSet(pts, M)
 
 
@@ -78,17 +81,25 @@ def extreme_discrepancy(ps: PointSet) -> DiscrepancyResult:
     values at its last index (ur/M - u), pg_i = i/M - x_i at its first
     (lr/M - u). Closed [x_s, x_t] (s <= t) and open (x_t, x_s) (t < s) both
     score pf_t - pg_s, so the sup is max pf - min pg. The star discrepancy
-    is max(pf_i, -pg_i), from the same two reductions.
+    is max(pf_i, -pg_i), from the same two reductions, taken per tile of
+    TILE points; a later tile wins only when strictly better, so t and s are
+    the first indices, as one argmax and one argmin would give.
     """
     xs, M = ps.sorted_points, ps.M
-    r = np.arange(M + 1) / M
-    pf = r[1:] - xs
-    t = int(np.argmax(pf))
-    f_max = float(pf[t])
-    pg = np.subtract(r[:-1], xs, out=pf)
-    s = int(np.argmin(pg))
+    f_max, t, g_min, s = -math.inf, 0, math.inf, 0
+    for i0 in range(0, M, TILE):
+        x = xs[i0:i0 + TILE]
+        r = np.arange(i0, i0 + len(x) + 1) / M
+        pf = r[1:] - x
+        i = int(np.argmax(pf))
+        if pf[i] > f_max:
+            f_max, t = float(pf[i]), i0 + i
+        pg = np.subtract(r[:-1], x, out=pf)
+        i = int(np.argmin(pg))
+        if pg[i] < g_min:
+            g_min, s = float(pg[i]), i0 + i
     # the endpoint 1 adds pg = 0; a sampled 0 (no inclusive c-side) has pg >= 0
-    g_min = min(0.0, float(pg[s]))
+    g_min = min(0.0, g_min)
     c_end = float(xs[s]) if g_min < 0.0 else 1.0
     witness = tuple(sorted((c_end, float(xs[t]))))
     return DiscrepancyResult(f_max - g_min, max(f_max, -g_min), witness)

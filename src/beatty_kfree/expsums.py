@@ -22,12 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fixed import FixedReal, exp_circle, frac_to_float, frac_vector, sin_pi_reduced
+from .fixed import TILE, FixedReal, exp_circle, frac_to_float, frac_vector, sin_pi_reduced
 from .kfree import DEFAULT_MEMORY_BYTES, group_offsets, iroot, sieve_kfree, sieve_moebius
 
 TWO_PI = 2.0 * math.pi
 SMALL_NORM_BITS = 30  # ||alpha|| below 2**-30 switches to direct summation
-_POWER_CHUNK = 1 << 18  # elements per chunk of the power-sum kernel
 
 
 def split_parameter(x: int, k: int) -> float:
@@ -58,19 +57,19 @@ def _power_sum(t: int, bits: int, ns: np.ndarray, H: int,
                w: np.ndarray | None = None) -> complex:
     """sum_{h=1..H} sum_j w_j * e(h * t * ns_j / 2**bits), w_j = 1 by default.
 
-    Per chunk of ns: one exact reduction z_j = e(t*ns_j / 2**bits), then
+    Per tile of TILE ns: one exact reduction z_j = e(t*ns_j / 2**bits), then
     w_j * z_j**h by one complex multiply per h and one pairwise sum per h.
     The angle is centred in [-1/2, 1/2] turns first, so its float error is
     relative to its size and not to a whole turn; z_j**h multiplies it by h.
     """
     parts = []
-    for j0 in range(0, len(ns), _POWER_CHUNK):
-        f = frac_vector(t, bits, ns[j0:j0 + _POWER_CHUNK])
+    for j0 in range(0, len(ns), TILE):
+        f = frac_vector(t, bits, ns[j0:j0 + TILE])
         ang = TWO_PI * (f - np.rint(f))
         z = np.empty(len(ang), dtype=np.complex128)
         z.real = np.cos(ang)
         z.imag = np.sin(ang)
-        v = z.copy() if w is None else z * w[j0:j0 + _POWER_CHUNK]
+        v = z.copy() if w is None else z * w[j0:j0 + TILE]
         for h in range(1, H + 1):
             parts.append(complex(np.sum(v)))
             if h < H:

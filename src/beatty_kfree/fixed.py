@@ -10,6 +10,15 @@ frac_vector reduces whole arrays of multiples mod 1 without certification:
 exact fixed point in units of 2**-64, where uint64 wraparound is the
 reduction, rounded to nearest float64 within 2**-54 + 2**-62 for any
 n < 2**64. The block kernels decide in float only away from the borders.
+
+TILE is the number of elements that every vectorised pass on the
+membership side (smoothing, discrepancy, the term and membership blocks)
+and the power-sum kernel handles at a time. A pass over 2**20 elements
+keeps 8-32 MiB of temporaries, far more than a 2 MiB L2, so each of its
+numpy steps streams from memory; a tile of 2**14 keeps them in cache.
+Measured on a 2-core Xeon VM, frac_vector took 8.1, 6.0, 4.8, 15.1, 16.9,
+20.3, 23.7 and 20.9 ns per element at 2**12..2**18 and 2**20 elements, and
+a compare-and-combine pass 1.4 ns at 2**14 against 10 ns at 2**20.
 """
 from __future__ import annotations
 
@@ -21,6 +30,7 @@ import numpy as np
 
 DEFAULT_BITS = 192
 MAX_BITS = 1024
+TILE = 1 << 14  # elements per vectorised pass, sized for L2 (module docstring)
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK64 = (1 << 64) - 1

@@ -20,6 +20,7 @@ from beatty_kfree.beatty import (
 )
 from beatty_kfree.cfrac import PHI, SQRT2, SQRT3, QuadraticIrrational, parse_irrational
 from beatty_kfree.errors import PrecisionExhausted
+from beatty_kfree.fixed import TILE
 from beatty_kfree.kfree import DEFAULT_MEMORY_BYTES, iroot, primes_upto, sieve_kfree
 
 BIG_ALPHA = "quad:0,200000000000000,1"  # sqrt(2e14): term n is isqrt(2e14 * n * n)
@@ -176,6 +177,27 @@ class TestMembership:
         flags = member_flags_block(p, lo, lo + 2000)
         for i in rng.integers(0, 2001, size=60):
             assert flags[int(i)] == is_member(p, lo + int(i))
+
+
+class TestTiles:
+    """The block kernels fill their output tile by tile, each tile folding its
+    start into the exact offset; a cut anywhere must not move a term or a flag."""
+
+    @pytest.mark.parametrize("tile", [7, 1000, TILE])
+    def test_blocks_match_scalar_across_tiles(self, monkeypatch, tile):
+        monkeypatch.setattr(beatty, "TILE", tile)
+        # a wide border sends a few entries per tile to the scalar path
+        monkeypatch.setattr(beatty, "_BORDER_TOL", 1e-3)
+        for alpha, beta, n0 in ((PHI, 0, (1 << 32) - tile // 2),
+                                (SQRT2, Fraction(1, 2), 1 << 40)):
+            p = BeattyParams(alpha, beta)
+            n1 = n0 + 3 * tile + 4
+            assert beatty_terms_block(p, n0, n1).tolist() == [
+                beatty_term(p, n) for n in range(n0, n1 + 1)
+            ]
+            assert member_flags_block(p, n0, n1).tolist() == [
+                is_member(p, m) for m in range(n0, n1 + 1)
+            ]
 
 
 class TestCounting:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beatty_kfree.cfrac import PHI
+from beatty_kfree import discrepancy
+from beatty_kfree.cfrac import PHI, SQRT2, to_fixed
 from beatty_kfree.discrepancy import (
     PointSet,
     _endpoint_arrays,
@@ -15,6 +16,7 @@ from beatty_kfree.discrepancy import (
     extreme_discrepancy,
     extreme_discrepancy_oracle,
 )
+from beatty_kfree.fixed import DEFAULT_BITS, TILE, FixedReal, frac_vector
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
@@ -115,3 +117,32 @@ def test_pointset_rejects_a_wrong_M(points, M):
 def test_pointset_rejects_points_outside_the_unit_interval(bad):
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
         PointSet(np.array([0.5, bad]), 2)
+
+
+@pytest.mark.parametrize("tile", [7, 1000, TILE])
+def test_tiles_change_no_point_and_no_scan(monkeypatch, tile):
+    M = 3 * tile + 5
+    a = to_fixed(SQRT2, DEFAULT_BITS).mantissa
+    b = FixedReal.from_fraction(Fraction(1, 2), DEFAULT_BITS).mantissa
+    whole = frac_vector(a, DEFAULT_BITS, np.arange(1, M + 1, dtype=np.uint64), b)
+    want = extreme_discrepancy(PointSet(whole, M))
+    monkeypatch.setattr(discrepancy, "TILE", tile)
+    ps = build_pointset(SQRT2, "1/2", M)
+    assert np.array_equal(ps.points, whole)
+    assert extreme_discrepancy(ps) == want
+
+
+@pytest.mark.parametrize("tile", [7, 1000, TILE])
+def test_tied_extremes_in_two_tiles_keep_the_first(monkeypatch, tile):
+    # dyadic points: pf = (i+1)/M - x_i and pg = i/M - x_i are exact, and pf
+    # peaks (pg bottoms out) at two indices that lie in different tiles
+    monkeypatch.setattr(discrepancy, "TILE", tile)
+    M = 1 << 12
+    offs = np.full(M, 0.75)
+    offs[[1500, 3500]] = 0.5
+    offs[[1200, 3900]] = 0.875
+    xs = (np.arange(M) + offs) / M
+    res = extreme_discrepancy(PointSet(xs, M))
+    assert res.extreme == 1.375 / M
+    assert res.star == 0.875 / M
+    assert res.witness_interval == (xs[1200], xs[1500])

@@ -19,7 +19,7 @@ from beatty_kfree.expsums import (
     nearest_int_distance,
     split_parameter,
 )
-from beatty_kfree.fixed import FixedReal, frac_vector
+from beatty_kfree.fixed import TILE, FixedReal, frac_vector
 from beatty_kfree.kfree import iroot, sieve_kfree, zeta
 
 
@@ -378,10 +378,10 @@ class TestPowerSumKernel:
         assert abs(mobius_exp_sum(theta, 100**2 + 50, 2) - want) <= 1e-12
 
     def test_convergent_theta_two_chunks(self):
-        # 303,968 squarefree n <= 5*10**5 fill two kernel chunks; the gap
-        # bounds the drift of z**h over h <= 30
+        # 303,968 squarefree n <= 5*10**5 fill more than one kernel tile; the
+        # gap bounds the drift of z**h over h <= 30
         x, H = 5 * 10**5, 30
-        assert sieve_kfree(2, 1, x).count() > expsums._POWER_CHUNK
+        assert sieve_kfree(2, 1, x).count() > TILE
         theta = to_fixed(PHI, 192).mul_int(17)
         a, q = dirichlet_approx(theta, x)
         rep = double_sum_bound_check(ThetaApprox(theta, a, q), H, x, 2)
@@ -405,8 +405,12 @@ class TestPowerSumStructure:
         return count
 
     def test_naive_reduces_once_per_chunk(self, calls):
-        double_kfree_sum_naive(to_fixed(PHI, 192), 30, 5 * 10**5, 2)
-        assert calls[0] <= 2
+        x = 5 * 10**5
+        tiles = math.ceil(sieve_kfree(2, 1, x).count() / TILE)
+        for H in (1, 30):
+            calls[0] = 0
+            double_kfree_sum_naive(to_fixed(PHI, 192), H, x, 2)
+            assert calls[0] == tiles
 
     def test_hyperbola_calls_independent_of_h_and_split(self, calls):
         theta = to_fixed(SQRT2, 192)

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from beatty_kfree import beatty, smoothing
 from beatty_kfree.beatty import BeattyParams, count_kfree_beatty
-from beatty_kfree.cfrac import PHI, SQRT2
+from beatty_kfree.cfrac import PHI, SQRT2, parse_irrational
 from beatty_kfree.errors import InvalidDelta
 from beatty_kfree.smoothing import (
     build_smoothed,
@@ -197,3 +198,53 @@ class TestSmoothedCount:
         vs = np.array([smoothed_beatty_count(golden, 2, x, float(d))[2] for d in deltas])
         slope = float(np.polyfit(deltas, vs, 1)[0])
         assert 4 * M / 3 <= slope <= 4 * M * 3
+
+
+def psi_by_masks(f: np.ndarray, gf: float, d: float) -> np.ndarray:
+    """The piecewise trapezoid by boolean gathers and scatters, later pieces winning."""
+    psi = np.zeros_like(f)
+    ramp0 = f < d
+    psi[ramp0] = (f[ramp0] + d) / (2.0 * d)
+    plateau = (f >= d) & (f <= gf - d)
+    psi[plateau] = 1.0
+    rampg = (f > gf - d) & (f < gf + d)
+    psi[rampg] = (gf + d - f[rampg]) / (2.0 * d)
+    wrap = f > 1.0 - d
+    psi[wrap] = (f[wrap] - 1.0 + d) / (2.0 * d)
+    return psi
+
+
+class TestPsiValues:
+    @pytest.mark.parametrize("gf, d", [
+        (0.6180339887498949, 0.124),
+        (0.6180339887498949, 2.0**-12),
+        (0.7071067811865476, (1 - 0.7071067811865476) / 2),
+        (0.2, 0.2 / 2),
+        (0.3, 0.1 / 3),
+        (0.5, 0.03125),
+    ])
+    def test_equals_the_masked_form_at_every_edge(self, rng, gf, d):
+        below = above = np.array([0.0, d, gf - d, gf + d, 1.0 - d])
+        f = [below, rng.random(20000)]
+        for _ in range(3):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+            f += [below, above]
+        f = np.concatenate(f)
+        f = f[(f >= 0.0) & (f < 1.0)]
+        assert np.array_equal(smoothing._psi_values(f, gf, d), psi_by_masks(f, gf, d))
+
+
+class TestSmoothedTiles:
+    @pytest.mark.parametrize("tile", [7, 1000])
+    @pytest.mark.parametrize("spec, beta, k", [("quad:1,5,2", "0", 2), ("quad:0,2,1", "1/2", 3)])
+    def test_tiles_and_blocks_cut_anywhere(self, monkeypatch, tile, spec, beta, k):
+        p = BeattyParams(parse_irrational(spec), Fraction(beta))
+        # tiles cut inside sieve windows, and a wide border sends under 1% of
+        # the entries to is_member, at their index in the tile plus its start
+        monkeypatch.setattr(smoothing, "_BLOCK", 2500)
+        monkeypatch.setattr(beatty, "_BORDER_TOL", 1e-3)
+        want = smoothed_beatty_count(p, k, 6000, 0.01)
+        monkeypatch.setattr(smoothing, "TILE", tile)
+        got = smoothed_beatty_count(p, k, 6000, 0.01)
+        assert got[1:] == want[1:]
+        assert got[0] == pytest.approx(want[0], rel=1e-9)
