@@ -51,9 +51,6 @@ from .expsums import (
     double_kfree_sum_naive,
     double_sum_bound_check,
     linear_exp_sum,
-    min_sum_flat,
-    min_sum_scaled,
-    mobius_exp_sum,
     split_parameter,
 )
 from .fixed import FixedReal, frac_vector

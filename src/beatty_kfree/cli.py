@@ -341,8 +341,7 @@ def cmd_smoothing_check(args) -> int:
          abs(smoothed - exact) <= exceptional + 1e-6)
     )
     count = beatty.count_kfree_beatty(params, x, args.k, args.memory_bytes)[0]
-    checks.append(("exact_vs_direct_count", float(abs(exact - count)), 1.0,
-                   abs(exact - count) <= 1))
+    checks.append(("exact_vs_direct_count", float(abs(exact - count)), 0.0, exact == count))
 
     rows = [
         ["smoothing", args.alpha, args.beta, args.k, x, _fmt(delta), J, name,

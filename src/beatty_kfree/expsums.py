@@ -4,8 +4,9 @@ The double sum  sum_{h<=H} sum_{n<=x, n k-free} e(theta*h*n)  is evaluated
 two ways: term by term over sieved k-free n (the naive path), and through
 the three-way split induced by the Moebius identity for the k-free
 indicator. In the split, sum A takes its long inner sums over l in closed
-geometric form; sums B and C are direct Moebius-weighted sums over their
-pairs (l, m), n = l*m**k <= x. Every direct sum goes through one power-sum
+geometric form, all (h, m) pairs in one vectorised linear_exp_sum call;
+sums B and C are direct Moebius-weighted sums over their pairs (l, m),
+n = l*m**k <= x. Every direct sum goes through one power-sum
 kernel: the angle of each n is reduced exactly from the fixed-point
 mantissa of theta once, and e(theta*h*n) for h = 1..H follows by complex
 multiplication. Each path sums its partials exactly rounded
@@ -22,11 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fixed import TILE, FixedReal, exp_circle, frac_to_float, frac_vector, sin_pi_reduced
+from .fixed import TILE, FixedReal, frac_vector
 from .kfree import DEFAULT_MEMORY_BYTES, group_offsets, iroot, sieve_kfree, sieve_moebius
 
 TWO_PI = 2.0 * math.pi
-SMALL_NORM_BITS = 30  # ||alpha|| below 2**-30 switches to direct summation
 
 
 def split_parameter(x: int, k: int) -> float:
@@ -34,23 +34,11 @@ def split_parameter(x: int, k: int) -> float:
     return float(x) ** (k / (2.0 * k - 1.0))
 
 
-def nearest_int_distance(alpha: FixedReal) -> float:
-    """||alpha||: distance from alpha to the nearest integer (center value)."""
-    one = 1 << alpha.scale_bits
-    r = alpha.mantissa % one
-    return frac_to_float(min(r, one - r), alpha.scale_bits, wrap=False)
-
-
 def complex_fsum(parts) -> complex:
-    """Exactly rounded sum of complex partials: math.fsum per component, so
-    the result does not depend on the order of the partials."""
-    parts = list(parts)
-    return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
-
-
-def _unit_sum(ang: np.ndarray) -> complex:
-    """sum of e^(i*ang) over the array, one pairwise numpy sum per component."""
-    return complex(float(np.sum(np.cos(ang))), float(np.sum(np.sin(ang))))
+    """Exactly rounded sum of complex partials (any iterable or array):
+    math.fsum per component, so the result does not depend on their order."""
+    z = np.fromiter(parts, dtype=np.complex128)
+    return complex(math.fsum(z.real), math.fsum(z.imag))
 
 
 def _power_sum(t: int, bits: int, ns: np.ndarray, H: int,
@@ -77,36 +65,42 @@ def _power_sum(t: int, bits: int, ns: np.ndarray, H: int,
     return complex_fsum(parts)
 
 
-def _direct_linear(angle: float, x: int) -> complex:
-    step = 1 << 20
-    return complex_fsum(
-        _unit_sum(TWO_PI * angle * np.arange(n0, min(x + 1, n0 + step), dtype=np.float64))
-        for n0 in range(1, x + 1, step)
-    )
+def linear_exp_sum(theta: FixedReal, ns, xs) -> np.ndarray:
+    """[sum_{l=1..xs_j} e(theta * ns_j * l) for each pair j] by the closed form
 
+        e((x+1)*phi/2) * sin(pi*x*phi) / sin(pi*phi),  phi = theta*n mod 1.
 
-def linear_exp_sum(alpha: FixedReal, x: int) -> complex:
-    """sum_{n=1..x} e(n*alpha) via the closed geometric form.
-
-    Uses e(alpha*(x+1)/2) * sin(pi*x*alpha) / sin(pi*alpha) with all angle
-    reductions done exactly on the mantissa; falls back to direct summation
-    when ||alpha|| < 2**-30 where the ratio form loses accuracy.
+    Per pair, three exact integer reductions of the mantissa, each rounded
+    once to float, all centred in [-1/2, 1/2): phi; x*phi less its nearest
+    integer q, whose sine is sin(pi*x*phi) up to the sign (-1)**q; and
+    (x+1)*phi/2 mod 1. So every argument keeps its relative precision
+    however small phi is, and phi = 0 gives exactly x. Only the sines,
+    cosines and the ratio run in numpy, one pass over all pairs.
     """
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0:
-        return 0j
-    bits = alpha.scale_bits
-    one = 1 << bits
-    r = alpha.mantissa % one
-    if r == 0:
-        return complex(x)
-    if min(r, one - r) < (one >> SMALL_NORM_BITS):
-        signed = r - one if 2 * r > one else r
-        return _direct_linear(frac_to_float(signed, bits, wrap=False), x)
-    ratio = sin_pi_reduced(x * r, bits) / sin_pi_reduced(r, bits)
-    c, s = exp_circle((x + 1) * r, bits + 1)
-    return complex(ratio * c, ratio * s)
+    one = 1 << theta.scale_bits
+    half, two = one >> 1, one << 1
+    t = theta.mantissa % one
+    phi, half_turns, phase = [], [], []
+    xs = np.asarray(xs).tolist()
+    if xs and min(xs) < 0:
+        raise ValueError(f"xs must be >= 0, got {min(xs)}")
+    for n, x in zip(np.asarray(ns).tolist(), xs):
+        r = (t * n + half) % one - half
+        xr = x * r
+        q, u = divmod(xr + half, one)
+        phi.append(r / one)
+        half_turns.append((half - u if q & 1 else u - half) / one)
+        phase.append(((xr + r + one) % two - one) / two)
+    phi = np.array(phi, dtype=np.float64)
+    zero = phi == 0.0
+    den = np.sin(np.pi * np.where(zero, 0.5, phi))
+    ratio = np.sin(np.pi * np.array(half_turns)) / den
+    ratio[zero] = np.array(xs, dtype=np.float64)[zero]
+    ang = TWO_PI * np.array(phase)
+    out = np.empty(len(phi), dtype=np.complex128)
+    out.real = ratio * np.cos(ang)
+    out.imag = ratio * np.sin(ang)
+    return out
 
 
 def double_kfree_sum_naive(
@@ -147,7 +141,8 @@ def double_kfree_sum_hyperbola(
 ) -> HyperbolaSplit:
     """Hyperbola evaluation of the double k-free sum with split parameter y.
 
-    A: m**k <= y, inner geometric sum over l <= x/m**k (closed form);
+    A: m**k <= y, inner geometric sum over l <= x/m**k in closed form, one
+       linear_exp_sum call over all pairs (h, m) with mu(m) != 0;
     B: l <= x/y, Moebius-weighted sum over m**k <= x/l (direct);
     C: the overlap l <= x/y, m**k <= y, Moebius-weighted (direct).
     """
@@ -164,28 +159,28 @@ def double_kfree_sum_hyperbola(
     ma = iroot(int(y), k)
     lc = int(math.floor(x / y))
 
-    parts_a = []
-    for h in range(1, H + 1):
-        for m in range(1, ma + 1):
-            w = int(mu[m - 1])
-            if not w:
-                continue
-            base = FixedReal((t * h * m**k) % one, bits)
-            parts_a.append(w * linear_exp_sum(base, x // m**k))
-
-    # the (l, m) pairs of B and C with mu(m) != 0, n = l * m**k <= x
+    # the m with mu(m) != 0, m**k <= x; the first na of them have m**k <= y
     nz = np.nonzero(mu)[0]
     mk = (nz.astype(np.uint64) + 1) ** k
     mus = mu[nz].astype(np.float64)
+    na = int(np.searchsorted(nz, ma))
+
+    # A: one closed form per pair (h, m), in one call
+    hs = np.arange(1, H + 1, dtype=np.uint64)
+    sums_l = linear_exp_sum(theta, np.outer(hs, mk[:na]).ravel(),
+                            np.tile(np.uint64(x) // mk[:na], H))
+    sum_a = complex_fsum(sums_l * np.tile(mus[:na], H))
+
+    # B and C: the pairs (l, m), n = l * m**k <= x, through the kernel
     ls = np.arange(1, lc + 1, dtype=np.uint64)
     per_l_b = np.searchsorted(mk, np.uint64(x) // ls, side="right")
-    per_l_c = np.full(lc, np.searchsorted(nz, ma, side="left"))
+    per_l_c = np.full(lc, na)
     sums = []
     for per_l in (per_l_b, per_l_c):
         li, idx = group_offsets(per_l)
         sums.append(_power_sum(t, bits, ls[li] * mk[idx], H, mus[idx]))
 
-    return HyperbolaSplit(y, complex_fsum(parts_a), sums[0], sums[1])
+    return HyperbolaSplit(y, sum_a, sums[0], sums[1])
 
 
 @dataclass(frozen=True)
@@ -240,51 +235,3 @@ def double_sum_bound_check(
     params = {"H": H, "x": x, "k": k, "q": t.q, "a": t.a, "eps": eps, "y": split.y,
               "hyperbola_gap": abs(naive - split.combined())}
     return BoundReport(lhs, "(H*x^(k/(2k-1)) + q + H*x/q)*x^eps", rhs, lhs / rhs, params)
-
-
-def _min_sum_report(t: ThetaApprox, M: int, x: int, flat: bool) -> BoundReport:
-    bits = t.theta.scale_bits
-    one = 1 << bits
-    n = np.arange(1, M + 1, dtype=np.uint64)
-    f = frac_vector(t.theta.mantissa % one, bits, n)
-    dist = np.minimum(f, 1.0 - f)
-    with np.errstate(divide="ignore"):
-        inv = 0.5 / dist  # dist == 0 yields inf; min() then picks the other arm
-    if flat:
-        terms = np.minimum(float(x), inv)
-        rhs = (M + x + M * x / t.q + t.q) * math.log(2.0 * t.q * x)
-        expr = "(M + x + M*x/q + q)*log(2*q*x)"
-    else:
-        terms = np.minimum(x / n.astype(np.float64), inv)
-        rhs = (M + t.q + x / t.q) * math.log(2.0 * t.q * x)
-        expr = "(M + q + x/q)*log(2*q*x)"
-    lhs = float(np.sum(terms))
-    params = {"M": M, "x": x, "q": t.q, "a": t.a}
-    return BoundReport(lhs, expr, rhs, lhs / rhs, params)
-
-
-def min_sum_scaled(t: ThetaApprox, M: int, x: int) -> BoundReport:
-    """sum_{n<=M} min(x/n, 1/(2||n*theta||)) against (M + q + x/q)*log(2qx)."""
-    if M < 1 or x < 1:
-        raise ValueError("need M >= 1 and x >= 1")
-    return _min_sum_report(t, M, x, flat=False)
-
-
-def min_sum_flat(t: ThetaApprox, M: int, x: int) -> BoundReport:
-    """sum_{n<=M} min(x, 1/(2||n*theta||)) against (M + x + M*x/q + q)*log(2qx)."""
-    if M < 1 or x < 1:
-        raise ValueError("need M >= 1 and x >= 1")
-    return _min_sum_report(t, M, x, flat=True)
-
-
-def mobius_exp_sum(theta: FixedReal, X: int, k: int,
-                   memory_bytes: int = DEFAULT_MEMORY_BYTES) -> complex:
-    """sum over m with m**k <= X of mu(m) * e(theta * m**k)."""
-    if X < 1:
-        raise ValueError("X must be >= 1")
-    r = iroot(X, k)
-    mu = sieve_moebius(1, max(r, 1), memory_bytes).mu[:r]
-    nz = np.nonzero(mu)[0]
-    bits = theta.scale_bits
-    mk = (nz.astype(np.uint64) + 1) ** k
-    return _power_sum(theta.mantissa % (1 << bits), bits, mk, 1, mu[nz].astype(np.float64))

@@ -1,4 +1,4 @@
-"""Certified base-2 fixed-point reals and exact angle reduction.
+"""Certified base-2 fixed-point reals and the fractional-part kernel.
 
 A FixedReal carries an integer mantissa at a binary scale together with a
 conservative error bound in ulps, so floor/fractional-part decisions can be
@@ -153,22 +153,3 @@ def frac_vector(
     u += np.uint64(o)
     u >>= np.uint64(11)
     return np.multiply(u.view(np.int64), 2.0**-53)
-
-
-def sin_pi_reduced(mantissa: int, scale_bits: int) -> float:
-    """sin(pi * mantissa / 2**scale_bits) with exact mod-2 argument reduction."""
-    m2 = mantissa % (1 << (scale_bits + 1))
-    r = m2 & ((1 << scale_bits) - 1)
-    nearest = m2 >> scale_bits
-    if r >= (1 << (scale_bits - 1)):
-        r -= 1 << scale_bits
-        nearest += 1
-    s = math.sin(math.pi * frac_to_float(r, scale_bits, wrap=False))
-    return -s if (nearest & 1) else s
-
-
-def exp_circle(mantissa: int, scale_bits: int) -> tuple[float, float]:
-    """(cos, sin) of 2*pi*(mantissa / 2**scale_bits) with exact reduction."""
-    t = frac_to_float(mantissa, scale_bits)
-    ang = 2.0 * math.pi * t
-    return math.cos(ang), math.sin(ang)

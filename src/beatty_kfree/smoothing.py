@@ -151,12 +151,14 @@ def smoothed_beatty_count(
     delta_param: float | None = None,
     memory_bytes: int = DEFAULT_MEMORY_BYTES,
 ) -> tuple[float, int, int]:
-    """(smoothed, exact, exceptional) sums over k-free m <= floor(alpha*x+beta).
+    """(smoothed, exact, exceptional) sums over the k-free m >= 1 in
+    [t_1, t_x], t_n = floor(alpha*n + beta).
 
     smoothed sums the trapezoid at {gamma*m + delta}; exact sums the step
-    indicator (equivalently, counts Beatty members among k-free m); the
-    exceptional count V(Delta) covers all m <= M whose fractional part falls
-    in the ramp regions [0, Delta), (gamma-Delta, gamma+Delta), (1-Delta, 1).
+    indicator, so it counts the k-free t_n with 1 <= n <= x, as
+    count_kfree_beatty does; the exceptional count V(Delta) covers all those
+    m whose fractional part falls in the ramp regions [0, Delta),
+    (gamma-Delta, gamma+Delta), (1-Delta, 1).
     |smoothed - exact| <= V holds by construction and is asserted per run.
 
     Each sieve window of _BLOCK values of m is tested in tiles of TILE.
@@ -174,7 +176,7 @@ def smoothed_beatty_count(
     psi_sums = []  # one per tile, summed exactly rounded
     exact = 0
     exceptional = 0
-    m0 = 1
+    m0 = max(1, beatty_term(p, 1))
     while m0 <= M:
         m1 = min(M, m0 + _BLOCK - 1)
         m = np.arange(m1 - m0 + 1, dtype=np.uint64)

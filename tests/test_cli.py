@@ -102,6 +102,16 @@ def test_smoothing_check_smoke(tmp_path, capsys):
     assert [r[-1] for r in rows[1:]] == ["PASS"] * 5
 
 
+@pytest.mark.parametrize("beta", ["0", "1/2", "3", "4"])
+def test_smoothing_check_exact_equals_count(tmp_path, capsys, beta):
+    # for phi, beta = 3 and 4 put members t_0, t_-1 below t_1 that the count
+    # over n in [1, x] leaves out; the smoothed sum starts at t_1 too
+    code, rows, _ = run_cli(tmp_path, capsys, "smoothing-check", f"--beta={beta}")
+    assert code == cli.EXIT_OK
+    row = next(r for r in rows if r[7] == "exact_vs_direct_count")
+    assert row[8:] == ["0.0", "0.0", "PASS"]
+
+
 def simpson_by_direct_phases(gamma_f: float, delta: float, n: int,
                              panels: int = 1 << 14) -> np.ndarray:
     """The same composite Simpson rule, every phase e(-j x) from its own exp."""

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,14 +14,10 @@ from beatty_kfree.expsums import (
     double_kfree_sum_naive,
     double_sum_bound_check,
     linear_exp_sum,
-    min_sum_flat,
-    min_sum_scaled,
-    mobius_exp_sum,
-    nearest_int_distance,
     split_parameter,
 )
 from beatty_kfree.fixed import TILE, FixedReal, frac_vector
-from beatty_kfree.kfree import iroot, sieve_kfree, zeta
+from beatty_kfree.kfree import iroot, sieve_kfree, sieve_moebius, zeta
 
 
 def direct_linear_sum(alpha_frac: Fraction, x: int) -> complex:
@@ -35,20 +32,27 @@ def fixed_from(fr: Fraction, bits: int = 192) -> FixedReal:
     return FixedReal.from_fraction(fr, bits)
 
 
+def nearest_int_distance(alpha: FixedReal) -> float:
+    """||alpha||, the distance from alpha to the nearest integer."""
+    one = 1 << alpha.scale_bits
+    r = alpha.mantissa % one
+    return min(r, one - r) / one
+
+
 class TestLinearExpSum:
     def test_identity_case(self):
-        assert linear_exp_sum(fixed_from(Fraction(0)), 5) == 5 + 0j
+        assert linear_exp_sum(fixed_from(Fraction(0)), [1], [5])[0] == 5 + 0j
 
     def test_half_cancellation(self):
-        assert abs(linear_exp_sum(fixed_from(Fraction(1, 2)), 4)) < 1e-15
+        assert abs(linear_exp_sum(fixed_from(Fraction(1, 2)), [1], [4])[0]) < 1e-15
 
     def test_empty(self):
-        assert linear_exp_sum(fixed_from(Fraction(1, 3)), 0) == 0j
+        assert linear_exp_sum(fixed_from(Fraction(1, 3)), [1], [0])[0] == 0j
 
     def test_phi_minus_one_vs_direct(self):
         alpha = to_fixed(PHI, 192)
         alpha = FixedReal(alpha.mantissa - (1 << 192), 192, alpha.err_ulps)
-        s = linear_exp_sum(alpha, 10**4)
+        s = linear_exp_sum(alpha, [1], [10**4])[0]
         f = np.array(
             [((alpha.mantissa % (1 << 192)) * n % (1 << 192)) / (1 << 192) for n in range(1, 10**4 + 1)]
         )
@@ -61,7 +65,7 @@ class TestLinearExpSum:
         for _ in range(10**4):
             x = int(rng.integers(1, 200))
             alpha = Fraction(int(rng.integers(0, 1 << 30)), 1 << 30)
-            got = linear_exp_sum(fixed_from(alpha), x)
+            got = linear_exp_sum(fixed_from(alpha), [1], [x])[0]
             want = direct_linear_sum(alpha, x)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -69,16 +73,53 @@ class TestLinearExpSum:
         for _ in range(2000):
             x = int(rng.integers(1, 10**4))
             alpha = fixed_from(Fraction(int(rng.integers(1, 1 << 40)), 1 << 40))
-            s = abs(linear_exp_sum(alpha, x))
+            s = abs(linear_exp_sum(alpha, [1], [x])[0])
             dist = nearest_int_distance(alpha)
             bound = x if dist == 0 else min(x, 1.0 / (2.0 * dist))
             assert s <= bound * (1 + 1e-9) + 1e-9
 
     def test_small_angle_fallback(self):
-        alpha = fixed_from(Fraction(1, 1 << 34))
-        got = linear_exp_sum(alpha, 3000)
-        want = direct_linear_sum(Fraction(1, 1 << 34), 3000)
-        assert abs(got - want) < 1e-9 * abs(want)
+        # the ratio form needs no fallback at any ||alpha||, either sign
+        for e in (34, 60, 150):
+            for sign in (1, -1):
+                alpha = Fraction(sign, 1 << e)
+                got = linear_exp_sum(fixed_from(alpha), [1], [3000])[0]
+                want = direct_linear_sum(alpha, 3000)
+                assert abs(got - want) < 1e-9 * abs(want)
+
+    def test_matches_mpmath_oracle_random_pairs(self, rng):
+        # one call over all pairs; the oracle sums each geometric series as
+        # (z**(x+1) - z)/(z - 1) at 100 digits, a different formula from the
+        # sine ratio, with phi = theta*n mod 1 exact
+        cases = [
+            (to_fixed(PHI, 192), rng.integers(1, 10**6, 200), rng.integers(0, 300001, 200)),
+            (fixed_from(Fraction(int(rng.integers(1, 1 << 62)), 1 << 62)),
+             rng.integers(1, 10**4, 100), rng.integers(290000, 300001, 100)),
+            (fixed_from(Fraction(3, 8)), [8, 16, 1, 3, 24], [300000, 5, 299999, 12, 0]),  # phi = 0
+            (fixed_from(Fraction(1, 2)), [1, 3, 5, 7], [300000, 299999, 1, 2]),  # phi = 1/2
+            (fixed_from(Fraction(1, 1 << 60)), [1, 2, 1 << 20], [300000, 3000, 1]),
+            (fixed_from(Fraction(-1, 1 << 60)), [1, 2, 1 << 20], [300000, 3000, 1]),
+            (fixed_from(Fraction(1, 1 << 150)), [1, 3, 1 << 40], [300000, 17, 299999]),
+            (fixed_from(Fraction(-1, 1 << 150)), [1, 3, 1 << 40], [300000, 17, 299999]),
+            (fixed_from(Fraction(1, 3) + Fraction(1, 1 << 100)), [3, 6, 1], [300000, 1, 300000]),
+        ]
+        with mpmath.workdps(100):
+            for theta, ns, xs in cases:
+                got = linear_exp_sum(theta, ns, xs)
+                assert got.shape == (len(ns),)
+                th = Fraction(theta.mantissa, 1 << theta.scale_bits)
+                for g, n, x in zip(got, np.asarray(ns).tolist(), np.asarray(xs).tolist()):
+                    phi = (th * n) % 1
+                    if phi == 0:
+                        assert g == x
+                        continue
+                    z = mpmath.expjpi(2 * mpmath.mpf(phi.numerator) / phi.denominator)
+                    want = complex((z ** (x + 1) - z) / (z - 1))
+                    assert abs(g - want) <= 1e-14 * abs(want) + 1e-30
+
+    def test_rejects_negative_x(self):
+        with pytest.raises(ValueError, match="xs must be >= 0"):
+            linear_exp_sum(fixed_from(Fraction(1, 3)), [1, 2], [5, -1])
 
 
 class TestComplexFsum:
@@ -195,68 +236,15 @@ class TestBoundCheck:
             double_sum_bound_check(t, 2000, 1000, 2)
 
 
-def brute_min_sum(theta: Fraction, M: int, x: int, flat: bool) -> float:
-    total = 0.0
-    for n in range(1, M + 1):
-        f = (theta * n) % 1
-        dist = min(f, 1 - f)
-        inv = math.inf if dist == 0 else 1.0 / (2.0 * float(dist))
-        total += min(float(x) if flat else x / n, inv)
-    return total
-
-
-class TestMinSums:
-    def test_near_half_example(self):
-        theta = Fraction(1, 2) + Fraction(1, 1 << 20)
-        t = ThetaApprox(fixed_from(theta), 1, 2)
-        rep = min_sum_scaled(t, 4, 4)
-        assert rep.lhs == pytest.approx(brute_min_sum(theta, 4, 4, flat=False), rel=1e-9)
-        assert rep.lhs == pytest.approx(5.0, rel=1e-4)
-
-    def test_vs_brute_force_random(self, rng):
-        for _ in range(20):
-            q = int(rng.integers(1, 50))
-            a = 1
-            if q > 1:
-                a = int(rng.integers(1, q))
-                while math.gcd(a, q) != 1:
-                    a = int(rng.integers(1, q))
-            theta = Fraction(a, q) + Fraction(
-                int(rng.integers(-(1 << 20) + 1, 1 << 20)), (1 << 20) * q * q
-            )
-            M = int(rng.integers(1, 200))
-            x = int(rng.integers(1, 1000))
-            t = ThetaApprox(fixed_from(theta), a, q)
-            assert min_sum_scaled(t, M, x).lhs == pytest.approx(
-                brute_min_sum(theta, M, x, flat=False), rel=1e-9
-            )
-            assert min_sum_flat(t, M, x).lhs == pytest.approx(
-                brute_min_sum(theta, M, x, flat=True), rel=1e-9
-            )
-
-    def test_m_one_trivial(self):
-        t = ThetaApprox(fixed_from(Fraction(1, 3)), 1, 3)
-        rep = min_sum_scaled(t, 1, 100)
-        assert rep.lhs <= rep.rhs_value
-
-    def test_q_one_saturation(self):
-        # theta essentially integral: every term is x; ratio stays <= 1
-        theta = Fraction(1, 1 << 40)
-        t = ThetaApprox(fixed_from(theta), 0, 1)
-        rep = min_sum_flat(t, 100, 1000)
-        assert rep.lhs == pytest.approx(100 * 1000.0, rel=1e-6)
-        assert rep.ratio <= 1.0
-
-    def test_flat_dominates_scaled(self, rng):
-        theta = Fraction(int(rng.integers(1, 1 << 30)), 1 << 30)
-        t = ThetaApprox(fixed_from(theta), *_best_pair(theta, 100))
-        assert min_sum_flat(t, 500, 500).lhs >= min_sum_scaled(t, 500, 500).lhs
-
-
-def _best_pair(theta: Fraction, K: int) -> tuple[int, int]:
-    from beatty_kfree.cfrac import dirichlet_approx
-
-    return dirichlet_approx(FixedReal.from_fraction(theta, 192), K)
+def mobius_exp_sum(theta: FixedReal, X: int, k: int) -> complex:
+    """sum over m**k <= X of mu(m) * e(theta * m**k): the Moebius-weighted
+    power-sum kernel of sums B and C at H = 1."""
+    r = iroot(X, k)
+    mu = sieve_moebius(1, r).mu[:r]
+    nz = np.nonzero(mu)[0]
+    mk = (nz.astype(np.uint64) + 1) ** k
+    bits = theta.scale_bits
+    return expsums._power_sum(theta.mantissa % (1 << bits), bits, mk, 1, mu[nz].astype(np.float64))
 
 
 class TestMobiusExpSum:
@@ -270,8 +258,6 @@ class TestMobiusExpSum:
             k = int(rng.integers(2, 4))
             theta = fixed_from(Fraction(int(rng.integers(0, 1 << 30)), 1 << 30))
             s = mobius_exp_sum(theta, X, k)
-            from beatty_kfree.kfree import iroot
-
             assert abs(s) <= iroot(X, k) + 1e-9
 
     def test_cancellation_trend(self):
@@ -388,21 +374,26 @@ class TestPowerSumKernel:
         assert rep.params["hyperbola_gap"] <= 1e-8
 
 
+def count_calls(monkeypatch, name: str) -> list[int]:
+    """Patch expsums.<name> to count its calls into the returned cell."""
+    count = [0]
+    real = getattr(expsums, name)
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(expsums, name, counting)
+    return count
+
+
 class TestPowerSumStructure:
-    """Counts frac_vector calls, so per-h or per-(h, l) reductions cannot
-    come back unnoticed."""
+    """Counts frac_vector and linear_exp_sum calls, so per-h, per-(h, l) or
+    per-(h, m) calls cannot come back unnoticed."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        count = [0]
-        real = expsums.frac_vector
-
-        def counting(*args, **kwargs):
-            count[0] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(expsums, "frac_vector", counting)
-        return count
+        return count_calls(monkeypatch, "frac_vector")
 
     def test_naive_reduces_once_per_chunk(self, calls):
         x = 5 * 10**5
@@ -422,3 +413,13 @@ class TestPowerSumStructure:
                 double_kfree_sum_hyperbola(theta, H, x, 2, x / x_over_y)
                 seen.add(calls[0])
         assert len(seen) == 1 and seen.pop() <= 2
+
+    def test_hyperbola_sums_a_in_one_closed_form_call(self, monkeypatch):
+        count = count_calls(monkeypatch, "linear_exp_sum")
+        theta = to_fixed(SQRT2, 192)
+        x = 5 * 10**4
+        for H in (1, 30):
+            for x_over_y in (1, 3, 50):
+                count[0] = 0
+                double_kfree_sum_hyperbola(theta, H, x, 2, x / x_over_y)
+                assert count[0] == 1

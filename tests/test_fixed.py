@@ -7,13 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beatty_kfree.cfrac import PHI, to_fixed
-from beatty_kfree.fixed import (
-    FixedReal,
-    exp_circle,
-    frac_to_float,
-    frac_vector,
-    sin_pi_reduced,
-)
+from beatty_kfree.expsums import linear_exp_sum
+from beatty_kfree.fixed import FixedReal, frac_to_float, frac_vector
 
 
 class TestFrac:
@@ -73,30 +68,36 @@ class TestFrac:
                     assert lo == hi
 
 
+def unit_exp(mantissa: int, scale_bits: int, ns=(1,)) -> np.ndarray:
+    """e(n * mantissa / 2**scale_bits) for each n: linear_exp_sum at x = 1,
+    whose angle reductions are exact on the fixed-point mantissa."""
+    return linear_exp_sum(FixedReal(mantissa, scale_bits), ns, [1] * len(ns))
+
+
 class TestUnitExp:
-    """e(x) on the unit circle through exp_circle."""
+    """e(x) on the unit circle through linear_exp_sum at x = 1."""
 
     def test_zero(self):
-        assert exp_circle(0, 128) == (1.0, 0.0)
+        assert unit_exp(0, 128)[0] == 1 + 0j
 
     def test_half(self):
-        c, s = exp_circle(1 << 127, 128)
-        assert c == -1.0 and abs(s) < 1e-15
+        z = unit_exp(1 << 127, 128)[0]
+        assert z.real == -1.0 and abs(z.imag) < 1e-15
 
     def test_third_exact_trig(self):
-        c, s = exp_circle(FixedReal.from_fraction(Fraction(1, 3), 128).mantissa, 128)
-        assert abs(c + 0.5) < 1e-15
-        assert abs(s - math.sqrt(3) / 2) < 1e-15
+        z = unit_exp(FixedReal.from_fraction(Fraction(1, 3), 128).mantissa, 128)[0]
+        assert abs(z.real + 0.5) < 1e-15
+        assert abs(z.imag - math.sqrt(3) / 2) < 1e-15
 
     def test_reduces_whole_turns_exactly(self):
         # the integer part of the angle never reaches the float conversion
         third = FixedReal.from_fraction(Fraction(1, 3), 128).mantissa
-        assert exp_circle(third + (12345 << 128), 128) == exp_circle(third, 128)
+        assert unit_exp(third + (12345 << 128), 128)[0] == unit_exp(third, 128)[0]
 
     def test_modulus_near_one(self, rng):
-        for num in rng.integers(0, 1 << 48, size=10**5):
-            c, s = exp_circle(int(num) << 80, 128)
-            assert abs(c * c + s * s - 1.0) <= 1e-14
+        # e(num * 2**-48) for 10**5 random num, one call
+        z = unit_exp(1 << 80, 128, rng.integers(0, 1 << 48, size=10**5))
+        assert np.max(np.abs(z.real**2 + z.imag**2 - 1.0)) <= 1e-14
 
 
 class TestHelpers:
@@ -113,12 +114,6 @@ class TestHelpers:
         for i in (0, 1, 999, 1999):
             exact = ((mant * int(n[i]) + off) % (1 << bits)) / (1 << bits)
             assert abs(fast[i] - exact) < 2**-49 or abs(abs(fast[i] - exact) - 1.0) < 2**-49
-
-    def test_sin_pi_reduced_matches_math(self, rng):
-        for num in rng.integers(0, 1 << 40, size=200):
-            x = int(num)
-            expected = math.sin(math.pi * ((x / 2**20) % 2.0))
-            assert abs(sin_pi_reduced(x, 20) - expected) < 1e-12
 
 
 def circular_gap(fast: np.ndarray, mant: int, bits: int, ns, off: int = 0) -> float:
