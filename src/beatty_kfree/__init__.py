@@ -70,7 +70,6 @@ from .smoothing import (
     coefficient_bound,
     default_delta,
     default_truncation,
-    eval_smoothed,
     eval_truncated_series,
     smoothed_beatty_count,
 )

@@ -3,9 +3,9 @@
 The membership criterion is the fractional-part test
     m = floor(alpha*n + beta) for some integer n  iff  0 < {gamma*m + delta} <= gamma,
 with gamma = 1/alpha and delta = (1 - beta)/alpha; the witness n is
-floor(gamma*m + delta). The scalar path decides it by two certified floors
-(member_witness). All floor decisions are certified via interval
-fixed-point arithmetic with precision escalation. The block
+floor(gamma*m + delta). The scalar path (member_witness) decides both in one
+certified decision per precision level. All decisions are certified via
+interval fixed-point arithmetic with precision escalation (_decide). The block
 kernels decide in float64 away from the borders and send entries near a
 border (border_indices) to the certified scalar path.
 
@@ -32,6 +32,7 @@ from .fixed import (
     MAX_BITS,
     TILE,
     FixedReal,
+    decision_margin,
     frac_to_float,
     frac_vector,
 )
@@ -136,20 +137,17 @@ class BeattyParams:
         return f"BeattyParams({self.alpha}, beta={self.beta})"
 
 
-def _certified_floor(p: BeattyParams, slope: str, offset: str, n: int) -> int:
-    """Exact floor(slope*n + offset) for two of the level values (alpha and
-    beta, or gamma and delta), escalating precision until it is certified."""
+def _decide(p: BeattyParams, what: str, decide):
+    """decide(lv) at each level of p.escalation() until it is not None;
+    PrecisionExhausted names what and the bits tried when no level decides."""
     tried = []
     for lv in p.escalation():
         tried.append(lv.bits)
-        s, o = getattr(lv, slope), getattr(lv, offset)
-        f = FixedReal(
-            s.mantissa * n + o.mantissa, lv.bits, s.err_ulps * n + o.err_ulps
-        ).floor_certified()
-        if f is not None:
-            return f
+        out = decide(lv)
+        if out is not None:
+            return out
     raise PrecisionExhausted(
-        f"floor({slope}*{n}+{offset}) undecidable for alpha={p.alpha} at bits {tried}"
+        f"{what} undecidable for alpha={p.alpha}, beta={p.beta} at bits {tried}"
     )
 
 
@@ -157,7 +155,13 @@ def beatty_term(p: BeattyParams, n: int) -> int:
     """Exact floor(alpha*n + beta) with certified floor."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _certified_floor(p, "alpha", "beta", n)
+
+    def floor(lv: _Level) -> int | None:
+        a, b = lv.alpha, lv.beta
+        y = FixedReal(a.mantissa * n + b.mantissa, lv.bits, a.err_ulps * n + b.err_ulps)
+        return y.floor_certified()
+
+    return _decide(p, f"floor(alpha*n+beta) at n={n}", floor)
 
 
 def border_indices(
@@ -212,11 +216,11 @@ def beatty_terms_block(p: BeattyParams, n_lo: int, n_hi: int) -> np.ndarray:
 def member_witness(p: BeattyParams, m: int) -> int | None:
     """The unique integer n with floor(alpha*n + beta) = m, if any.
 
-    Such n lie in [(m - beta)/alpha, (m + 1 - beta)/alpha), the interval from
-    gamma*(m-1) + delta to gamma*m + delta, of length gamma < 1. So with
-    W(m) = floor(gamma*m + delta) the witness is W(m) iff W(m) > W(m - 1).
-    An end is an integer only for integer beta: m = beta puts n = 0 on the
-    closed end, and m + 1 = beta puts it on the open end.
+    Such n lie in [(m - beta)/alpha, (m + 1 - beta)/alpha) = [y - gamma, y),
+    y = gamma*m + delta, which holds an integer, floor(y), iff 0 < {y} <= gamma.
+    Per level, y's fractional mantissa certifies floor(y) and, against gamma's
+    mantissa, the membership. {y} is 0 or gamma only for integer beta, at
+    m + 1 = beta and m = beta (n = 0 on the open or closed end), decided first.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -225,8 +229,18 @@ def member_witness(p: BeattyParams, m: int) -> int | None:
             return 0
         if m + 1 == p.beta.numerator:
             return None
-    w = _certified_floor(p, "gamma", "delta", m)
-    return w if w > _certified_floor(p, "gamma", "delta", m - 1) else None
+
+    def witness(lv: _Level) -> tuple[int, bool] | None:
+        g, d, one = lv.gamma, lv.delta, 1 << lv.bits
+        w, r = divmod(g.mantissa * m + d.mantissa, one)  # r: the mantissa of {y}
+        # one margin for the errors of y and gamma certifies floor(y) and {y} vs gamma
+        margin = decision_margin(g.err_ulps * (m + 1) + d.err_ulps)
+        if not margin < r < one - margin or abs(r - g.mantissa) <= margin:
+            return None
+        return w, r < g.mantissa
+
+    w, member = _decide(p, f"membership of m={m}", witness)
+    return w if member else None
 
 
 def is_member(p: BeattyParams, m: int) -> bool:
@@ -338,7 +352,8 @@ def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: 
     Q = s.denominator * p.beta.denominator
     t_1, t_x = (A + B) // Q, (A * x + B) // Q
     if t_1 < 1:
-        raise ValueError("terms must be positive; increase beta or n range")
+        raise ValueError(f"terms must be positive: t_1 = floor(alpha + beta) = {t_1} for "
+                         f"alpha={p.alpha}, beta={p.beta} is below the limit t_1 >= 1")
     r = iroot(t_x, k)
     if d0 is None:
         d0 = iroot(int(_PAIR_COST * t_x), k)

@@ -8,8 +8,7 @@ Its Fourier coefficients have the closed form
     c_j = e(-j*gamma/2) * sin(pi*j*gamma)/(pi*j) * sin(2*pi*j*Delta)/(2*pi*j*Delta)
 
 with c_0 = gamma, c_{-j} = conj(c_j), and
-|c_j| <= min(1/(pi*j), 1/(2*pi^2*j^2*Delta)).
-"""
+|c_j| <= min(1/(pi*j), 1/(2*pi^2*j^2*Delta))."""
 from __future__ import annotations
 
 import math
@@ -93,41 +92,28 @@ def coefficient_bound(j, delta: float):
     return np.minimum(1.0 / (math.pi * j), 1.0 / (2.0 * math.pi**2 * j * j * delta))
 
 
-def eval_smoothed(s: SmoothedIndicator, x: float) -> float:
-    """Exact piecewise-linear value of the trapezoid at x (1-periodic)."""
-    f = x % 1.0
-    g = s.gamma.to_float()
-    d = s.delta_param
-    if f < d:
-        return (f + d) / (2.0 * d)
-    if f <= g - d:
-        return 1.0
-    if f < g + d:
-        return (g + d - f) / (2.0 * d)
-    if f <= 1.0 - d:
-        return 0.0
-    # rising ramp through the wrap at 1: value ((f - 1) + d)/(2d)
-    return (f - 1.0 + d) / (2.0 * d)
+def eval_truncated_series(s: SmoothedIndicator, n: int, shift: float) -> np.ndarray:
+    """Partial Fourier sum to |j| <= J at the n points shift + i/n, i < n;
+    each is within the tail bound 1/(pi^2 * J * Delta) of the trapezoid.
 
-
-def eval_truncated_series(s: SmoothedIndicator, x: float) -> float:
-    """Partial Fourier sum to |j| <= J; differs from the exact trapezoid by
-    at most the tail bound 1/(pi^2 * J * Delta)."""
+    With b_j = c_j * e(j*shift) the sum at point i is
+    c_0 + 2*Re sum_j b_j * e(j*i/n), and e(j*i/n) depends on j mod n only:
+    the b_j fold into n bins, and one n-point inverse FFT evaluates all n
+    points in O(J + n log n) operations, not O(n*J).
+    """
     J = len(s.coeffs) - 1
-    if J == 0:
-        return float(s.coeffs[0].real)
-    j = np.arange(1, J + 1, dtype=np.float64)
-    ang = 2.0 * math.pi * np.mod(j * (x % 1.0), 1.0)
-    c = s.coeffs[1:]
-    return float(s.coeffs[0].real + 2.0 * np.sum(c.real * np.cos(ang) - c.imag * np.sin(ang)))
+    j = np.arange(1, J + 1)
+    b = s.coeffs[1:] * np.exp(2j * math.pi * np.mod(j * shift, 1.0))
+    folded = np.bincount(j % n, b.real, n) + 1j * np.bincount(j % n, b.imag, n)
+    return s.coeffs[0].real + 2.0 * n * np.fft.ifft(folded).real
 
 
 def _psi_values(f: np.ndarray, gf: float, d: float) -> np.ndarray:
     """Vectorized trapezoid values on fractional parts f in [0, 1).
 
-    Equal bit for bit to the piecewise form of eval_smoothed: the rising
-    ramp (through the wrap at 1) capped at 1 holds up to gf - d and past
-    1 - d, the falling ramp floored at 0 in between.
+    Equal bit for bit to the piecewise form (tests/test_smoothing.py): the
+    rising ramp (through the wrap at 1) capped at 1 holds up to gf - d and
+    past 1 - d, the falling ramp floored at 0 in between.
     """
     two_d = 2.0 * d
     rise = np.where(f > 1.0 - d, f - 1.0, f)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from beatty_kfree.beatty import (
 )
 from beatty_kfree.cfrac import PHI, SQRT2, SQRT3, QuadraticIrrational, parse_irrational
 from beatty_kfree.errors import PrecisionExhausted
-from beatty_kfree.fixed import TILE
+from beatty_kfree.fixed import TILE, FixedReal
 from beatty_kfree.kfree import DEFAULT_MEMORY_BYTES, iroot, primes_upto, sieve_kfree
 
 BIG_ALPHA = "quad:0,200000000000000,1"  # sqrt(2e14): term n is isqrt(2e14 * n * n)
@@ -58,6 +59,26 @@ def outcome(fn):
         return fn()
     except (ValueError, PrecisionExhausted) as e:
         return type(e).__name__
+
+
+def two_floor_witness(p: BeattyParams, m: int) -> int | None:
+    """Oracle: W(m) = floor(gamma*m + delta) is the witness iff W(m) > W(m - 1),
+    each floor certified on its own, with the integer-beta ends m = beta
+    (witness 0) and m = beta - 1 (none) decided first."""
+    if p.beta.denominator == 1 and m in (p.beta.numerator, p.beta.numerator - 1):
+        return 0 if m == p.beta.numerator else None
+
+    def floor(v: int) -> int:
+        for lv in p.escalation():
+            g, d = lv.gamma, lv.delta
+            f = FixedReal(g.mantissa * v + d.mantissa, lv.bits,
+                          g.err_ulps * v + d.err_ulps).floor_certified()
+            if f is not None:
+                return f
+        raise PrecisionExhausted(f"W({v})")
+
+    w = floor(m)
+    return w if w > floor(m - 1) else None
 
 
 def enumerate_members(p: BeattyParams, top: int) -> np.ndarray:
@@ -170,6 +191,22 @@ class TestMembership:
         # {gamma*m + delta} = gamma exactly at m = beta: member (witness 0)
         assert is_member(p, 5)
         assert member_witness(p, 5) == 0
+
+    def test_witness_equals_two_floor_oracle(self, rng):
+        specs = ["quad:1,5,2", "quad:0,2,1", "quad:7,2,3", BIG_ALPHA, *COUNT_SPECS[3:5]]
+        betas = ["0", "1/2", "-7/10", "3", "-2"]
+        params = [BeattyParams(parse_irrational(s), Fraction(b)) for s in specs for b in betas]
+        queries = []
+        for p in params:
+            ms = [int(2.0**e) for e in rng.uniform(0.0, 40.0, size=300)]
+            ms += [(1 << 32) + int(d) for d in rng.integers(-40, 41, size=40)]
+            ms += [m for m in (int(p.beta), int(p.beta) - 1) if p.beta.denominator == 1 and m >= 1]
+            queries += [(p, m) for m in ms]
+        assert len(queries) >= 10**4
+        for p, m in queries:
+            assert outcome(lambda: member_witness(p, m)) == outcome(
+                lambda: two_floor_witness(p, m)
+            ), (p, m)
 
     def test_scalar_matches_block_random_range(self, rng):
         p = BeattyParams(SQRT3, Fraction(1, 3))
@@ -411,12 +448,26 @@ class TestIntervalWidth:
     @pytest.mark.parametrize("spec, n_bad, m_bad", [(SHORT_SPECS[0], 21, 33), (SHORT_SPECS[1], 99, 310)])
     def test_flat_interval_is_tried_once(self, spec, n_bad, m_bad):
         # cf: and dec: intervals do not narrow with bits, so one level is all
-        # the scalar path builds, and the message names the bits it tried
-        for query, arg in ((beatty_term, n_bad), (is_member, m_bad)):
+        # the scalar path builds, and the message names the query, alpha,
+        # beta and the bits it tried
+        for query, arg in ((beatty_term, f"n={n_bad}"), (is_member, f"m={m_bad}"),
+                           (member_witness, f"m={m_bad}")):
             p = BeattyParams(parse_irrational(spec), 0)
-            with pytest.raises(PrecisionExhausted, match=r"at bits \[192\]"):
-                query(p, arg)
+            want = re.escape(f"{arg} undecidable for alpha={spec}, beta=0 at bits [192]")
+            with pytest.raises(PrecisionExhausted, match=want):
+                query(p, int(arg[2:]))
             assert list(p._levels) == [192]
+
+    @pytest.mark.parametrize("spec, beta, m", [(SHORT_SPECS[0], "1/2", 28),
+                                               (SHORT_SPECS[1], "-7/10", 37)])
+    def test_membership_near_gamma_raises(self, spec, beta, m):
+        # floor(gamma*m + delta) is certified here, but {gamma*m + delta}
+        # lies within the interval's error of gamma, so no answer is certain
+        p = BeattyParams(parse_irrational(spec), Fraction(beta))
+        want = re.escape(f"membership of m={m} undecidable for alpha={spec}, beta={beta} "
+                         f"at bits [192]")
+        with pytest.raises(PrecisionExhausted, match=want):
+            member_witness(p, m)
 
     def test_narrowing_interval_escalates_to_max_bits(self):
         p = BeattyParams(PHI, 0)

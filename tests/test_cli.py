@@ -112,6 +112,30 @@ def test_smoothing_check_exact_equals_count(tmp_path, capsys, beta):
     assert row[8:] == ["0.0", "0.0", "PASS"]
 
 
+def test_smoothing_check_evaluates_the_series_in_one_call(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = smoothing.eval_truncated_series
+
+    def counting(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(smoothing, "eval_truncated_series", counting)
+    code, rows, _ = run_cli(tmp_path, capsys, "smoothing-check", "--x", "1000")
+    assert code == cli.EXIT_OK
+    assert calls == [(2000, 0.5 / 2000)]
+
+
+@pytest.mark.parametrize("argv", [["smoothing-check", "--x", "1000"],
+                                  ["count", "--grid", "1000:1000:10"]])
+def test_nonpositive_first_term_names_beta_and_t_1(argv, capsys):
+    # for phi, beta = -7/10 gives t_1 = floor(phi - 0.7) = 0
+    assert cli.main([*argv, "--beta=-7/10"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "alpha=quad:1,5,2, beta=-7/10" in err and "t_1 = floor(alpha + beta) = 0" in err
+    assert "t_1 >= 1" in err
+
+
 def simpson_by_direct_phases(gamma_f: float, delta: float, n: int,
                              panels: int = 1 << 14) -> np.ndarray:
     """The same composite Simpson rule, every phase e(-j x) from its own exp."""

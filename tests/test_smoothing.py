@@ -13,7 +13,6 @@ from beatty_kfree.smoothing import (
     coefficient_bound,
     default_delta,
     default_truncation,
-    eval_smoothed,
     eval_truncated_series,
     smoothed_beatty_count,
 )
@@ -22,6 +21,41 @@ from beatty_kfree.smoothing import (
 @pytest.fixture(scope="module")
 def golden():
     return BeattyParams(PHI, 0)
+
+
+def eval_smoothed(x: float, gf: float, d: float) -> float:
+    """Oracle: the piecewise-linear trapezoid at x (1-periodic)."""
+    f = x % 1.0
+    if f < d:
+        return (f + d) / (2.0 * d)
+    if f <= gf - d:
+        return 1.0
+    if f < gf + d:
+        return (gf + d - f) / (2.0 * d)
+    if f <= 1.0 - d:
+        return 0.0
+    # rising ramp through the wrap at 1: value ((f - 1) + d)/(2d)
+    return (f - 1.0 + d) / (2.0 * d)
+
+
+def psi_at(ind, xs) -> np.ndarray:
+    """_psi_values of the indicator ind at the points xs (any reals)."""
+    return smoothing._psi_values(np.mod(np.asarray(xs, dtype=np.float64), 1.0),
+                                 ind.gamma.to_float(), ind.delta_param)
+
+
+def direct_series(ind, n: int, shift: float) -> np.ndarray:
+    """Oracle: the partial Fourier sum c_0 + 2*Re sum_j c_j*e(j*x) at each
+    point x = shift + i/n on its own, with e(j*i/n) looked up by j*i mod n."""
+    J = len(ind.coeffs) - 1
+    j = np.arange(1, J + 1)
+    b = ind.coeffs[1:] * np.exp(2j * math.pi * np.mod(j * shift, 1.0))
+    unit = np.exp(2j * math.pi * np.arange(n) / n)
+    out = np.empty(n)
+    for i0 in range(0, n, 256):
+        i = np.arange(i0, min(n, i0 + 256))
+        out[i] = ind.coeffs[0].real + 2.0 * (unit[np.outer(i, j) % n] @ b).real
+    return out
 
 
 def quad_coefficient(gamma_f: float, delta: float, j: int) -> complex:
@@ -85,7 +119,7 @@ class TestCoefficients:
         from scipy.integrate import quad
 
         num_energy = quad(
-            lambda x: eval_smoothed(ind, x) ** 2, 0, 1,
+            lambda x: eval_smoothed(x, gf, delta) ** 2, 0, 1,
             points=[delta, gf - delta, gf + delta, 1 - delta], limit=200,
             epsabs=1e-12,
         )[0]
@@ -118,42 +152,38 @@ class TestEvaluation:
     def test_plateau_one(self, golden):
         gf = golden.gamma.to_float()
         ind = build_smoothed(golden.gamma, gf / 8, 8)
-        assert eval_smoothed(ind, gf / 2) == 1.0
+        assert psi_at(ind, [gf / 2])[0] == 1.0
 
     def test_zero_plateau(self, golden):
         gf = golden.gamma.to_float()
         ind = build_smoothed(golden.gamma, 0.01, 8)
-        assert eval_smoothed(ind, (gf + 1) / 2) == 0.0
+        assert psi_at(ind, [(gf + 1) / 2])[0] == 0.0
 
     def test_midpoint_of_ramp(self, golden):
         gf = golden.gamma.to_float()
         ind = build_smoothed(golden.gamma, 1 / 32, 8)
-        assert eval_smoothed(ind, gf) == pytest.approx(0.5, abs=1e-12)
+        assert psi_at(ind, [gf])[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_range_and_periodicity(self, golden, rng):
         ind = build_smoothed(golden.gamma, 1 / 32, 8)
-        for x in rng.uniform(-5, 5, size=10**5):
-            v = eval_smoothed(ind, float(x))
-            assert 0.0 <= v <= 1.0
-        assert eval_smoothed(ind, 0.3) == eval_smoothed(ind, 1.3)
+        v = psi_at(ind, rng.uniform(-5, 5, size=10**5))
+        assert np.all((0.0 <= v) & (v <= 1.0))
+        assert psi_at(ind, [0.3])[0] == psi_at(ind, [1.3])[0]
 
     def test_agreement_region_exact(self, golden, rng):
         gf = golden.gamma.to_float()
         delta = 1 / 32
         ind = build_smoothed(golden.gamma, delta, 8)
-        checked = 0
-        for x in rng.uniform(0, 1, size=10**5):
-            x = float(x)
-            if delta <= x <= gf - delta or gf + delta <= x <= 1 - delta:
-                assert eval_smoothed(ind, x) == (1.0 if 0.0 < x <= gf else 0.0)
-                checked += 1
-        assert checked > 10**4
+        x = rng.uniform(0, 1, size=10**5)
+        away = ((delta <= x) & (x <= gf - delta)) | ((gf + delta <= x) & (x <= 1 - delta))
+        assert np.count_nonzero(away) > 10**4
+        assert np.array_equal(psi_at(ind, x[away]), np.where(x[away] <= gf, 1.0, 0.0))
 
 
 class TestTruncatedSeries:
     def test_j_zero_constant(self, golden):
         ind = build_smoothed(golden.gamma, 1 / 32, 0)
-        assert eval_truncated_series(ind, 0.37) == pytest.approx(
+        assert eval_truncated_series(ind, 1, 0.37)[0] == pytest.approx(
             golden.gamma.to_float(), abs=1e-15
         )
 
@@ -162,17 +192,26 @@ class TestTruncatedSeries:
         ind = build_smoothed(golden.gamma, delta, 512)
         bound = ind.tail_bound()
         assert bound == pytest.approx(1 / (math.pi**2 * 512 / 32), rel=1e-12)
-        grid = (np.arange(10**4) + 0.5) / 10**4
-        worst = max(
-            abs(eval_truncated_series(ind, float(x)) - eval_smoothed(ind, float(x)))
-            for x in grid[::7]
-        )
-        assert worst <= bound
+        n = 10**4
+        grid = (np.arange(n) + 0.5) / n
+        series = eval_truncated_series(ind, n, 0.5 / n)
+        exact = np.array([eval_smoothed(float(x), ind.gamma.to_float(), delta) for x in grid])
+        assert np.max(np.abs(series - exact)) <= bound
 
     def test_doubling_j_halves_tail(self, golden):
         a = build_smoothed(golden.gamma, 1 / 32, 128).tail_bound()
         b = build_smoothed(golden.gamma, 1 / 32, 256).tail_bound()
         assert b == pytest.approx(a / 2)
+
+    @pytest.mark.parametrize("J", [0, 1, 219, 1635, 4517])
+    @pytest.mark.parametrize("n", [1, 7, 400, 2000, 10**4])
+    def test_one_fft_matches_the_direct_sum(self, golden, J, n):
+        # J < n and J >= n both occur, so the fold mod n is exercised
+        ind = build_smoothed(golden.gamma, 0.0062, J)
+        for shift in (0.0, 0.5 / n, 0.37):
+            got = eval_truncated_series(ind, n, shift)
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - direct_series(ind, n, shift))) <= 1e-12
 
 
 class TestSmoothedCount:
@@ -231,7 +270,9 @@ class TestPsiValues:
             f += [below, above]
         f = np.concatenate(f)
         f = f[(f >= 0.0) & (f < 1.0)]
-        assert np.array_equal(smoothing._psi_values(f, gf, d), psi_by_masks(f, gf, d))
+        psi = smoothing._psi_values(f, gf, d)
+        assert np.array_equal(psi, psi_by_masks(f, gf, d))
+        assert np.array_equal(psi, [eval_smoothed(float(x), gf, d) for x in f])
 
 
 class TestSmoothedTiles:
