@@ -15,17 +15,12 @@ from .cfrac import (
     PHI,
     SQRT2,
     SQRT3,
-    Convergent,
     DecimalString,
     IrrationalSpec,
     PartialQuotients,
     QuadraticIrrational,
-    TypeEstimate,
-    cf_expand,
-    convergents,
     dirichlet_approx,
     estimate_type,
-    make_quadratic,
     parse_irrational,
     to_fixed,
 )
@@ -55,11 +50,8 @@ from .expsums import (
 )
 from .fixed import FixedReal, frac_vector
 from .kfree import (
-    KFreeTable,
-    MoebiusTable,
     count_kfree,
     floor_sum,
-    kfree_indicator_moebius_range,
     sieve_kfree,
     sieve_moebius,
     zeta,

@@ -72,7 +72,10 @@ class _Level:
 
 def parse_beta(text: str) -> Fraction:
     """Exact rational beta from forms like '1/2', '0.5', '-0.7'."""
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"beta {text!r} is not an exact rational such as 0, 1/2 or -0.7") from None
 
 
 class BeattyParams:
@@ -98,7 +101,8 @@ class BeattyParams:
             guard = bits + 16
             alo, ahi = self.alpha.eval_interval(guard)
             if alo <= 1:
-                raise ValueError("alpha must be certified > 1 as a Beatty modulus")
+                raise ValueError(f"alpha {str(self.alpha)!r} is not certified > 1 as a Beatty "
+                                 f"modulus: its interval at {guard} bits starts at {float(alo)!r}")
             glo, ghi = 1 / ahi, 1 / alo
             c = 1 - self.beta
             dlo, dhi = (glo * c, ghi * c) if c >= 0 else (ghi * c, glo * c)
@@ -359,7 +363,7 @@ def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: 
         d0 = iroot(int(_PAIR_COST * t_x), k)
     if t_x >= 1 << 63:  # the pairs' multiples are int64
         d0 = r
-    mu = sieve_moebius(1, r, memory_bytes).mu
+    mu = sieve_moebius(1, r, memory_bytes)
     nz = np.flatnonzero(mu)
     n_small = int(np.searchsorted(nz, d0))  # d = nz + 1 <= d0
     count = 0

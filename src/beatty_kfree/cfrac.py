@@ -1,20 +1,22 @@
-"""Continued fractions, convergents, best rational approximation, type estimation.
+"""Irrational inputs, their continued fractions, Dirichlet approximation and type.
 
 Irrational inputs come in three flavors with different precision contracts:
 exact quadratic irrationals (p + sqrt(d))/q (unlimited certified bits),
 finite partial-quotient prefixes, and decimal strings with a stated number
-of certified bits.
+of certified bits. Each yields its certified partial quotients
+(quotient_iter); _convergent_iter is the one convergent recurrence, which
+the prefix interval, dirichlet_approx and estimate_type walk.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Iterator, Union
+from math import isqrt
+from typing import Iterable, Iterator, Union
 
 from .errors import PrecisionExhausted
-from .fixed import DEFAULT_BITS, FixedReal
+from .fixed import FixedReal
 
 
 @dataclass(frozen=True)
@@ -27,9 +29,9 @@ class QuadraticIrrational:
 
     def __post_init__(self):
         if self.d <= 0 or isqrt(self.d) ** 2 == self.d:
-            raise ValueError("d must be a positive non-square")
+            raise ValueError(f"d = {self.d} is not a positive non-square")
         if self.q < 1:
-            raise ValueError("q must be a positive integer (canonical form)")
+            raise ValueError(f"q = {self.q} is not a positive integer (canonical form)")
 
     def eval_interval(self, bits: int) -> tuple[Fraction, Fraction]:
         b2 = bits + 16
@@ -50,29 +52,8 @@ class QuadraticIrrational:
             p = a * q - p
             q = (d - p * p) // q
 
-    def reciprocal(self) -> "QuadraticIrrational":
-        """1/value in the same canonical form (requires d > p*p)."""
-        e = self.d - self.p * self.p
-        if e <= 0:
-            raise ValueError("reciprocal not representable with q > 0")
-        return make_quadratic(-self.p * self.q, self.d * self.q * self.q, e)
-
     def __str__(self) -> str:
         return f"quad:{self.p},{self.d},{self.q}"
-
-
-def make_quadratic(p: int, d: int, q: int) -> QuadraticIrrational:
-    """Build (p + sqrt(d))/q, reducing square factors of d and common divisors."""
-    g = 1
-    f = 2
-    dd = d
-    while f * f <= dd:
-        while dd % (f * f) == 0:
-            dd //= f * f
-            g *= f
-        f += 1
-    c = gcd(gcd(abs(p), g), abs(q))
-    return QuadraticIrrational(p // c, (g // c) ** 2 * dd, q // c)
 
 
 PHI = QuadraticIrrational(1, 5, 2)
@@ -93,12 +74,9 @@ class PartialQuotients:
             raise ValueError("quotients must be positive (a0 >= 0)")
 
     def eval_interval(self, bits: int) -> tuple[Fraction, Fraction]:
-        pm1, pm2, qm1, qm2 = 1, 0, 0, 1
-        for a in self.quotients:
-            pm1, pm2 = a * pm1 + pm2, pm1
-            qm1, qm2 = a * qm1 + qm2, qm1
-        lo = Fraction(pm1, qm1)
-        hi = Fraction(pm1 + pm2, qm1 + qm2)
+        # the last two convergents; (1, 0) is (p_-1, q_-1)
+        (pp, qp), (p, q) = [(1, 0), *_convergent_iter(self.quotients)][-2:]
+        lo, hi = Fraction(p, q), Fraction(p + pp, q + qp)
         return (lo, hi) if lo <= hi else (hi, lo)
 
     def quotient_iter(self) -> Iterator[int]:
@@ -116,7 +94,10 @@ class DecimalString:
     bits: int
 
     def __post_init__(self):
-        Fraction(self.digits)  # validates
+        try:
+            Fraction(self.digits)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"digits {self.digits!r} are not a decimal number") from None
         if self.bits < 8:
             raise ValueError("stated precision must be at least 8 bits")
 
@@ -136,18 +117,32 @@ class DecimalString:
 IrrationalSpec = Union[QuadraticIrrational, PartialQuotients, DecimalString]
 
 
+ALPHA_FORMS = "quad:p,d,q | cf:a0,a1,... | dec:digits:bits"
+_KINDS = {"quad": QuadraticIrrational, "cf": PartialQuotients, "dec": DecimalString}
+
+
 def parse_irrational(text: str) -> IrrationalSpec:
-    """Parse 'quad:p,d,q' | 'cf:a0,a1,...' | 'dec:<digits>:<bits>'."""
+    """Parse one of ALPHA_FORMS. The ValueError for a malformed or invalid
+    spec names alpha, the text given, and the forms or the broken condition."""
     kind, _, rest = text.partition(":")
-    if kind == "quad":
-        p, d, q = (int(v) for v in rest.split(","))
-        return QuadraticIrrational(p, d, q)
-    if kind == "cf":
-        return PartialQuotients(tuple(int(v) for v in rest.split(",")))
-    if kind == "dec":
-        digits, _, bits = rest.rpartition(":")
-        return DecimalString(digits, int(bits))
-    raise ValueError(f"unknown irrational format: {text!r}")
+    try:
+        if kind == "quad":
+            args = tuple(int(v) for v in rest.split(","))
+            if len(args) != 3:
+                raise ValueError
+        elif kind == "cf":
+            args = (tuple(int(v) for v in rest.split(",")),)
+        elif kind == "dec":
+            digits, _, bits = rest.rpartition(":")
+            args = (digits, int(bits))
+        else:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"alpha {text!r} is not of the form {ALPHA_FORMS}") from None
+    try:
+        return _KINDS[kind](*args)
+    except ValueError as e:
+        raise ValueError(f"alpha {text!r}: {e}") from None
 
 
 def to_fixed(alpha: IrrationalSpec, bits: int) -> FixedReal:
@@ -182,54 +177,13 @@ def cf_interval_iter(lo: Fraction, hi: Fraction) -> Iterator[int]:
         lo, hi = 1 / fhi, 1 / flo
 
 
-def cf_expand(alpha: IrrationalSpec, count: int) -> list[int]:
-    """First `count` partial quotients, exact or certified.
-
-    Raises PrecisionExhausted when the spec cannot certify that many
-    quotients (short prefix, or not enough decimal digits).
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    out = []
-    for a in alpha.quotient_iter():
-        out.append(a)
-        if len(out) == count:
-            return out
-    raise PrecisionExhausted(
-        f"only {len(out)} quotients certified for {alpha}, wanted {count}"
-    )
-
-
-@dataclass(frozen=True)
-class Convergent:
-    a: int
-    q: int
-    index: int
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.a, self.q)
-
-
-def _convergent_iter(alpha: IrrationalSpec) -> Iterator[Convergent]:
+def _convergent_iter(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Convergents (p_i, q_i) of the continued fraction with these partial quotients."""
     pm1, pm2, qm1, qm2 = 1, 0, 0, 1
-    for i, a in enumerate(alpha.quotient_iter()):
+    for a in quotients:
         pm1, pm2 = a * pm1 + pm2, pm1
         qm1, qm2 = a * qm1 + qm2, qm1
-        yield Convergent(pm1, qm1, i)
-
-
-def convergents(alpha: IrrationalSpec, count: int) -> list[Convergent]:
-    """First `count` convergents a_i/q_i via the standard recurrence."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    out = []
-    for c in _convergent_iter(alpha):
-        out.append(c)
-        if len(out) == count:
-            return out
-    raise PrecisionExhausted(
-        f"only {len(out)} convergents certified for {alpha}, wanted {count}"
-    )
+        yield pm1, qm1
 
 
 def dirichlet_approx(theta: FixedReal, K: int) -> tuple[int, int]:
@@ -250,33 +204,19 @@ def dirichlet_approx(theta: FixedReal, K: int) -> tuple[int, int]:
             f"theta carries {theta.scale_bits} bits, need >= {need} for K={K}"
         )
     center = Fraction(theta.mantissa, 1 << theta.scale_bits)
-    best: tuple[int, int] | None = None
-    pm1, pm2, qm1, qm2 = 1, 0, 0, 1
-    for a in cf_interval_iter(center, center):
-        pm1, pm2 = a * pm1 + pm2, pm1
-        qm1, qm2 = a * qm1 + qm2, qm1
-        if qm1 > K:
-            assert best is not None
-            return best
-        best = (pm1, qm1)
-    # terminated rational expansion with q <= K: theta = a/q exactly
-    assert best is not None
+    convergents = _convergent_iter(cf_interval_iter(center, center))
+    best = next(convergents)  # q_0 = 1 <= K
+    for p, q in convergents:
+        if q > K:
+            break
+        best = (p, q)
     return best
 
 
-@dataclass(frozen=True)
-class TypeEstimate:
-    """Empirical irrationality-type statistic from denominator growth."""
+def estimate_type(alpha: IrrationalSpec, q_max: int) -> float:
+    """Estimate tau_hat of the irrationality type from convergent denominator growth.
 
-    tau_hat: float
-    samples: list[tuple[int, int, float]] = field(default_factory=list)
-    q_max: int = 0
-
-
-def estimate_type(alpha: IrrationalSpec, q_max: int) -> TypeEstimate:
-    """Estimate the irrationality type from convergent denominator growth.
-
-    Records log q_{i+1} / log q_i for consecutive denominators up to q_max.
+    Takes log q_{i+1} / log q_i for consecutive denominators up to q_max.
     Since ||q_i alpha|| is comparable to 1/q_{i+1}, the limsup of these
     ratios is the type; the estimate takes the max over the pairs whose
     larger denominator falls in the top decade below q_max (small
@@ -284,17 +224,15 @@ def estimate_type(alpha: IrrationalSpec, q_max: int) -> TypeEstimate:
     """
     if q_max < 10:
         raise ValueError("q_max must be >= 10")
-    samples: list[tuple[int, int, float]] = []
+    ratios: list[tuple[int, float]] = []  # (q_{i+1}, log q_{i+1} / log q_i)
     prev_q = None
-    for c in _convergent_iter(alpha):
-        if c.q > q_max:
+    for _, q in _convergent_iter(alpha.quotient_iter()):
+        if q > q_max:
             break
         if prev_q is not None and prev_q >= 2:
-            samples.append((prev_q, c.q, math.log(c.q) / math.log(prev_q)))
-        prev_q = c.q
-    if not samples:
-        return TypeEstimate(1.0, [], q_max)
-    tail = [r for (qi, qn, r) in samples if qn > q_max // 10]
-    if not tail:
-        tail = [samples[-1][2]]
-    return TypeEstimate(max(1.0, max(tail)), samples, q_max)
+            ratios.append((q, math.log(q) / math.log(prev_q)))
+        prev_q = q
+    if not ratios:
+        return 1.0
+    tail = [r for q, r in ratios if q > q_max // 10] or [ratios[-1][1]]
+    return max(1.0, max(tail))

@@ -1,7 +1,7 @@
 """Command-line driver wiring the modules into reproducible experiments.
 
 Subcommands: count | fit-exponent | expsum-sweep | discrepancy |
-smoothing-check | selftest. Every CSV row echoes the parameters needed to
+smoothing-check. Every CSV row echoes the parameters needed to
 reproduce it; identical config + seed give byte-identical output.
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 budget/precision
 exhaustion.
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import beatty, cfrac, discrepancy, expsums, kfree, smoothing
+from . import beatty, cfrac, discrepancy, expsums, smoothing
 from .errors import DegenerateFit, MemoryBudgetExceeded, PrecisionExhausted
 from .fixed import FixedReal
 
@@ -99,7 +99,7 @@ def _mib_to_bytes(text: str) -> int:
 
 # Every flag of the CLI; each subcommand adds the ones its handler reads.
 _FLAGS = {
-    "alpha": dict(default="quad:1,5,2", help="quad:p,d,q | cf:a0,a1,... | dec:digits:bits"),
+    "alpha": dict(default="quad:1,5,2", help=cfrac.ALPHA_FORMS),
     "beta": dict(default="0", help="exact rational, e.g. 0, 1/2, -0.7"),
     "k": dict(type=_k_value, default=2),
     "grid": dict(default="1000:1000000:10", help="geometric grid start:stop:ratio"),
@@ -122,7 +122,7 @@ _FLAGS = {
 def _count_rows(args):
     spec = cfrac.parse_irrational(args.alpha)
     params = beatty.BeattyParams(spec, beatty.parse_beta(args.beta), args.precision_bits)
-    tau = cfrac.estimate_type(spec, 10**6).tau_hat
+    tau = cfrac.estimate_type(spec, 10**6)
     exp_bound = max(args.k / (2.0 * args.k - 1.0), 1.0 - 1.0 / (tau + 1.0))
     rows = []
     for x in parse_grid(args.grid):
@@ -251,7 +251,7 @@ _DISC_HEADER = [
 def cmd_discrepancy(args) -> int:
     spec = cfrac.parse_irrational(args.alpha)
     beta = beatty.parse_beta(args.beta)
-    tau = cfrac.estimate_type(spec, 10**6).tau_hat
+    tau = cfrac.estimate_type(spec, 10**6)
     slope, per_M = discrepancy.decay_fit(spec, beta, parse_grid(args.grid), args.precision_bits)
     rows = [
         ["discrepancy", args.alpha, args.beta, args.precision_bits, args.seed,
@@ -356,108 +356,6 @@ def cmd_smoothing_check(args) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK
 
 
-def _selftest_checks(seed: int, bits: int):
-    rng = np.random.default_rng(seed)
-
-    def mobius_identity():
-        for k in (2, 3):
-            ind = kfree.kfree_indicator_moebius_range(20000, k)[1:]
-            flags = kfree.sieve_kfree(k, 1, 20000).flags.astype(np.int64)
-            if not np.array_equal(ind, flags):
-                return False
-        return True
-
-    def hyperbola_identity():
-        for _ in range(10):
-            x = int(rng.integers(50, 500))
-            h = int(rng.integers(1, 10))
-            k = int(rng.integers(2, 4))
-            theta = FixedReal.from_fraction(
-                Fraction(int(rng.integers(1, 1 << 30)), 1 << 30), bits
-            )
-            y = float(rng.uniform(1.0, x))
-            naive = expsums.double_kfree_sum_naive(theta, h, x, k)
-            split = expsums.double_kfree_sum_hyperbola(theta, h, x, k, y)
-            if abs(split.combined() - naive) > 1e-6:
-                return False
-        return True
-
-    def membership_criterion():
-        for spec, b in ((cfrac.PHI, Fraction(0)), (cfrac.SQRT2, Fraction(1, 2))):
-            p = beatty.BeattyParams(spec, b, bits)
-            top = 20000
-            flags = beatty.member_flags_block(p, 1, top)
-            enum = np.zeros(top + 1, dtype=bool)
-            n = 1
-            while True:
-                t = beatty.beatty_term(p, n)
-                if t > top:
-                    break
-                if t >= 1:
-                    enum[t] = True
-                n += 1
-            if not np.array_equal(flags, enum[1:]):
-                return False
-        return True
-
-    def smoothing_coefficients():
-        p = beatty.BeattyParams(cfrac.PHI, 0, bits)
-        delta = 1.0 / 32.0
-        ind = smoothing.build_smoothed(p.gamma, delta, 32)
-        quad = _simpson_coefficient(p.gamma.to_float(), delta, 32)
-        return float(np.max(np.abs(ind.coeffs[1:] - quad))) <= 1e-8
-
-    def discrepancy_oracle():
-        for trial in range(5):
-            m = int(rng.integers(5, 300))
-            pts = rng.random(m)
-            if trial == 0:
-                pts = (2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m)
-            ps = discrepancy.PointSet(pts, m)
-            fast = discrepancy.extreme_discrepancy(ps).extreme
-            oracle = discrepancy.extreme_discrepancy_oracle(pts)
-            if fast != oracle:
-                return False
-        return True
-
-    def counting_sanity():
-        by_moebius = kfree.count_kfree(10**6, 2)[0]
-        by_sieve = kfree.sieve_kfree(2, 1, 10**6).count()
-        # floor-sum Beatty count against sieving the enumerated terms
-        p = beatty.BeattyParams(cfrac.PHI, 0, bits)
-        terms = beatty.beatty_terms_block(p, 1, 10**5)
-        flags = kfree.sieve_kfree(2, int(terms[0]), int(terms[-1])).flags
-        streamed = int(np.count_nonzero(flags[terms - terms[0]]))
-        by_floor_sums = beatty.count_kfree_beatty(p, 10**5, 2)[0]
-        return by_moebius == by_sieve == 607926 and by_floor_sums == streamed
-
-    return [
-        ("mobius_identity", mobius_identity),
-        ("hyperbola_identity", hyperbola_identity),
-        ("membership_criterion", membership_criterion),
-        ("smoothing_coefficients", smoothing_coefficients),
-        ("discrepancy_oracle", discrepancy_oracle),
-        ("counting_sanity", counting_sanity),
-    ]
-
-
-def cmd_selftest(args) -> int:
-    first_failure = None
-    for name, check in _selftest_checks(args.seed, args.precision_bits):
-        try:
-            ok = check()
-        except Exception as e:  # a crash is a failure, not an abort
-            ok = False
-            print(f"ERROR {name}: {e}", file=sys.stderr)
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok and first_failure is None:
-            first_failure = name
-    if first_failure is not None:
-        print(f"selftest failed: {first_failure}", file=sys.stderr)
-        return EXIT_CHECK
-    return EXIT_OK
-
-
 _COUNT_FLAGS = ("alpha", "beta", "k", "grid", "eps", "seed", "precision-bits",
                 "memory-budget", "out", "timings")
 
@@ -473,7 +371,6 @@ _SUBCOMMANDS = (
     ("smoothing-check", "smoothed-indicator verification", cmd_smoothing_check,
      ("alpha", "beta", "k", "delta-multiplier", "precision-bits", "memory-budget", "out",
       "x", "J")),
-    ("selftest", "run the cross-module oracle suite", cmd_selftest, ("seed", "precision-bits")),
 )
 
 

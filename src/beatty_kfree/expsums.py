@@ -113,7 +113,7 @@ def double_kfree_sum_naive(
     """Direct double sum over h <= H and sieved k-free n <= x."""
     if H < 1 or x < 1:
         return 0j
-    flags = sieve_kfree(k, 1, x, memory_bytes).flags
+    flags = sieve_kfree(k, 1, x, memory_bytes)
     ns = (np.nonzero(flags)[0] + 1).astype(np.uint64)
     return _power_sum(theta.mantissa % (1 << theta.scale_bits), theta.scale_bits, ns, H)
 
@@ -155,7 +155,7 @@ def double_kfree_sum_hyperbola(
     t = theta.mantissa % one
 
     m_top = iroot(x, k)
-    mu = sieve_moebius(1, max(m_top, 1), memory_bytes).mu
+    mu = sieve_moebius(1, max(m_top, 1), memory_bytes)
     ma = iroot(int(y), k)
     lc = int(math.floor(x / y))
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -98,19 +97,10 @@ def _single_hits(q: np.ndarray, lo: int, n: int) -> tuple[np.ndarray, np.ndarray
     return idx[idx < n], q[idx < n]
 
 
-@dataclass(frozen=True)
-class MoebiusTable:
-    lo: int
-    hi: int
-    mu: np.ndarray  # int8 values in {-1, 0, +1}
-
-    def mu_of(self, n: int) -> int:
-        return int(self.mu[n - self.lo])
-
-
-def sieve_moebius(lo: int, hi: int, memory_bytes: int = DEFAULT_MEMORY_BYTES) -> MoebiusTable:
-    """Exact Moebius values on [lo, hi] by a segmented residual-factor sieve.
-    Primes above the window length hit one entry at most: one numpy pass."""
+def sieve_moebius(lo: int, hi: int, memory_bytes: int = DEFAULT_MEMORY_BYTES) -> np.ndarray:
+    """int8 array of the Moebius values mu(n), n = lo..hi (entry i is mu(lo + i)),
+    by a segmented residual-factor sieve. Primes above the window length hit
+    one entry at most: one numpy pass."""
     top = math.isqrt(hi)
     n = _check_window(lo, hi, 9, top, memory_bytes)
     mu = np.ones(n, dtype=np.int8)
@@ -130,26 +120,13 @@ def sieve_moebius(lo: int, hi: int, memory_bytes: int = DEFAULT_MEMORY_BYTES) ->
     mu[_single_hits(big * big, lo, n)[0]] = 0
     rest = val > 1  # one prime factor above sqrt(hi) remains
     mu[rest] = -mu[rest]
-    return MoebiusTable(lo, hi, mu)
+    return mu
 
 
-@dataclass(frozen=True)
-class KFreeTable:
-    k: int
-    lo: int
-    hi: int
-    flags: np.ndarray  # bool, True iff n is k-free
-
-    def is_kfree(self, n: int) -> bool:
-        return bool(self.flags[n - self.lo])
-
-    def count(self) -> int:
-        return int(np.count_nonzero(self.flags))
-
-
-def sieve_kfree(k: int, lo: int, hi: int, memory_bytes: int = DEFAULT_MEMORY_BYTES) -> KFreeTable:
-    """Flags for [lo, hi]: n is k-free iff no prime power p**k divides n.
-    The p**k above the window length hit one entry at most: one numpy pass."""
+def sieve_kfree(k: int, lo: int, hi: int, memory_bytes: int = DEFAULT_MEMORY_BYTES) -> np.ndarray:
+    """bool array over n = lo..hi (entry i is lo + i), True iff no prime power
+    p**k divides n. The p**k above the window length hit one entry at most:
+    one numpy pass."""
     if k < 2:
         raise ValueError("k must be >= 2")
     top = iroot(hi, k)
@@ -161,7 +138,7 @@ def sieve_kfree(k: int, lo: int, hi: int, memory_bytes: int = DEFAULT_MEMORY_BYT
         start = ((lo + pk - 1) // pk) * pk - lo
         flags[start::pk] = False
     flags[_single_hits(pks[small:], lo, n)[0]] = False
-    return KFreeTable(k, lo, hi, flags)
+    return flags
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +180,7 @@ def count_kfree(x: int, k: int,
         raise ValueError("x exceeds the 2**62 counting guard")
     if x < 1:
         return 0, 0.0, 0.0
-    mu = sieve_moebius(1, iroot(x, k), memory_bytes).mu
+    mu = sieve_moebius(1, iroot(x, k), memory_bytes)
     # each part sums to at most zeta(k) * x < 2**63 under the 2**62 guard
     pos = neg = 0
     for lo in range(0, len(mu), _MOEBIUS_CHUNK):
@@ -215,16 +192,3 @@ def count_kfree(x: int, k: int,
     count = pos - neg
     main = x / zeta(k)
     return count, main, count - main
-
-
-def kfree_indicator_moebius_range(N: int, k: int) -> np.ndarray:
-    """Vector of the Moebius indicator sums for n = 1..N (index 0 unused)."""
-    if N < 1 or k < 2:
-        raise ValueError("need N >= 1, k >= 2")
-    r = iroot(N, k)
-    mu = sieve_moebius(1, max(r, 1)).mu
-    out = np.zeros(N + 1, dtype=np.int64)
-    for d in range(1, r + 1):
-        if mu[d - 1]:
-            out[d**k :: d**k] += int(mu[d - 1])
-    return out

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,12 +38,6 @@ class SmoothedIndicator:
         return 1.0 / (math.pi**2 * self.J * self.delta_param)
 
 
-def _as_fixed_gamma(gamma) -> FixedReal:
-    if isinstance(gamma, FixedReal):
-        return gamma
-    return FixedReal.from_fraction(Fraction(gamma), 128)
-
-
 def default_delta(x: int, k: int, multiplier: float = 1.0) -> float:
     """Smoothing width x**(-(k-1)/(2k-1)) scaled by a configurable multiplier."""
     return multiplier * float(x) ** (-(k - 1) / (2.0 * k - 1.0))
@@ -55,10 +48,9 @@ def default_truncation(delta: float, tail_target: float = 0.01) -> int:
     return max(1, math.ceil(1.0 / (math.pi**2 * delta * tail_target)))
 
 
-def build_smoothed(gamma, delta_param: float, J: int) -> SmoothedIndicator:
+def build_smoothed(gamma: FixedReal, delta_param: float, J: int) -> SmoothedIndicator:
     """Closed-form Fourier coefficients of the trapezoid for |j| <= J."""
-    g = _as_fixed_gamma(gamma)
-    gf = g.to_float()
+    gf = gamma.to_float()
     if not 0.0 < gf < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     if not (0.0 < delta_param < 0.125 and delta_param <= min(gf, 1.0 - gf) / 2.0):
@@ -73,7 +65,7 @@ def build_smoothed(gamma, delta_param: float, J: int) -> SmoothedIndicator:
     if J >= 1:
         j = np.arange(1, J + 1, dtype=np.uint64)
         # j*gamma mod 2, reduced exactly from the mantissa of gamma
-        u = 2.0 * frac_vector(g.mantissa, g.scale_bits + 1, j)
+        u = 2.0 * frac_vector(gamma.mantissa, gamma.scale_bits + 1, j)
         near = np.rint(u)
         s = u - near
         sign = 1.0 - 2.0 * (near.astype(np.int64) & 1)
@@ -84,7 +76,7 @@ def build_smoothed(gamma, delta_param: float, J: int) -> SmoothedIndicator:
         kernel = np.sin(kern_arg) / (2.0 * math.pi * jf * delta_param)
         mag = sin_g / (math.pi * jf) * kernel
         coeffs[1:] = (cos_g - 1j * sin_g) * mag
-    return SmoothedIndicator(g, delta_param, J, coeffs)
+    return SmoothedIndicator(gamma, delta_param, J, coeffs)
 
 
 def coefficient_bound(j, delta: float):
@@ -167,7 +159,7 @@ def smoothed_beatty_count(
         m1 = min(M, m0 + _BLOCK - 1)
         m = np.arange(m1 - m0 + 1, dtype=np.uint64)
         offset = g * m0 + lv.delta.mantissa
-        kf_block = sieve_kfree(k, m0, m1, memory_bytes).flags
+        kf_block = sieve_kfree(k, m0, m1, memory_bytes)
         for t0 in range(0, len(m), TILE):
             f = frac_vector(g, lv.bits, m[t0:t0 + TILE], offset_mantissa=offset)
             kf = kf_block[t0:t0 + TILE]

@@ -7,9 +7,33 @@ import pytest
 from beatty_kfree import beatty, cfrac, cli, smoothing
 
 
-def test_selftest_passes(capsys):
-    assert cli.main(["selftest"]) == cli.EXIT_OK
-    assert "FAIL" not in capsys.readouterr().out
+def test_help_lists_the_experiment_subcommands(capsys):
+    assert cli.main(["--help"]) == cli.EXIT_OK
+    listed = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
+    assert listed.split(",") == ["count", "fit-exponent", "expsum-sweep", "discrepancy",
+                                 "smoothing-check"]
+
+
+def test_selftest_is_a_usage_error(capsys):
+    assert cli.main(["selftest"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "selftest" in err
+
+
+@pytest.mark.parametrize("flag, value, says", [
+    ("alpha", "quad:1,5", cfrac.ALPHA_FORMS),
+    ("alpha", "dec:3.14", cfrac.ALPHA_FORMS),
+    ("alpha", "cf:", cfrac.ALPHA_FORMS),
+    ("alpha", "quad:1,4,1", "d = 4 is not a positive non-square"),
+    ("alpha", "cf:0,1", "is not certified > 1"),
+    ("alpha", "dec:1/0:40", "are not a decimal number"),
+    ("beta", "abc", "is not an exact rational"),
+    ("beta", "1/0", "is not an exact rational"),
+])
+def test_a_malformed_alpha_or_beta_names_the_flag_and_the_input(flag, value, says, capsys):
+    assert cli.main(["count", "--grid", "100:100:10", f"--{flag}={value}"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{flag} {value!r}" in err and says in err
 
 
 def test_count_refuses_an_uncertified_alpha(capsys):
@@ -176,7 +200,7 @@ def test_threads_is_a_usage_error(capsys):
     ["expsum-sweep", "--trials", "1", "--alpha", "quad:0,2,1"],
     ["discrepancy", "--grid", "100:100:10", "--k", "3"],
     ["smoothing-check", "--x", "100", "--grid", "100:100:10"],
-    ["selftest", "--out", "selftest.csv"],
+    ["fit-exponent", "--grid", "100:100000:10", "--x", "100"],
     ["count", "--grid", "100:100:10", "--delta-multiplier", "2"],
 ])
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):

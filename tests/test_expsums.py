@@ -240,7 +240,7 @@ def mobius_exp_sum(theta: FixedReal, X: int, k: int) -> complex:
     """sum over m**k <= X of mu(m) * e(theta * m**k): the Moebius-weighted
     power-sum kernel of sums B and C at H = 1."""
     r = iroot(X, k)
-    mu = sieve_moebius(1, r).mu[:r]
+    mu = sieve_moebius(1, r)[:r]
     nz = np.nonzero(mu)[0]
     mk = (nz.astype(np.uint64) + 1) ** k
     bits = theta.scale_bits
@@ -272,7 +272,7 @@ class TestMobiusExpSum:
 
 def per_h_naive(theta: FixedReal, H: int, x: int, k: int) -> complex:
     """Oracle: one exact angle reduction per (h, n), summed per h."""
-    ns = (np.nonzero(sieve_kfree(k, 1, x).flags)[0] + 1).astype(np.uint64)
+    ns = (np.nonzero(sieve_kfree(k, 1, x))[0] + 1).astype(np.uint64)
     one = 1 << theta.scale_bits
     t = theta.mantissa % one
     parts = []
@@ -367,7 +367,7 @@ class TestPowerSumKernel:
         # 303,968 squarefree n <= 5*10**5 fill more than one kernel tile; the
         # gap bounds the drift of z**h over h <= 30
         x, H = 5 * 10**5, 30
-        assert sieve_kfree(2, 1, x).count() > TILE
+        assert np.count_nonzero(sieve_kfree(2, 1, x)) > TILE
         theta = to_fixed(PHI, 192).mul_int(17)
         a, q = dirichlet_approx(theta, x)
         rep = double_sum_bound_check(ThetaApprox(theta, a, q), H, x, 2)
@@ -397,7 +397,7 @@ class TestPowerSumStructure:
 
     def test_naive_reduces_once_per_chunk(self, calls):
         x = 5 * 10**5
-        tiles = math.ceil(sieve_kfree(2, 1, x).count() / TILE)
+        tiles = math.ceil(np.count_nonzero(sieve_kfree(2, 1, x)) / TILE)
         for H in (1, 30):
             calls[0] = 0
             double_kfree_sum_naive(to_fixed(PHI, 192), H, x, 2)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -53,10 +54,10 @@ class TestFrac:
     def test_decisions_stable_under_precision_doubling(self, rng):
         # random multipliers plus convergent denominators (worst cases where
         # ||q*alpha|| is tiny) must give identical floors at B and 2B bits
-        from beatty_kfree.cfrac import SQRT2, SQRT3, convergents
+        from beatty_kfree.cfrac import SQRT2, SQRT3, _convergent_iter
 
         for alpha in (PHI, SQRT2, SQRT3):
-            qs = [c.q for c in convergents(alpha, 25)]
+            qs = [q for _, q in islice(_convergent_iter(alpha.quotient_iter()), 25)]
             ms = list(rng.integers(1, 10**9, size=3000)) + qs
             a_lo = to_fixed(alpha, 128)
             a_hi = to_fixed(alpha, 256)

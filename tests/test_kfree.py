@@ -11,7 +11,6 @@ from beatty_kfree.kfree import (
     floor_sum,
     group_offsets,
     iroot,
-    kfree_indicator_moebius_range,
     sieve_kfree,
     sieve_moebius,
     zeta,
@@ -61,20 +60,20 @@ def exponents_by_trial(n: int, odd: np.ndarray) -> list[int]:
 
 class TestMoebius:
     def test_small_values(self):
-        t = sieve_moebius(1, 10)
-        assert [t.mu_of(n) for n in (1, 2, 3, 4, 6)] == [1, -1, -1, 0, 1]
+        mu = sieve_moebius(1, 10)
+        assert [mu[n - 1] for n in (1, 2, 3, 4, 6)] == [1, -1, -1, 0, 1]
 
     def test_mertens_1e4_against_trial_factorization(self):
-        t = sieve_moebius(1, 10**4)
+        mu = sieve_moebius(1, 10**4)
         oracle = sum(mu_by_trial_factorization(n) for n in range(1, 10**4 + 1))
         assert oracle == -23
-        assert int(np.sum(t.mu, dtype=np.int64)) == -23
+        assert int(np.sum(mu, dtype=np.int64)) == -23
 
     def test_segment_matches_monolithic(self):
         lo, hi = 10**6, 10**6 + 10**4
         seg = sieve_moebius(lo, hi)
         mono = sieve_moebius(1, hi)
-        assert np.array_equal(seg.mu, mono.mu[lo - 1 :])
+        assert np.array_equal(seg, mono[lo - 1 :])
 
     def test_random_windows_match(self, rng):
         for _ in range(5):
@@ -82,7 +81,7 @@ class TestMoebius:
             hi = lo + int(rng.integers(0, 3000))
             seg = sieve_moebius(lo, hi)
             mono = sieve_moebius(1, hi)
-            assert np.array_equal(seg.mu, mono.mu[lo - 1 :])
+            assert np.array_equal(seg, mono[lo - 1 :])
 
     def test_multiplicative_on_coprime_pairs(self, rng):
         # mu(m*n) evaluated from the merged factorizations (an independent
@@ -114,7 +113,7 @@ class TestMoebius:
             count += 1
             exps = exponents(m) + exponents(n)
             mu_prod = 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
-            assert mu_prod == small.mu_of(m) * small.mu_of(n)
+            assert mu_prod == small[m - 1] * small[n - 1]
 
     def test_memory_budget(self):
         with pytest.raises(MemoryBudgetExceeded):
@@ -123,18 +122,18 @@ class TestMoebius:
 
 class TestKFreeSieve:
     def test_squarefree_first_ten(self):
-        t = sieve_kfree(2, 1, 10)
-        got = {n for n in range(1, 11) if t.is_kfree(n)}
+        flags = sieve_kfree(2, 1, 10)
+        got = {n for n in range(1, 11) if flags[n - 1]}
         assert got == {1, 2, 3, 5, 6, 7, 10}
-        assert t.count() == 7
+        assert np.count_nonzero(flags) == 7
 
     def test_cubefree_first_ten(self):
-        t = sieve_kfree(3, 1, 10)
-        assert {n for n in range(1, 11) if not t.is_kfree(n)} == {8}
-        assert t.count() == 9
+        flags = sieve_kfree(3, 1, 10)
+        assert {n for n in range(1, 11) if not flags[n - 1]} == {8}
+        assert np.count_nonzero(flags) == 9
 
     def test_four_not_squarefree(self):
-        assert not sieve_kfree(2, 1, 10).is_kfree(4)
+        assert not sieve_kfree(2, 1, 10)[4 - 1]
 
     def test_brute_force_window(self, rng):
         def kfree_brute(n, k):
@@ -142,9 +141,9 @@ class TestKFreeSieve:
 
         for k in (2, 3, 4):
             lo = int(rng.integers(1, 10**4))
-            t = sieve_kfree(k, lo, lo + 500)
+            flags = sieve_kfree(k, lo, lo + 500)
             for n in range(lo, lo + 501):
-                assert t.is_kfree(n) == kfree_brute(n, k)
+                assert flags[n - lo] == kfree_brute(n, k)
 
 
 class TestFarWindows:
@@ -158,9 +157,9 @@ class TestFarWindows:
         odd = odd_primes_upto(math.isqrt(hi))
         exps = [exponents_by_trial(n, odd) for n in range(lo, hi + 1)]
         mu = [0 if max(es, default=0) > 1 else (-1) ** len(es) for es in exps]
-        assert sieve_moebius(lo, hi).mu.tolist() == mu
+        assert sieve_moebius(lo, hi).tolist() == mu
         for k in (2, 3):
-            assert sieve_kfree(k, lo, hi).flags.tolist() == [max(es, default=0) < k for es in exps]
+            assert sieve_kfree(k, lo, hi).tolist() == [max(es, default=0) < k for es in exps]
 
     def test_prime_table_counts_against_the_budget(self):
         lo, hi = 10**12, 10**12 + 99
@@ -199,13 +198,13 @@ class TestCountKFree:
 
     def test_million_both_methods_and_stored_value(self):
         assert count_kfree(10**6, 2)[0] == 607926
-        assert sieve_kfree(2, 1, 10**6).count() == 607926
+        assert np.count_nonzero(sieve_kfree(2, 1, 10**6)) == 607926
 
     def test_methods_agree_random(self, rng):
         for _ in range(8):
             x = int(rng.integers(1, 10**5))
             k = int(rng.integers(2, 5))
-            assert count_kfree(x, k)[0] == sieve_kfree(k, 1, x).count()
+            assert count_kfree(x, k)[0] == np.count_nonzero(sieve_kfree(k, 1, x))
 
     def test_moebius_values_at_benchmark_sizes(self):
         assert count_kfree(10**12, 2)[0] == 607927102274
@@ -215,7 +214,7 @@ class TestCountKFree:
         # chunked uint64 parts against the plain Python-int sum, over several
         # chunks of d and with quotients up to the 2**62 guard
         for x, k in ((2**62, 3), (2**62 - 1, 4), (10**11 + 3, 2)):
-            mu = sieve_moebius(1, iroot(x, k)).mu
+            mu = sieve_moebius(1, iroot(x, k))
             loop = sum(int(m) * (x // d**k) for d, m in enumerate(mu.tolist(), 1) if m)
             assert count_kfree(x, k)[0] == loop
 
@@ -249,14 +248,6 @@ class TestZeta:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             zeta(1)
-
-
-class TestIndicator:
-    def test_identity_against_sieve_flags(self):
-        for k in (2, 3, 4):
-            vec = kfree_indicator_moebius_range(10**4, k)[1:]
-            flags = sieve_kfree(k, 1, 10**4).flags.astype(np.int64)
-            assert np.array_equal(vec, flags)
 
 
 class TestIroot:

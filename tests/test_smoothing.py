@@ -8,6 +8,7 @@ from beatty_kfree import beatty, smoothing
 from beatty_kfree.beatty import BeattyParams, count_kfree_beatty
 from beatty_kfree.cfrac import PHI, SQRT2, parse_irrational
 from beatty_kfree.errors import InvalidDelta
+from beatty_kfree.fixed import FixedReal
 from beatty_kfree.smoothing import (
     build_smoothed,
     coefficient_bound,
@@ -133,7 +134,7 @@ class TestDeltaValidation:
             build_smoothed(golden.gamma, 0.2, 8)
 
     def test_delta_exceeding_gamma_margin(self):
-        g = Fraction(1, 20)
+        g = FixedReal.from_fraction(Fraction(1, 20), 128)
         with pytest.raises(InvalidDelta):
             build_smoothed(g, 0.04, 8)
 
