@@ -26,14 +26,20 @@ EXIT_OK, EXIT_CHECK, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
 
 def parse_grid(spec: str) -> list[int]:
-    """Geometric integer grid from 'start:stop:ratio' (empty when start > stop)."""
+    """Geometric integer grid from --grid 'start:stop:ratio' (empty when
+    start > stop). A start below 1 would never grow and a non-finite limit
+    would never be passed or rounded, so both are rejected."""
     try:
         start_s, stop_s, ratio_s = spec.split(":")
         start, stop, ratio = float(start_s), float(stop_s), float(ratio_s)
     except ValueError as e:
-        raise ValueError(f"bad grid spec {spec!r}; expected start:stop:ratio") from e
-    if ratio <= 1.0:
-        raise ValueError("grid ratio must exceed 1")
+        raise ValueError(f"bad --grid {spec!r}; expected start:stop:ratio") from e
+    if not (math.isfinite(start) and start >= 1.0):
+        raise ValueError(f"bad --grid {spec!r}: start must be finite and >= 1, got {start_s}")
+    if not math.isfinite(stop):
+        raise ValueError(f"bad --grid {spec!r}: stop must be finite, got {stop_s}")
+    if not ratio > 1.0:
+        raise ValueError(f"bad --grid {spec!r}: ratio must exceed 1, got {ratio_s}")
     out: list[int] = []
     v = start
     while v <= stop * (1.0 + 1e-12):
@@ -79,11 +85,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _k_value(text: str) -> int:
-    k = int(text)
-    if k < 2:
-        raise argparse.ArgumentTypeError(f"k must be >= 2, got {k}")
-    return k
+def _int_at_least(low: int):
+    """argparse type for an integer flag whose error names the lower limit."""
+    def parse(text: str) -> int:
+        v = int(text)
+        if v < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {v}")
+        return v
+    parse.__name__ = "int"  # argparse says "invalid int value" for a non-integer
+    return parse
 
 
 def _eps_value(text: str) -> float:
@@ -97,11 +107,13 @@ def _mib_to_bytes(text: str) -> int:
     return int(text) << 20
 
 
+_SWEEP_X_MIN = 200  # expsum-sweep draws x from [_SWEEP_X_MIN, --x-max]
+
 # Every flag of the CLI; each subcommand adds the ones its handler reads.
 _FLAGS = {
     "alpha": dict(default="quad:1,5,2", help=cfrac.ALPHA_FORMS),
     "beta": dict(default="0", help="exact rational, e.g. 0, 1/2, -0.7"),
-    "k": dict(type=_k_value, default=2),
+    "k": dict(type=_int_at_least(2), default=2),
     "grid": dict(default="1000:1000000:10", help="geometric grid start:stop:ratio"),
     "eps": dict(type=_eps_value, default=0.05),
     "delta-multiplier": dict(type=float, default=1.0),
@@ -111,10 +123,10 @@ _FLAGS = {
                           metavar="MIB", help="MiB for sieve windows"),
     "out": dict(default=None, help="CSV output path (default stdout)"),
     "timings": dict(action="store_true", help="fill the wall_ms column (breaks byte reproducibility)"),
-    "trials": dict(type=int, default=100),
-    "x-max": dict(type=int, default=100000),
-    "h-max": dict(type=int, default=30),
-    "x": dict(type=int, default=10000),
+    "trials": dict(type=_int_at_least(1), default=100),
+    "x-max": dict(type=_int_at_least(_SWEEP_X_MIN), default=100000),
+    "h-max": dict(type=_int_at_least(1), default=30),
+    "x": dict(type=_int_at_least(1), default=10000),
     "J": dict(type=int, default=None),
 }
 
@@ -211,7 +223,7 @@ def cmd_expsum_sweep(args) -> int:
     max_ratio = 0.0
     worst_gap = 0.0
     for trial in range(args.trials):
-        x = int(rng.integers(200, args.x_max + 1))
+        x = int(rng.integers(_SWEEP_X_MIN, args.x_max + 1))
         h = int(rng.integers(1, args.h_max + 1))
         t0 = time.perf_counter()
         theta, kind = _sweep_theta(rng, trial, x, args.precision_bits)

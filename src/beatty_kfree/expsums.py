@@ -7,13 +7,14 @@ indicator. In the split, sum A takes its long inner sums over l in closed
 geometric form, all (h, m) pairs in one vectorised linear_exp_sum call;
 sums B and C are direct Moebius-weighted sums over their pairs (l, m),
 n = l*m**k <= x. Every direct sum goes through one power-sum
-kernel: the angle of each n is reduced exactly from the fixed-point
-mantissa of theta once, and e(theta*h*n) for h = 1..H follows by complex
-multiplication. Each path sums its partials exactly rounded
-(complex_fsum), so the two agree to within the float64 error of the
-partials themselves. Because the naive sum and sums B and C share the
-kernel, their agreement checks the split, not the kernel; the kernel is
-checked against one exact reduction per (h, n) in the tests.
+kernel: e(theta*n) is the product of two entries of twiddle tables of about
+sqrt(max n) entries each, built once per call by exact reductions of the
+fixed-point mantissa of theta, so it is within a few ulp of the value; and
+e(theta*h*n) for h = 1..H follows by complex multiplication. Each path sums
+its partials exactly rounded (complex_fsum), so the two agree to within the
+float64 error of the partials themselves. Because the naive sum and sums B
+and C share the kernel, their agreement checks the split, not the kernel;
+the kernel is checked against one exact reduction per (h, n) in the tests.
 """
 from __future__ import annotations
 
@@ -41,22 +42,49 @@ def complex_fsum(parts) -> complex:
     return complex(math.fsum(z.real), math.fsum(z.imag))
 
 
+def _unit_circle(t: int, bits: int, ns: np.ndarray) -> np.ndarray:
+    """e(t * ns_j / 2**bits) per entry: one exact reduction, the angle centred
+    in [-1/2, 1/2) turns so that its float error is relative to its size and
+    not to a whole turn, then one cos and one sin."""
+    f = frac_vector(t, bits, ns)
+    ang = TWO_PI * (f - np.rint(f))
+    z = np.empty(len(ang), dtype=np.complex128)
+    z.real = np.cos(ang)
+    z.imag = np.sin(ang)
+    return z
+
+
 def _power_sum(t: int, bits: int, ns: np.ndarray, H: int,
                w: np.ndarray | None = None) -> complex:
     """sum_{h=1..H} sum_j w_j * e(h * t * ns_j / 2**bits), w_j = 1 by default.
 
-    Per tile of TILE ns: one exact reduction z_j = e(t*ns_j / 2**bits), then
-    w_j * z_j**h by one complex multiply per h and one pairwise sum per h.
-    The angle is centred in [-1/2, 1/2] turns first, so its float error is
-    relative to its size and not to a whole turn; z_j**h multiplies it by h.
+    Each n splits as n = a * 2**s + b, b < 2**s, with s half the bit length
+    of max(ns) rounded up, and e(theta*n) = e(theta*b) * e(theta*a*2**s).
+    Two twiddle tables, lo[b] = e(theta*b) for b < 2**s and hi[a] =
+    e(theta*a*2**s) for a <= max(ns) >> s, are built once per call by
+    _unit_circle: about 2*sqrt(max(ns)) reductions and cos/sin pairs in all,
+    in place of one per element. Per tile of TILE ns, z_j = lo[b_j] * hi[a_j]
+    is two gathers and one complex product; then w_j * z_j**h follows by one
+    complex multiply per h and one pairwise sum per h.
+
+    Each factor is within 2**-54 + 2**-62 turns of its exact angle before the
+    rounding of cos and sin, so z_j is within a few ulp of e(theta*n_j),
+    about twice the error of a direct reduction; z_j**h multiplies it by h.
     """
+    ns = np.asarray(ns, dtype=np.uint64)
+    if not len(ns):
+        return 0j
+    top = int(ns.max())
+    s = (top.bit_length() + 1) // 2
+    mask, shift = np.uint64((1 << s) - 1), np.uint64(s)
+    lo = _unit_circle(t, bits, np.arange(1 << s, dtype=np.uint64))
+    hi = _unit_circle(t, bits, np.arange((top >> s) + 1, dtype=np.uint64) << shift)
     parts = []
     for j0 in range(0, len(ns), TILE):
-        f = frac_vector(t, bits, ns[j0:j0 + TILE])
-        ang = TWO_PI * (f - np.rint(f))
-        z = np.empty(len(ang), dtype=np.complex128)
-        z.real = np.cos(ang)
-        z.imag = np.sin(ang)
+        n = ns[j0:j0 + TILE]
+        # int64 views: numpy gathers by a uint64 index at about twice the cost
+        z = lo[(n & mask).view(np.int64)]
+        z *= hi[(n >> shift).view(np.int64)]
         v = z.copy() if w is None else z * w[j0:j0 + TILE]
         for h in range(1, H + 1):
             parts.append(complex(np.sum(v)))

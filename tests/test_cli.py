@@ -1,5 +1,9 @@
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +216,38 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
 def test_out_of_range_value_names_its_flag(flag, value, capsys):
     assert cli.main(["count", "--grid", "100:100:10", flag, value]) == cli.EXIT_USAGE
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, limit", [
+    (["smoothing-check", "--x", "0"], "--x", ">= 1"),
+    (["expsum-sweep", "--x-max", "100"], "--x-max", ">= 200"),
+    (["expsum-sweep", "--h-max", "0"], "--h-max", ">= 1"),
+    (["expsum-sweep", "--trials", "-3"], "--trials", ">= 1"),
+])
+def test_a_size_below_its_limit_names_the_flag_and_the_limit(argv, flag, limit, capsys):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"argument {flag}: must be {limit}" in capsys.readouterr().err
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, under a timeout, so that a loop that
+    never ends fails the test instead of hanging the suite."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "beatty_kfree.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
+@pytest.mark.parametrize("command", ["count", "discrepancy"])
+@pytest.mark.parametrize("grid, says", [
+    ("0:10:2", "start must be finite and >= 1, got 0"),
+    ("-5:10:2", "start must be finite and >= 1, got -5"),
+    ("inf:1e9:2", "start must be finite and >= 1, got inf"),
+    ("1:inf:2", "stop must be finite, got inf"),
+])
+def test_a_grid_start_below_one_or_an_infinite_limit_is_a_usage_error(command, grid, says):
+    proc = run_module(command, f"--grid={grid}")
+    assert proc.returncode == cli.EXIT_USAGE
+    assert f"--grid {grid!r}: {says}" in proc.stderr
 
 
 @pytest.mark.parametrize("form", ["--config PATH", "--config=PATH"])

@@ -357,6 +357,24 @@ class TestPowerSumKernel:
             assert abs(split.sum_B - b) <= 1e-9
             assert abs(split.sum_C - c) <= 1e-9
 
+    @pytest.mark.parametrize("H", [1, 30])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_kernel_at_the_table_seams(self, rng, H, weighted):
+        # n = a * 2**s + b takes lo[b] and hi[a]; these n sit on both sides
+        # of the split at 2**s and at the ends of both tables
+        top = int(rng.integers(1 << 39, 1 << 40))
+        s = (top.bit_length() + 1) // 2
+        ns = [1, (1 << s) - 1, 1 << s, (1 << s) + 1, int(rng.integers(1, top)), top]
+        w = rng.choice([-1.0, 0.0, 1.0], len(ns)) if weighted else None  # Moebius-style
+        for theta in list(theta_cases(rng)) + [to_fixed(PHI, 192)]:
+            bits = theta.scale_bits
+            th = Fraction(theta.mantissa, 1 << bits)
+            want = complex_fsum((1.0 if w is None else w[j]) * exact_e(th, h * n)
+                                for h in range(1, H + 1) for j, n in enumerate(ns))
+            got = expsums._power_sum(theta.mantissa % (1 << bits), bits,
+                                     np.array(ns, dtype=np.uint64), H, w)
+            assert abs(got - want) <= 1e-9
+
     def test_mobius_sum_weights(self, rng):
         theta = fixed_from(Fraction(int(rng.integers(1, 1 << 40)), 1 << 40))
         th = Fraction(theta.mantissa, 1 << theta.scale_bits)
@@ -388,20 +406,24 @@ def count_calls(monkeypatch, name: str) -> list[int]:
 
 
 class TestPowerSumStructure:
-    """Counts frac_vector and linear_exp_sum calls, so per-h, per-(h, l) or
-    per-(h, m) calls cannot come back unnoticed."""
+    """Counts frac_vector and linear_exp_sum calls, so per-element, per-tile,
+    per-h, per-(h, l) or per-(h, m) calls cannot come back unnoticed: each
+    non-empty kernel call reduces exactly twice, once per twiddle table."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         return count_calls(monkeypatch, "frac_vector")
 
-    def test_naive_reduces_once_per_chunk(self, calls):
-        x = 5 * 10**5
-        tiles = math.ceil(np.count_nonzero(sieve_kfree(2, 1, x)) / TILE)
-        for H in (1, 30):
-            calls[0] = 0
-            double_kfree_sum_naive(to_fixed(PHI, 192), H, x, 2)
-            assert calls[0] == tiles
+    def test_naive_reduces_twice_per_call(self, calls):
+        # x = 5*10**5 fills more than one tile
+        for x in (1000, 5 * 10**5):
+            for H in (1, 30):
+                calls[0] = 0
+                double_kfree_sum_naive(to_fixed(PHI, 192), H, x, 2)
+                assert calls[0] == 2
+        calls[0] = 0
+        assert expsums._power_sum(1, 2, np.array([], dtype=np.uint64), 30) == 0j
+        assert calls[0] == 0
 
     def test_hyperbola_calls_independent_of_h_and_split(self, calls):
         theta = to_fixed(SQRT2, 192)
@@ -412,7 +434,7 @@ class TestPowerSumStructure:
                 calls[0] = 0
                 double_kfree_sum_hyperbola(theta, H, x, 2, x / x_over_y)
                 seen.add(calls[0])
-        assert len(seen) == 1 and seen.pop() <= 2
+        assert seen == {4}  # sums B and C, two table builds each
 
     def test_hyperbola_sums_a_in_one_closed_form_call(self, monkeypatch):
         count = count_calls(monkeypatch, "linear_exp_sum")

@@ -6,9 +6,14 @@ CSV change rewrites the goldens with
 
     PYTHONPATH=src python tests/test_golden_csv.py
 
-and is named in CHANGES.md.
+which prints, per golden, "unchanged" or each changed column with its
+largest absolute and relative change, for the CHANGES.md entry that names it.
 """
+import csv
+import io
+import math
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -39,9 +44,55 @@ def test_csv_and_exit_code_match_golden(name, tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
+def column_changes(old: str, new: str) -> list[str]:
+    """One line per column that differs between two CSV texts with the same
+    header and row count: the cells changed and, for numbers, the largest
+    absolute and relative change."""
+    old_rows, new_rows = (list(csv.reader(io.StringIO(t))) for t in (old, new))
+    if old_rows[:1] != new_rows[:1] or len(old_rows) != len(new_rows):
+        return [f"header or row count changed: {len(old_rows)} -> {len(new_rows)} lines"]
+    lines = []
+    for j, col in enumerate(new_rows[0]):
+        pairs = [(a[j], b[j]) for a, b in zip(old_rows[1:], new_rows[1:]) if a[j] != b[j]]
+        if not pairs:
+            continue
+        try:
+            nums = [(float(a), float(b)) for a, b in pairs]
+        except ValueError:
+            lines.append(f"{col}: {len(pairs)} cells changed")
+            continue
+        max_abs = max(abs(b - a) for a, b in nums)
+        max_rel = max(abs(b - a) / abs(a) if a else math.inf for a, b in nums)
+        lines.append(f"{col}: {len(pairs)} cells, max abs change {max_abs:.3g}, "
+                     f"max rel change {max_rel:.3g}")
+    return lines
+
+
+def test_column_changes_names_each_changed_column():
+    old = "x,lhs,kind\n1,2.0,a\n2,4.0,b\n"
+    assert column_changes(old, old) == []
+    assert column_changes(old, "x,lhs,kind\n1,2.0,a\n2,5.0,c\n") == [
+        "lhs: 1 cells, max abs change 1, max rel change 0.25", "kind: 1 cells changed"]
+    assert column_changes(old, "x,lhs\n1,2.0\n") == [
+        "header or row count changed: 3 -> 2 lines"]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, (argv, code) in CASES.items():
-        got = cli.main([*argv, "--out", str(GOLDEN / f"{name}.csv")])
-        if got != code:
-            print(f"{name}: exit code {got}, table says {code}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (argv, code) in CASES.items():
+            new_path, path = Path(tmp) / f"{name}.csv", GOLDEN / f"{name}.csv"
+            got = cli.main([*argv, "--out", str(new_path)])
+            if got != code:
+                print(f"{name}: exit code {got}, table says {code}", file=sys.stderr)
+            new = new_path.read_bytes()
+            old = path.read_bytes() if path.exists() else None
+            if old is None:
+                print(f"{name}.csv: new")
+            elif old == new:
+                print(f"{name}.csv: unchanged")
+            else:
+                print(f"{name}.csv: changed")
+                for line in column_changes(old.decode(), new.decode()):
+                    print(f"  {line}")
+            path.write_bytes(new)
