@@ -27,8 +27,9 @@ EXIT_OK, EXIT_CHECK, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
 def parse_grid(spec: str) -> list[int]:
     """Geometric integer grid from --grid 'start:stop:ratio' (empty when
-    start > stop). A start below 1 would never grow and a non-finite limit
-    would never be passed or rounded, so both are rejected."""
+    start > stop). A start below 1 gives points below 1 or never reaches the
+    stop, and an infinite limit ends in rounding infinity, so both are
+    rejected."""
     try:
         start_s, stop_s, ratio_s = spec.split(":")
         start, stop, ratio = float(start_s), float(stop_s), float(ratio_s)
