@@ -15,7 +15,9 @@ mu(d) * #{n <= x : d**k | t_n} over d <= t_x**(1/k): by two floor sums of
 O(log x) steps for d up to a cut-off D0 from a cost model, and above D0 by
 the block membership test on the multiples of d**k up to t_x, about
 t_x/D0**(k-1) of them. For k = 2 both halves take O(sqrt(t_x)) steps. The
-reach is capped by the Moebius table, which takes 9 bytes per d <= t_x**(1/k).
+d come one Moebius window at a time (kfree.squarefree_segments), so the
+memory is that of one window, not of all d <= t_x**(1/k), and the reach is
+capped by time.
 """
 from __future__ import annotations
 
@@ -42,13 +44,12 @@ from .kfree import (  # noqa: F401  perfbench's tracer self-test expects beatty.
     group_offsets,
     iroot,
     sieve_kfree,
-    sieve_moebius,
+    squarefree_segments,
     zeta,
 )
 
 _BORDER_TOL = 2.0**-40
 _PAIR_CHUNK = 1 << 16  # membership pairs per chunk of the count
-_PAIR_SEGMENT = 1 << 18  # d per _member_pairs call, which holds 5 int64 arrays over its d
 # c = c_p/c_f, the cost of one membership pair over the two floor sums of one
 # d. About 0.61*D0 squarefree d take floor sums and 0.61*t_x*D0**(1-k)/(k-1)
 # pairs lie above D0, so the total is least at D0 = (c*t_x)**(1/k). Measured
@@ -348,7 +349,9 @@ def _member_pairs(p: BeattyParams, A: int, B: int, Q: int, x: int, k: int,
 
 def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: int) -> int:
     """The exact count of count_kfree_beatty, split at D0 = d0 (None: the
-    cost model of _PAIR_COST): floor sums for d <= D0, _member_pairs above."""
+    cost model of _PAIR_COST): floor sums for d <= D0, _member_pairs above,
+    one Moebius window of d at a time. _member_pairs holds 5 int64 arrays
+    over the squarefree d of its window."""
     s = _certified_slope(p, x)
     # t_n = floor((A*n + B) / Q) exactly for 1 <= n <= x
     A = s.numerator * p.beta.denominator
@@ -363,17 +366,15 @@ def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: 
         d0 = iroot(int(_PAIR_COST * t_x), k)
     if t_x >= 1 << 63:  # the pairs' multiples are int64
         d0 = r
-    mu = sieve_moebius(1, r, memory_bytes)
-    nz = np.flatnonzero(mu)
-    n_small = int(np.searchsorted(nz, d0))  # d = nz + 1 <= d0
     count = 0
-    for d, m in zip((nz[:n_small] + 1).tolist(), mu[nz[:n_small]].tolist()):
-        # sum over i = n - 1 of floor(t_n / d**k) - floor((t_n - 1) / d**k)
-        D = Q * d**k
-        count += m * (floor_sum(x, D, A, A + B) - floor_sum(x, D, A, A + B - Q))
-    for i0 in range(n_small, len(nz), _PAIR_SEGMENT):
-        large = nz[i0:i0 + _PAIR_SEGMENT]
-        count += _member_pairs(p, A, B, Q, x, k, large + 1, mu[large])
+    for d, mu in squarefree_segments(r, memory_bytes):
+        n_small = int(np.searchsorted(d, d0, "right"))
+        for di, m in zip(d[:n_small].tolist(), mu[:n_small].tolist()):
+            # sum over i = n - 1 of floor(t_n / d**k) - floor((t_n - 1) / d**k)
+            D = Q * di**k
+            count += m * (floor_sum(x, D, A, A + B) - floor_sum(x, D, A, A + B - Q))
+        if n_small < len(d):
+            count += _member_pairs(p, A, B, Q, x, k, d[n_small:], mu[n_small:])
     return count
 
 
@@ -393,9 +394,9 @@ def count_kfree_beatty(
     above D0 it counts the Beatty members among the multiples of d**k in
     [t_1, t_x], tested in numpy chunks of 2**16 pairs. For k = 2
     that is about 0.61*sqrt(c*t_x) squarefree d of floor sums and
-    0.61*sqrt(t_x/c) pairs. The reach is capped by the Moebius table,
-    which takes 9 bytes per d <= t_x**(1/k) from memory_bytes, so 256 MiB
-    reaches t_x near 8.9e14 at k = 2 (MemoryBudgetExceeded beyond).
+    0.61*sqrt(t_x/c) pairs. The d come in Moebius windows of
+    kfree.MOEBIUS_SEGMENT d, each of which must fit memory_bytes
+    (MemoryBudgetExceeded otherwise); a few MiB suffice for every x.
     """
     if k < 2:
         raise ValueError("k must be >= 2")

@@ -97,11 +97,12 @@ def _int_at_least(low: int):
     return parse
 
 
-def _eps_value(text: str) -> float:
-    eps = float(text)
-    if not eps > 0:
-        raise argparse.ArgumentTypeError(f"eps must be positive, got {eps!r}")
-    return eps
+def _positive_float(text: str) -> float:
+    """argparse type for a float flag that must exceed 0."""
+    v = float(text)
+    if not v > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {v!r}")
+    return v
 
 
 def _mib_to_bytes(text: str) -> int:
@@ -116,8 +117,8 @@ _FLAGS = {
     "beta": dict(default="0", help="exact rational, e.g. 0, 1/2, -0.7"),
     "k": dict(type=_int_at_least(2), default=2),
     "grid": dict(default="1000:1000000:10", help="geometric grid start:stop:ratio"),
-    "eps": dict(type=_eps_value, default=0.05),
-    "delta-multiplier": dict(type=float, default=1.0),
+    "eps": dict(type=_positive_float, default=0.05),
+    "delta-multiplier": dict(type=_positive_float, default=1.0),
     "seed": dict(type=int, default=0),
     "precision-bits": dict(type=int, default=192),
     "memory-budget": dict(type=_mib_to_bytes, default="256", dest="memory_bytes",
@@ -128,7 +129,7 @@ _FLAGS = {
     "x-max": dict(type=_int_at_least(_SWEEP_X_MIN), default=100000),
     "h-max": dict(type=_int_at_least(1), default=30),
     "x": dict(type=_int_at_least(1), default=10000),
-    "J": dict(type=int, default=None),
+    "J": dict(type=_int_at_least(1), default=None),
 }
 
 
@@ -326,7 +327,7 @@ def cmd_smoothing_check(args) -> int:
     delta = smoothing.default_delta(x, args.k, args.delta_multiplier)
     gf = params.gamma.to_float()
     delta = min(delta, min(gf, 1.0 - gf) / 2.0, 0.124)
-    J = args.J or smoothing.default_truncation(delta)
+    J = smoothing.default_truncation(delta) if args.J is None else args.J
     ind = smoothing.build_smoothed(params.gamma, delta, J)
 
     checks: list[tuple[str, float, float, bool]] = []
@@ -437,7 +438,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (PrecisionExhausted, MemoryBudgetExceeded) as e:
+    except MemoryBudgetExceeded as e:
+        print(f"budget/precision exhausted: {e}; that window needs --memory-budget "
+              f"{math.ceil(e.need / (1 << 20))} (MiB) or more", file=sys.stderr)
+        return EXIT_BUDGET
+    except PrecisionExhausted as e:
         print(f"budget/precision exhausted: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, DegenerateFit, OSError) as e:

@@ -11,7 +11,12 @@ class PrecisionExhausted(RuntimeError):
 
 
 class MemoryBudgetExceeded(RuntimeError):
-    """A sieve or table allocation would exceed the configured budget."""
+    """A sieve or table allocation would exceed the configured budget; need
+    is the bytes it asked for."""
+
+    def __init__(self, message: str, need: int):
+        super().__init__(message)
+        self.need = need
 
 
 class InvalidDelta(ValueError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -11,7 +12,8 @@ from .errors import MemoryBudgetExceeded
 
 DEFAULT_MEMORY_BYTES = 256 << 20
 MAX_COUNT_X = 1 << 62
-_MOEBIUS_CHUNK = 1 << 18
+MOEBIUS_SEGMENT = 1 << 18  # d per sieve_moebius window of the counts
+_FLIP_CHUNK = 1 << 16  # entries per pass of sieve_moebius's last step
 
 
 def iroot(x: int, k: int) -> int:
@@ -86,41 +88,69 @@ def _check_window(lo: int, hi: int, bytes_per_entry: int, prime_top: int,
     if need > memory_bytes:
         raise MemoryBudgetExceeded(
             f"window [{lo},{hi}] needs {need} bytes with its primes up to "
-            f"{prime_top} (budget {memory_bytes})"
+            f"{prime_top} (budget {memory_bytes})", need
         )
     return n
 
 
-def _single_hits(q: np.ndarray, lo: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(window index, q) of the q > n with a multiple (one at most) among the n entries from lo."""
+def _single_hits(q: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """Window index of the multiple (one at most) of each q > n that lies among
+    the n entries from lo, for the q that have one."""
     idx = np.mod(-lo, q)
-    return idx[idx < n], q[idx < n]
+    return idx[idx < n]
 
 
 def sieve_moebius(lo: int, hi: int, memory_bytes: int = DEFAULT_MEMORY_BYTES) -> np.ndarray:
     """int8 array of the Moebius values mu(n), n = lo..hi (entry i is mu(lo + i)),
-    by a segmented residual-factor sieve. Primes above the window length hit
-    one entry at most: one numpy pass."""
+    by a logarithmic sieve that divides nothing: 3 bytes per entry.
+
+    Each prime p <= sqrt(hi) negates mu on its multiples, zeroes it on the
+    multiples of p**2 and adds round(256*log2(p)) to a uint16 sum lg. Primes
+    above the window length hit one entry at most: one numpy pass. What is
+    left of n is 1 or one prime R > sqrt(hi), and mu is flipped where
+    256*log2(n) - lg > 128, more than half a bit missing. The test is exact:
+    each rounded log is off by at most 1/512 bit and an n <= 2**62 has at
+    most 15 distinct prime factors, so lg is within 0.03 bit of log2 of the
+    small-prime part, and the gap is at most 0.03 bit (R = 1) or at least
+    0.97 bit (R >= 2). n is formed in float64 (relative error below 2**-36)
+    and rounded to float32 (2**-24), whose log2 is off by far less than
+    0.01 bit; lg stays below 62*256 + 8, inside uint16.
+    """
     top = math.isqrt(hi)
-    n = _check_window(lo, hi, 9, top, memory_bytes)
+    n = _check_window(lo, hi, 3, top, memory_bytes)
     mu = np.ones(n, dtype=np.int8)
-    val = np.arange(lo, hi + 1, dtype=np.int64)
+    lg = np.zeros(n, dtype=np.uint16)
     primes = primes_upto(top)
+    logs = np.rint(256 * np.log2(primes)).astype(np.uint16)
     small = int(np.searchsorted(primes, n, "right"))  # p <= n may hit several entries
-    for p in primes[:small].tolist():
-        start = ((lo + p - 1) // p) * p - lo
-        mu[start::p] = -mu[start::p]
-        val[start::p] //= p
-        p2 = p * p
-        start2 = ((lo + p2 - 1) // p2) * p2 - lo
-        mu[start2::p2] = 0
-    idx, big = _single_hits(primes[small:], lo, n)
-    np.multiply.at(mu, idx, -1)
-    np.floor_divide.at(val, idx, big)
-    mu[_single_hits(big * big, lo, n)[0]] = 0
-    rest = val > 1  # one prime factor above sqrt(hi) remains
-    mu[rest] = -mu[rest]
+    for p, log_p in zip(primes[:small].tolist(), logs[:small].tolist()):
+        hits = mu[-lo % p :: p]
+        np.negative(hits, out=hits)
+        lg[-lo % p :: p] += np.uint16(log_p)
+        mu[-lo % (p * p) :: p * p] = 0
+    idx = np.mod(-lo, primes[small:])
+    hit = idx < n
+    np.multiply.at(mu, idx[hit], -1)
+    np.add.at(lg, idx[hit], logs[small:][hit])
+    mu[_single_hits(primes[small:][hit] ** 2, lo, n)] = 0
+    for c0 in range(0, n, _FLIP_CHUNK):
+        part = lg[c0 : c0 + _FLIP_CHUNK]
+        n_f = np.arange(lo + c0, lo + c0 + len(part), dtype=np.float64).astype(np.float32)
+        log_n = np.log2(n_f)
+        rest = log_n * np.float32(256) - part > 128  # a prime factor above sqrt(hi) is left
+        mu[c0 : c0 + len(part)] *= 1 - 2 * rest.view(np.int8)
     return mu
+
+
+def squarefree_segments(top: int, memory_bytes: int = DEFAULT_MEMORY_BYTES
+                        ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(d, mu(d)) over the squarefree d <= top, in increasing order, one
+    sieve_moebius window of MOEBIUS_SEGMENT d at a time: the memory of a
+    caller's loop is that of one window, not of all d <= top."""
+    for lo in range(1, top + 1, MOEBIUS_SEGMENT):
+        mu = sieve_moebius(lo, min(lo + MOEBIUS_SEGMENT - 1, top), memory_bytes)
+        nz = np.flatnonzero(mu)
+        yield nz + lo, mu[nz]
 
 
 def sieve_kfree(k: int, lo: int, hi: int, memory_bytes: int = DEFAULT_MEMORY_BYTES) -> np.ndarray:
@@ -137,7 +167,7 @@ def sieve_kfree(k: int, lo: int, hi: int, memory_bytes: int = DEFAULT_MEMORY_BYT
     for pk in pks[:small].tolist():
         start = ((lo + pk - 1) // pk) * pk - lo
         flags[start::pk] = False
-    flags[_single_hits(pks[small:], lo, n)[0]] = False
+    flags[_single_hits(pks[small:], lo, n)] = False
     return flags
 
 
@@ -171,8 +201,8 @@ def count_kfree(x: int, k: int,
                 memory_bytes: int = DEFAULT_MEMORY_BYTES) -> tuple[int, float, float]:
     """(exact count of k-free n <= x, x/zeta(k), count - x/zeta(k)).
 
-    Evaluates sum_d mu(d) * floor(x / d**k) over d**k <= x exactly, in numpy
-    chunks of d; the Moebius table takes 9 bytes per d from memory_bytes.
+    Evaluates sum_d mu(d) * floor(x / d**k) over the squarefree d with
+    d**k <= x exactly, one squarefree_segments window at a time.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -180,15 +210,10 @@ def count_kfree(x: int, k: int,
         raise ValueError("x exceeds the 2**62 counting guard")
     if x < 1:
         return 0, 0.0, 0.0
-    mu = sieve_moebius(1, iroot(x, k), memory_bytes)
-    # each part sums to at most zeta(k) * x < 2**63 under the 2**62 guard
-    pos = neg = 0
-    for lo in range(0, len(mu), _MOEBIUS_CHUNK):
-        m = mu[lo : lo + _MOEBIUS_CHUNK]
-        d = np.arange(lo + 1, lo + len(m) + 1, dtype=np.uint64)
-        q = np.uint64(x) // d**k
-        pos += int(q[m > 0].sum(dtype=np.uint64))
-        neg += int(q[m < 0].sum(dtype=np.uint64))
-    count = pos - neg
+    # every partial sum is at most zeta(k) * x < 2**63 under the 2**62 guard
+    count = 0
+    for d, mu in squarefree_segments(iroot(x, k), memory_bytes):
+        q = np.uint64(x) // d.astype(np.uint64) ** k
+        count += int(np.dot(q.view(np.int64), mu.astype(np.int64)))
     main = x / zeta(k)
     return count, main, count - main

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beatty_kfree import beatty
+from beatty_kfree import beatty, kfree
 from beatty_kfree.beatty import (
     BeattyParams,
     _count_split,
@@ -383,13 +383,24 @@ class TestSplitCount:
     @pytest.mark.parametrize("chunk", [2, 7, 64])
     def test_chunks_cut_inside_and_across_d(self, chunk, monkeypatch):
         monkeypatch.setattr(beatty, "_PAIR_CHUNK", chunk)
-        monkeypatch.setattr(beatty, "_PAIR_SEGMENT", 3)  # and the d in segments of 3
+        monkeypatch.setattr(kfree, "MOEBIUS_SEGMENT", 3)  # and the d in segments of 3
         for spec, beta in (("quad:1,5,2", "0"), ("quad:7,2,3", "-7/10")):
             p = BeattyParams(parse_irrational(spec), parse_beta(beta))
             for k in (2, 3):
                 for x in (1, 10, 1000):
                     want = self.split(p, x, k, ALL_FLOOR_SUMS)
                     assert self.split(p, x, k, 0) == self.split(p, x, k, None) == want, (spec, k, x)
+
+    def test_segments_of_three_d(self, monkeypatch):
+        # a cut-off inside a segment sends its first d to floor sums, the rest to pairs
+        cases = [(BeattyParams(parse_irrational(spec), parse_beta(beta)), x, k)
+                 for spec, beta in (("quad:1,5,2", "0"), ("quad:7,2,3", "-7/10"))
+                 for k in (2, 3) for x in (1, 10, 1000, 10**5)]
+        want = [self.split(p, x, k, ALL_FLOOR_SUMS) for p, x, k in cases]
+        monkeypatch.setattr(kfree, "MOEBIUS_SEGMENT", 3)
+        for (p, x, k), count in zip(cases, want):
+            for d0 in (0, 5, None, ALL_FLOOR_SUMS):
+                assert self.split(p, x, k, d0) == count, (p, x, k, d0)
 
     def test_phi_squarefree_at_1e10(self):
         p = BeattyParams(PHI, 0)

@@ -40,6 +40,15 @@ def test_a_malformed_alpha_or_beta_names_the_flag_and_the_input(flag, value, say
     assert f"{flag} {value!r}" in err and says in err
 
 
+def test_a_window_over_the_memory_budget_names_the_flag_and_the_mib(capsys):
+    # x = 1000 sieves mu over d <= isqrt(t_x) = 40
+    argv = ["count", "--grid", "1000:1000:10", "--memory-budget", "0"]
+    assert cli.main(argv) == cli.EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "window [1,40] needs 127 bytes" in err and "(budget 0)" in err
+    assert "--memory-budget 1 (MiB) or more" in err
+
+
 def test_count_refuses_an_uncertified_alpha(capsys):
     argv = ["count", "--alpha", "cf:1,1,1,1,1,1,1,1", "--grid", "1000:1000:10"]
     assert cli.main(argv) == cli.EXIT_BUDGET
@@ -128,6 +137,12 @@ def test_smoothing_check_smoke(tmp_path, capsys):
         "bound", "status",
     ]
     assert [r[-1] for r in rows[1:]] == ["PASS"] * 5
+
+
+def test_smoothing_check_runs_with_the_J_it_is_given(tmp_path, capsys):
+    code, rows, _ = run_cli(tmp_path, capsys, "smoothing-check", "--x", "1000", "--J", "1")
+    assert code == cli.EXIT_OK
+    assert {r[6] for r in rows[1:]} == {"1"}
 
 
 @pytest.mark.parametrize("beta", ["0", "1/2", "3", "4"])
@@ -223,6 +238,9 @@ def test_out_of_range_value_names_its_flag(flag, value, capsys):
     (["expsum-sweep", "--x-max", "100"], "--x-max", ">= 200"),
     (["expsum-sweep", "--h-max", "0"], "--h-max", ">= 1"),
     (["expsum-sweep", "--trials", "-3"], "--trials", ">= 1"),
+    (["smoothing-check", "--x", "1000", "--delta-multiplier", "0"], "--delta-multiplier", "> 0"),
+    (["smoothing-check", "--x", "1000", "--J", "0"], "--J", ">= 1"),
+    (["smoothing-check", "--x", "1000", "--J", "-5"], "--J", ">= 1"),
 ])
 def test_a_size_below_its_limit_names_the_flag_and_the_limit(argv, flag, limit, capsys):
     assert cli.main(argv) == cli.EXIT_USAGE

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beatty_kfree import kfree
 from beatty_kfree.errors import MemoryBudgetExceeded
 from beatty_kfree.kfree import (
     count_kfree,
@@ -115,6 +116,21 @@ class TestMoebius:
             mu_prod = 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
             assert mu_prod == small[m - 1] * small[n - 1]
 
+    @pytest.mark.parametrize("hi", [1, 2, 3, 4])
+    def test_first_windows_against_trial_factorization(self, hi):
+        for lo in range(1, hi + 1):
+            assert sieve_moebius(lo, hi).tolist() == [
+                mu_by_trial_factorization(n) for n in range(lo, hi + 1)]
+
+    def test_random_far_windows_against_trial_division(self, rng):
+        odd = odd_primes_upto(10**7)
+        for _ in range(4):
+            hi = int(rng.integers(10**6, 10**14))
+            lo = max(1, hi - 31)
+            exps = [exponents_by_trial(n, odd) for n in range(lo, hi + 1)]
+            want = [0 if max(es, default=0) > 1 else (-1) ** len(es) for es in exps]
+            assert sieve_moebius(lo, hi).tolist() == want, (lo, hi)
+
     def test_memory_budget(self):
         with pytest.raises(MemoryBudgetExceeded):
             sieve_moebius(1, 10**7, memory_bytes=1024)
@@ -147,9 +163,12 @@ class TestKFreeSieve:
 
 
 class TestFarWindows:
-    # the fourth window holds 17 * 1000003**2, squared by a prime far above its length
+    # the fourth window holds 17 * 1000003**2, squared by a prime far above its
+    # length; in the last three, primes above the length share one entry
+    # (10007 is below the square root of the window end, 1000003 above it)
     @pytest.mark.parametrize("hi", [(1 << 40) - 3, (1 << 40) + 3, 1 << 44, 17 * 1000003**2 + 32,
-                                    1 << 50])
+                                    1 << 50, 101 * 103 * 10007 + 32, 101 * 103 * 1000003 + 32,
+                                    101**2 * 103 * 107 + 32])
     def test_sieves_match_trial_division(self, hi):
         # 64 entries: most primes <= sqrt(hi), and every p**2, p**3 above 64,
         # hit at most one entry
@@ -166,9 +185,9 @@ class TestFarWindows:
         sieve_kfree(2, lo, hi, memory_bytes=100 + 10**6 + 1)
         with pytest.raises(MemoryBudgetExceeded, match=rf"window \[{lo},{hi}\] .* \(budget 1000100\)"):
             sieve_kfree(2, lo, hi, memory_bytes=100 + 10**6)
-        sieve_moebius(lo, hi, memory_bytes=900 + 10**6 + 1)
-        with pytest.raises(MemoryBudgetExceeded, match=r"budget 1000900"):
-            sieve_moebius(lo, hi, memory_bytes=900 + 10**6)
+        sieve_moebius(lo, hi, memory_bytes=300 + 10**6 + 1)
+        with pytest.raises(MemoryBudgetExceeded, match=r"budget 1000300"):
+            sieve_moebius(lo, hi, memory_bytes=300 + 10**6)
         # near 2**62 the 2**31-byte prime table alone exceeds the default budget
         with pytest.raises(MemoryBudgetExceeded, match=r"primes up to 2147483648 \(budget 268435456\)"):
             sieve_kfree(2, (1 << 62) - 10, 1 << 62)
@@ -217,6 +236,22 @@ class TestCountKFree:
             mu = sieve_moebius(1, iroot(x, k))
             loop = sum(int(m) * (x // d**k) for d, m in enumerate(mu.tolist(), 1) if m)
             assert count_kfree(x, k)[0] == loop
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_segments_of_three_d_against_trial_division(self, k, monkeypatch):
+        monkeypatch.setattr(kfree, "MOEBIUS_SEGMENT", 3)
+        kfree_upto = np.cumsum([all(n % p**k for p in range(2, iroot(n, k) + 1))
+                                for n in range(1, 3001)])
+        for x in list(range(1, 60)) + [1000, 2999, 3000]:
+            assert count_kfree(x, k)[0] == kfree_upto[x - 1], x
+
+    def test_memory_bounded_by_one_segment(self, monkeypatch):
+        # d <= 1000 in windows of 64 entries at 3 bytes, the largest with
+        # the 31 bytes of prime flags up to isqrt(960)
+        monkeypatch.setattr(kfree, "MOEBIUS_SEGMENT", 64)
+        assert count_kfree(10**6, 2, memory_bytes=3 * 64 + 31)[0] == 607926
+        with pytest.raises(MemoryBudgetExceeded, match=r"window \[897,960\] needs 223 bytes"):
+            count_kfree(10**6, 2, memory_bytes=3 * 64 + 30)
 
     def test_error_scaling_constant(self):
         # |count - x/zeta(k)| / x^(1/k) stays below 2 on the decade grid
