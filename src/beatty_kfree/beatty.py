@@ -32,9 +32,9 @@ from .errors import PrecisionExhausted
 from .fixed import (
     DEFAULT_BITS,
     MAX_BITS,
-    TILE,
     FixedReal,
     decision_margin,
+    frac_tiles,
     frac_to_float,
     frac_vector,
 )
@@ -134,10 +134,6 @@ class BeattyParams:
     def gamma(self) -> FixedReal:
         return self.level(self.precision_bits).gamma
 
-    @property
-    def delta(self) -> FixedReal:
-        return self.level(self.precision_bits).delta
-
     def __repr__(self) -> str:
         return f"BeattyParams({self.alpha}, beta={self.beta})"
 
@@ -190,7 +186,7 @@ def border_indices(
 def beatty_terms_block(p: BeattyParams, n_lo: int, n_hi: int) -> np.ndarray:
     """Vector of floor(alpha*n + beta) for n in [n_lo, n_hi] (int64).
 
-    Filled in tiles of TILE terms. With n = n_0 + j for a tile starting at
+    Filled in tiles of frac_tiles. With n = n_0 + j for a tile starting at
     n_0, a0*j and floor(alpha*n_0 + beta) are exact integers; a float64
     estimate of the rest, less its exactly reduced fractional part, gives its
     floor. Entries near a border are recomputed through the certified scalar
@@ -204,14 +200,13 @@ def beatty_terms_block(p: BeattyParams, n_lo: int, n_hi: int) -> np.ndarray:
         )
     a, af = lv.alpha.mantissa, frac_to_float(lv.alpha.mantissa, lv.bits)
     out = np.empty(n_hi - n_lo + 1, dtype=np.int64)
-    for t0 in range(0, len(out), TILE):
-        m = out[t0:t0 + TILE]
-        j = np.arange(len(m), dtype=np.uint64)
-        c = a * (n_lo + t0) + lv.beta.mantissa  # alpha*(n_lo + t0) + beta
-        f = frac_vector(a, lv.bits, j, offset_mantissa=c)
-        v = af * j.astype(np.float64) + frac_to_float(c, lv.bits)
-        m[:] = np.rint(v - f)
-        m += np.int64(a0) * j.view(np.int64)
+    c0 = a * n_lo + lv.beta.mantissa  # alpha*n_lo + beta
+    for t0, f in frac_tiles(a, lv.bits, c0, len(out)):
+        m = out[t0:t0 + len(f)]
+        j = np.arange(len(m), dtype=np.int64)
+        c = c0 + a * t0  # alpha*(n_lo + t0) + beta
+        m[:] = np.rint(af * j + frac_to_float(c, lv.bits) - f)
+        m += np.int64(a0) * j
         m += np.int64(c >> lv.bits)
         for i in border_indices(f, lv.alpha, lv.beta, n_hi):
             m[i] = beatty_term(p, n_lo + t0 + int(i))
@@ -253,27 +248,25 @@ def is_member(p: BeattyParams, m: int) -> bool:
     return member_witness(p, m) is not None
 
 
-def _gamma_test(lv: _Level, m: np.ndarray, m_hi: int, m_lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The float membership test 0 < {gamma*(m_lo + m) + delta} <= gamma at level
-    lv for uint64 m, m_lo + m <= m_hi, and the indices (border_indices) whose
-    float decision does not hold, which the caller decides exactly."""
-    g = lv.gamma.mantissa
-    f = frac_vector(g, lv.bits, m, offset_mantissa=g * m_lo + lv.delta.mantissa)
+def gamma_test(lv: _Level, f: np.ndarray, m_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float membership test 0 < f <= gamma on f = {gamma*m + delta} at
+    level lv, m <= m_hi, and the indices (border_indices) whose float decision
+    does not hold, which the caller decides exactly."""
     gf = lv.gamma.to_float()
     return (f > 0.0) & (f <= gf), border_indices(f, lv.gamma, lv.delta, m_hi, gf)
 
 
 def member_flags_block(p: BeattyParams, m_lo: int, m_hi: int) -> np.ndarray:
     """Vectorized membership criterion for m in [m_lo, m_hi] (bool array),
-    filled in tiles of TILE entries."""
+    filled in tiles of frac_tiles."""
     lv = p.level(p.precision_bits)
+    g = lv.gamma.mantissa
     flags = np.empty(m_hi - m_lo + 1, dtype=bool)
-    for t0 in range(0, len(flags), TILE):
-        m = np.arange(min(TILE, len(flags) - t0), dtype=np.uint64)
-        tile, border = _gamma_test(lv, m, m_hi, m_lo + t0)
+    for t0, f in frac_tiles(g, lv.bits, g * m_lo + lv.delta.mantissa, len(flags)):
+        tile, border = gamma_test(lv, f, m_hi)
         for i in border:
             tile[i] = is_member(p, m_lo + t0 + int(i))
-        flags[t0:t0 + len(m)] = tile
+        flags[t0:t0 + len(f)] = tile
     return flags
 
 
@@ -337,7 +330,8 @@ def _member_pairs(p: BeattyParams, A: int, B: int, Q: int, x: int, k: int,
         g, j = group_offsets(per)
         j[: per[0]] += done
         m = ((j_lo[g0:g1][g] + j) * dk[g0:g1][g]).astype(np.uint64)
-        flags, border = _gamma_test(lv, m, t_x)
+        f = frac_vector(lv.gamma.mantissa, lv.bits, m, offset_mantissa=lv.delta.mantissa)
+        flags, border = gamma_test(lv, f, t_x)
         for i in border.tolist():
             mi = int(m[i])
             n = -((B - Q * mi) // A)  # least n with t_n >= mi

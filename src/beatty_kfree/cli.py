@@ -13,7 +13,7 @@ import csv
 import math
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
@@ -67,17 +67,13 @@ def fit_loglog(xs, errors) -> tuple[float, float, bool]:
     return float(slope), float(intercept), bool(degenerate)
 
 
-@contextmanager
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as f:
-            yield f
-
-
-def _writer(stream) -> csv.writer:
-    return csv.writer(stream, lineterminator="\n")
+def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
+    """The header and rows as CSV to path, or to stdout for None or '-'."""
+    to_stdout = path is None or path == "-"
+    with nullcontext(sys.stdout) if to_stdout else open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _fmt(v) -> str:
@@ -162,11 +158,7 @@ _COUNT_HEADER = [
 
 
 def cmd_count(args) -> int:
-    rows, _, _ = _count_rows(args)
-    with _open_out(args.out) as f:
-        w = _writer(f)
-        w.writerow(_COUNT_HEADER)
-        w.writerows(rows)
+    _write_csv(args.out, _COUNT_HEADER, _count_rows(args)[0])
     return EXIT_OK
 
 
@@ -181,10 +173,7 @@ def cmd_fit_exponent(args) -> int:
     slope, intercept, degenerate = fit_loglog(xs, errs)
     threshold = exp_bound + 0.1
     ok = slope <= threshold
-    with _open_out(args.out) as f:
-        w = _writer(f)
-        w.writerow(_COUNT_HEADER)
-        w.writerows(rows)
+    _write_csv(args.out, _COUNT_HEADER, rows)
     print(
         f"fit-exponent slope={slope!r} intercept={intercept!r} "
         f"threshold={threshold!r} tau_hat={tau!r} "
@@ -243,10 +232,7 @@ def cmd_expsum_sweep(args) -> int:
                 _fmt(rep.ratio), _fmt(gap), wall,
             ]
         )
-    with _open_out(args.out) as f:
-        w = _writer(f)
-        w.writerow(_SWEEP_HEADER)
-        w.writerows(rows)
+    _write_csv(args.out, _SWEEP_HEADER, rows)
     ok = math.isfinite(max_ratio) and worst_gap <= 1e-6
     print(
         f"expsum-sweep trials={args.trials} max_ratio={max_ratio!r} "
@@ -272,10 +258,7 @@ def cmd_discrepancy(args) -> int:
          _fmt(tau), M, _fmt(extreme), _fmt(star), _fmt(M ** (-1.0 / tau)), ""]
         for M, extreme, star in per_M
     ]
-    with _open_out(args.out) as f:
-        w = _writer(f)
-        w.writerow(_DISC_HEADER)
-        w.writerows(rows)
+    _write_csv(args.out, _DISC_HEADER, rows)
     threshold = -1.0 / tau + 0.15
     ok = math.isnan(slope) or slope <= threshold
     print(
@@ -361,10 +344,7 @@ def cmd_smoothing_check(args) -> int:
          _fmt(value), _fmt(bound), "PASS" if ok else "FAIL"]
         for name, value, bound, ok in checks
     ]
-    with _open_out(args.out) as f:
-        w = _writer(f)
-        w.writerow(_SMOOTH_HEADER)
-        w.writerows(rows)
+    _write_csv(args.out, _SMOOTH_HEADER, rows)
     all_ok = all(ok for *_, ok in checks)
     print(f"smoothing-check {'PASS' if all_ok else 'FAIL'}", file=sys.stderr)
     return EXIT_OK if all_ok else EXIT_CHECK

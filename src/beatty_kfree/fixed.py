@@ -10,6 +10,9 @@ frac_vector reduces whole arrays of multiples mod 1 without certification:
 exact fixed point in units of 2**-64, where uint64 wraparound is the
 reduction, rounded to nearest float64 within 2**-54 + 2**-62 for any
 n < 2**64. The block kernels decide in float only away from the borders.
+frac_tiles serves consecutive multiples tile by tile: one table of the
+kernel's n < 2**32 sum for all tiles, plus each tile's exact offset, equal
+bit for bit to frac_vector on that tile and so within the same bound.
 
 TILE is the number of elements that every vectorised pass on the
 membership side (smoothing, discrepancy, the term and membership blocks)
@@ -132,9 +135,7 @@ def frac_vector(
     For n < 2**32 the n_hi terms vanish and two products remain.
     """
     n64 = np.ascontiguousarray(n, dtype=np.uint64)
-    one = 1 << scale_bits
-    t = ((mantissa % one) << 128) >> scale_bits
-    o = ((((offset_mantissa % one) << 64) >> scale_bits) + (1 << 10)) & _MASK64
+    t = _top128(mantissa, scale_bits)
     tl = np.uint64((t >> 32) & 0xFFFFFFFF)
     u = np.multiply(n64, np.uint64(t >> 64))
     if n64.size and int(n64.max()) >> 32:
@@ -150,6 +151,29 @@ def frac_vector(
         w = np.multiply(n64, tl)
     w >>= _32
     u += w
-    u += np.uint64(o)
+    return _round53(u, offset_mantissa, scale_bits, out=u)
+
+
+def frac_tiles(mantissa: int, scale_bits: int, offset_mantissa: int, length: int):
+    """Yield (t0, f) for each tile of TILE consecutive j < length (the last
+    one shorter), f = frac_vector(mantissa, scale_bits, arange(len(f)),
+    offset_mantissa + mantissa*t0) bit for bit (module docstring)."""
+    t = _top128(mantissa, scale_bits)
+    i = np.arange(max(1, min(TILE, length)), dtype=np.uint64)
+    u = i * np.uint64(t >> 64) + (i * np.uint64((t >> 32) & 0xFFFFFFFF) >> _32)
+    for t0 in range(0, length, len(u)):
+        yield t0, _round53(u[:length - t0], offset_mantissa + mantissa * t0, scale_bits)
+
+
+def _top128(mantissa: int, scale_bits: int) -> int:
+    """The top 128 bits of the fraction of mantissa / 2**scale_bits."""
+    return ((mantissa % (1 << scale_bits)) << 128) >> scale_bits
+
+
+def _round53(u: np.ndarray, offset_mantissa: int, scale_bits: int, out=None) -> np.ndarray:
+    """u + o (mod 2**64) in units of 2**-64, o = floor(frac(offset)*2**64) +
+    2**10, cut to 53 bits (to nearest, by the 2**10) as float64."""
+    o = np.uint64(((_top128(offset_mantissa, scale_bits) >> 64) + (1 << 10)) & _MASK64)
+    u = np.add(u, o, out=out)
     u >>= np.uint64(11)
     return np.multiply(u.view(np.int64), 2.0**-53)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beatty import BeattyParams, beatty_term, border_indices, is_member
+from .beatty import BeattyParams, beatty_term, gamma_test, is_member
 from .errors import InvalidDelta
-from .fixed import TILE, FixedReal, frac_vector
+from .fixed import FixedReal, frac_tiles, frac_vector
 from .kfree import DEFAULT_MEMORY_BYTES, sieve_kfree
 
 _BLOCK = 1 << 20  # sieve_kfree window: per entry, 2**15 windows cost about 6x more
@@ -118,10 +118,6 @@ def _psi_values(f: np.ndarray, gf: float, d: float) -> np.ndarray:
     return np.where((f > gf - d) & (f <= 1.0 - d), fall, rise)
 
 
-def _in_exceptional(f: np.ndarray, gf: float, d: float) -> np.ndarray:
-    return (f < d) | ((f > gf - d) & (f < gf + d)) | (f > 1.0 - d)
-
-
 def smoothed_beatty_count(
     p: BeattyParams,
     k: int,
@@ -134,12 +130,15 @@ def smoothed_beatty_count(
 
     smoothed sums the trapezoid at {gamma*m + delta}; exact sums the step
     indicator, so it counts the k-free t_n with 1 <= n <= x, as
-    count_kfree_beatty does; the exceptional count V(Delta) covers all those
-    m whose fractional part falls in the ramp regions [0, Delta),
-    (gamma-Delta, gamma+Delta), (1-Delta, 1).
-    |smoothed - exact| <= V holds by construction and is asserted per run.
+    count_kfree_beatty does. The exceptional count V(Delta), about
+    4*Delta*(t_x - t_1), covers every m in [t_1, t_x], k-free or not, whose
+    fractional part falls in the ramps [0, Delta), (gamma-Delta,
+    gamma+Delta), (1-Delta, 1). Off them the trapezoid is the float step bit
+    for bit, so it is summed on the k-free ramp points only, plus the count
+    of the k-free plateau points. |smoothed - exact| <= V holds by
+    construction and is asserted per run.
 
-    Each sieve window of _BLOCK values of m is tested in tiles of TILE.
+    Each sieve window of _BLOCK values of m is tested in tiles of frac_tiles.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -148,32 +147,29 @@ def smoothed_beatty_count(
         delta_param = default_delta(x, k)
     lv = p.level(p.precision_bits)
     gf = lv.gamma.to_float()
-    delta_param = min(delta_param, min(gf, 1.0 - gf) / 2.0, 0.124)
+    d = min(delta_param, min(gf, 1.0 - gf) / 2.0, 0.124)
 
     g = lv.gamma.mantissa
-    psi_sums = []  # one per tile, summed exactly rounded
-    exact = 0
-    exceptional = 0
+    psi_sums = []  # one per tile over its k-free ramp points, summed exactly rounded
+    plateau = exact = exceptional = 0
     m0 = max(1, beatty_term(p, 1))
     while m0 <= M:
         m1 = min(M, m0 + _BLOCK - 1)
-        m = np.arange(m1 - m0 + 1, dtype=np.uint64)
-        offset = g * m0 + lv.delta.mantissa
         kf_block = sieve_kfree(k, m0, m1, memory_bytes)
-        for t0 in range(0, len(m), TILE):
-            f = frac_vector(g, lv.bits, m[t0:t0 + TILE], offset_mantissa=offset)
-            kf = kf_block[t0:t0 + TILE]
-            exceptional += int(np.count_nonzero(_in_exceptional(f, gf, delta_param)))
-
-            step = (f > 0.0) & (f <= gf)
-            for i in border_indices(f, lv.gamma, lv.delta, m1, gf):
+        for t0, f in frac_tiles(g, lv.bits, g * m0 + lv.delta.mantissa, m1 - m0 + 1):
+            kf = kf_block[t0:t0 + len(f)]
+            ramp = (f < d) | ((f > gf - d) & (f < gf + d)) | (f > 1.0 - d)
+            exceptional += int(np.count_nonzero(ramp))
+            step, border = gamma_test(lv, f, m1)
+            plateau += int(np.count_nonzero(step & kf & ~ramp))  # before the border fix
+            ramp &= kf
+            psi_sums.append(float(np.sum(_psi_values(f[ramp], gf, d))))
+            for i in border:
                 step[i] = is_member(p, m0 + t0 + int(i))
-
-            psi_sums.append(float(np.sum(_psi_values(f, gf, delta_param)[kf])))
             exact += int(np.count_nonzero(step & kf))
         m0 = m1 + 1
 
-    smoothed = math.fsum(psi_sums)
+    smoothed = math.fsum(psi_sums + [plateau])
     if abs(smoothed - exact) > exceptional + 1e-6:
         raise AssertionError(
             f"smoothing error {abs(smoothed - exact)} exceeds exceptional count "

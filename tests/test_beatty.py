@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beatty_kfree import beatty, kfree
+from beatty_kfree import beatty, fixed, kfree
 from beatty_kfree.beatty import (
     BeattyParams,
     _count_split,
@@ -222,7 +222,7 @@ class TestTiles:
 
     @pytest.mark.parametrize("tile", [7, 1000, TILE])
     def test_blocks_match_scalar_across_tiles(self, monkeypatch, tile):
-        monkeypatch.setattr(beatty, "TILE", tile)
+        monkeypatch.setattr(fixed, "TILE", tile)
         # a wide border sends a few entries per tile to the scalar path
         monkeypatch.setattr(beatty, "_BORDER_TOL", 1e-3)
         for alpha, beta, n0 in ((PHI, 0, (1 << 32) - tile // 2),
@@ -366,13 +366,13 @@ class TestSplitCount:
 
     def test_border_decision_alone(self, monkeypatch):
         # every pair goes to the integer decision, with its float flag inverted
-        real = beatty._gamma_test
+        real = beatty.gamma_test
 
-        def all_border(lv, m, m_hi):
-            flags, _ = real(lv, m, m_hi)
-            return ~flags, np.arange(len(m))
+        def all_border(lv, f, m_hi):
+            flags, _ = real(lv, f, m_hi)
+            return ~flags, np.arange(len(f))
 
-        monkeypatch.setattr(beatty, "_gamma_test", all_border)
+        monkeypatch.setattr(beatty, "gamma_test", all_border)
         for spec in ("quad:1,5,2", "quad:7,2,3", "dec:3.14159265358979323846264338327950288:100"):
             for beta in ("0", "-7/10", "3"):
                 p = BeattyParams(parse_irrational(spec), parse_beta(beta))

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beatty_kfree.cfrac import PHI, to_fixed
+from beatty_kfree.beatty import BeattyParams
+from beatty_kfree.cfrac import PHI, parse_irrational, to_fixed
 from beatty_kfree.expsums import linear_exp_sum
-from beatty_kfree.fixed import FixedReal, frac_to_float, frac_vector
+from beatty_kfree.fixed import TILE, FixedReal, frac_tiles, frac_to_float, frac_vector
 
 
 class TestFrac:
@@ -220,3 +221,31 @@ class TestFracVectorBeyond2To32:
 
     def test_empty_input(self):
         assert frac_vector(12345, 64, np.array([], dtype=np.uint64)).shape == (0,)
+
+
+class TestFracTiles:
+    """The tile generator against frac_vector on each tile, bit for bit."""
+
+    @pytest.mark.parametrize("length", [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
+    @pytest.mark.parametrize("spec, beta, bits", [
+        ("quad:1,5,2", "0", 192),
+        ("cf:1," + ",".join(["1", "2"] * 40), "1/2", 192),
+        ("dec:3.14159265358979323846264338327950288:100", "-7/10", 192),
+        ("quad:0,2,1", "3", 64),
+        ("quad:7,2,3", "-7/10", 40),
+    ])
+    def test_each_tile_is_frac_vector(self, spec, beta, bits, length):
+        # gamma and delta of one precision level, offsets folded from m_lo
+        lv = BeattyParams(parse_irrational(spec), Fraction(beta), bits).level(bits)
+        g = lv.gamma.mantissa
+        for m_lo in (1, 1 << 32, 1 << 40, 1 << 62):
+            start = g * m_lo + lv.delta.mantissa
+            tiles = list(frac_tiles(g, bits, start, length))
+            assert [t0 for t0, _ in tiles] == list(range(0, length, TILE))
+            for t0, f in tiles:
+                j = np.arange(min(TILE, length - t0), dtype=np.uint64)
+                want = frac_vector(g, bits, j, offset_mantissa=start + g * t0)
+                assert f.dtype == want.dtype and f.tobytes() == want.tobytes()
+
+    def test_nothing_to_yield(self):
+        assert list(frac_tiles(to_fixed(PHI, 192).mantissa, 192, 5, 0)) == []

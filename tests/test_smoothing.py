@@ -1,14 +1,16 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from beatty_kfree import beatty, smoothing
-from beatty_kfree.beatty import BeattyParams, count_kfree_beatty
+from beatty_kfree import beatty, fixed, smoothing
+from beatty_kfree.beatty import BeattyParams, beatty_term, border_indices, count_kfree_beatty, is_member
 from beatty_kfree.cfrac import PHI, SQRT2, parse_irrational
 from beatty_kfree.errors import InvalidDelta
-from beatty_kfree.fixed import FixedReal
+from beatty_kfree.fixed import TILE, FixedReal, frac_vector
+from beatty_kfree.kfree import sieve_kfree
 from beatty_kfree.smoothing import (
     build_smoothed,
     coefficient_bound,
@@ -286,7 +288,76 @@ class TestSmoothedTiles:
         monkeypatch.setattr(smoothing, "_BLOCK", 2500)
         monkeypatch.setattr(beatty, "_BORDER_TOL", 1e-3)
         want = smoothed_beatty_count(p, k, 6000, 0.01)
-        monkeypatch.setattr(smoothing, "TILE", tile)
+        monkeypatch.setattr(fixed, "TILE", tile)
         got = smoothed_beatty_count(p, k, 6000, 0.01)
         assert got[1:] == want[1:]
         assert got[0] == pytest.approx(want[0], rel=1e-9)
+
+
+def smoothed_count_all_points(p, k, x, delta_param):
+    """Oracle: the loop that evaluated the trapezoid at every m, with
+    frac_vector on each tile at its sieve window's offset."""
+    M = beatty_term(p, x)
+    lv = p.level(p.precision_bits)
+    gf = lv.gamma.to_float()
+    d = min(delta_param, min(gf, 1.0 - gf) / 2.0, 0.124)
+    g = lv.gamma.mantissa
+    psi_sums, exact, exceptional = [], 0, 0
+    m0 = max(1, beatty_term(p, 1))
+    while m0 <= M:
+        m1 = min(M, m0 + smoothing._BLOCK - 1)
+        m = np.arange(m1 - m0 + 1, dtype=np.uint64)
+        offset = g * m0 + lv.delta.mantissa
+        kf_block = sieve_kfree(k, m0, m1)
+        for t0 in range(0, len(m), TILE):
+            f = frac_vector(g, lv.bits, m[t0:t0 + TILE], offset_mantissa=offset)
+            kf = kf_block[t0:t0 + TILE]
+            exc = (f < d) | ((f > gf - d) & (f < gf + d)) | (f > 1.0 - d)
+            exceptional += int(np.count_nonzero(exc))
+            step = (f > 0.0) & (f <= gf)
+            for i in border_indices(f, lv.gamma, lv.delta, m1, gf):
+                step[i] = is_member(p, m0 + t0 + int(i))
+            psi_sums.append(float(np.sum(smoothing._psi_values(f, gf, d)[kf])))
+            exact += int(np.count_nonzero(step & kf))
+        m0 = m1 + 1
+    return math.fsum(psi_sums), exact, exceptional
+
+
+class TestRampOnlyPsi:
+    """The trapezoid summed on the ramp points only, plus the plateau count,
+    against its value at every point."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("beta", ["0", "1/2", "3", "-7/10"])
+    @pytest.mark.parametrize("spec", [
+        "quad:1,5,2", "quad:0,2,1", "cf:1," + ",".join(["1", "2"] * 40),
+        "dec:3.14159265358979323846264338327950288:100",
+    ])
+    def test_matches_the_all_points_loop(self, monkeypatch, spec, beta, k):
+        # sieve windows of 3 tiles, the last one short
+        monkeypatch.setattr(smoothing, "_BLOCK", 2 * TILE + 5000)
+        p = BeattyParams(parse_irrational(spec), Fraction(beta))
+        # 1e-13 puts Delta under the 2**-40 border tolerance, so border points
+        # lie off the ramps, where the plateau takes the float step; a 1e-3
+        # tolerance sends a few in every tile to is_member
+        for tol in (2.0**-40, 1e-3):
+            monkeypatch.setattr(beatty, "_BORDER_TOL", tol)
+            for x, mult in itertools.product((1000, 40000), (1.0, 1e-13)):
+                delta = default_delta(x, k, mult)
+                got = smoothed_beatty_count(p, k, x, delta)
+                want = smoothed_count_all_points(p, k, x, delta)
+                assert got[1:] == want[1:], (tol, x, mult)
+                assert got[0] == pytest.approx(want[0], rel=1e-12), (tol, x, mult)
+
+    def test_plateau_takes_the_float_step_not_the_border_decision(self, monkeypatch):
+        # Delta under a wide border tolerance: the border points lie off the
+        # ramps, so flipped border decisions move exact but not smoothed,
+        # and the per-run check |smoothed - exact| <= V catches them
+        monkeypatch.setattr(beatty, "_BORDER_TOL", 1e-3)
+        p = BeattyParams(PHI, 0)
+        delta = default_delta(40000, 2, 1e-13)
+        smoothed, exact, v = smoothed_beatty_count(p, 2, 40000, delta)
+        assert v == 0 and smoothed == exact
+        monkeypatch.setattr(smoothing, "is_member", lambda p, m: not beatty.is_member(p, m))
+        with pytest.raises(AssertionError, match="exceeds exceptional count 0"):
+            smoothed_beatty_count(p, 2, 40000, delta)
