@@ -10,14 +10,18 @@ kernels decide in float64 away from the borders and send entries near a
 border (border_indices) to the certified scalar path.
 
 The k-free count along the sequence enumerates no terms. It replaces alpha
-by a rational slope certified to reproduce every term up to x and sums
-mu(d) * #{n <= x : d**k | t_n} over d <= t_x**(1/k): by two floor sums of
-O(log x) steps for d up to a cut-off D0 from a cost model, and above D0 by
-the block membership test on the multiples of d**k up to t_x, about
-t_x/D0**(k-1) of them. For k = 2 both halves take O(sqrt(t_x)) steps. The
-d come one Moebius window at a time (kfree.squarefree_segments), so the
-memory is that of one window, not of all d <= t_x**(1/k), and the reach is
-capped by time.
+by a rational slope A/Q certified to reproduce every term up to x and sums
+mu(d) * N_d, N_d = #{n <= x : d**k | t_n}, over d <= t_x**(1/k). Up to a
+cut-off D0 from a cost model, N_d is a difference of two floor sums over
+the multiples of d**k in [t_1, t_x], run in numpy uint64 lanes at a lower
+and an upper dyadic bracket of their slope and offset; a lane counts only
+when both brackets give equal totals, and each d whose lane is not
+certified takes two big-integer floor sums instead (so do all d when
+t_x >= 2**63). Above D0 the block membership test decides the multiples of
+d**k up to t_x, about t_x/D0**(k-1) membership pairs. For k = 2 both
+halves take O(sqrt(t_x)) steps. The d come one Moebius window at a time
+(kfree.squarefree_segments) and the lanes and pairs in fixed-size chunks,
+so the memory is that of one window, and the reach is capped by time.
 """
 from __future__ import annotations
 
@@ -36,11 +40,13 @@ from .fixed import (
     decision_margin,
     frac_tiles,
     frac_to_float,
+    frac_u64,
     frac_vector,
 )
 from .kfree import (  # noqa: F401  perfbench's tracer self-test expects beatty.sieve_kfree
     DEFAULT_MEMORY_BYTES,
     floor_sum,
+    floor_sum_lanes,
     group_offsets,
     iroot,
     sieve_kfree,
@@ -50,12 +56,20 @@ from .kfree import (  # noqa: F401  perfbench's tracer self-test expects beatty.
 
 _BORDER_TOL = 2.0**-40
 _PAIR_CHUNK = 1 << 16  # membership pairs per chunk of the count
-# c = c_p/c_f, the cost of one membership pair over the two floor sums of one
-# d. About 0.61*D0 squarefree d take floor sums and 0.61*t_x*D0**(1-k)/(k-1)
-# pairs lie above D0, so the total is least at D0 = (c*t_x)**(1/k). Measured
-# on a 2-core Xeon: 38-46 ns per pair against 15-23 us per d, so c is near
-# 0.003; of c = 0.0025-0.02, 0.005 timed best overall at x = 1e10-1e12.
-_PAIR_COST = 0.005
+_LANE_CHUNK = 1 << 12  # d per chunk of the floor-sum lanes
+_LANE_SLACK = 5  # theta, c within 5 units of 2**-64: frac_u64's 4, the offset's floor 1
+# A lane of this many multiples or more goes to the fallback: such lanes
+# seldom certify (for phi at 1e12-1e13, 10 of 758 of 2**22-2**23 multiples
+# and none longer did), and from 2**32 on their totals could pass 2**64.
+_LANE_MAX = 1 << 22
+# c = c_p/c_f, the cost of one membership pair over that of one d in the
+# floor-sum lanes. About 0.61*D0 squarefree d take lanes and
+# 0.61*t_x*D0**(1-k)/(k-1) pairs lie above D0, so the total is least at
+# D0 = (c*t_x)**(1/k). Measured on a 2-core Xeon at x = 1e12 and 1e13: 52-53
+# ns per pair against 1.2-1.4 us per d, so c is near 0.04, whatever the bits
+# of the slope; of c = 0.005-0.08, 0.04 timed best on the 2**20..2**24 grid
+# of the benchmark's count configs and at x = 1e12-1e14.
+_PAIR_COST = 0.04
 
 
 @dataclass(frozen=True)
@@ -193,20 +207,22 @@ def beatty_terms_block(p: BeattyParams, n_lo: int, n_hi: int) -> np.ndarray:
     path. Raises ValueError when the terms could leave int64.
     """
     lv = p.level(p.precision_bits)
-    a0 = lv.alpha.mantissa >> lv.bits
+    a = lv.alpha.mantissa
+    a0 = a >> lv.bits
     if (a0 + 1) * n_hi + abs(p.beta) + 1 >= 1 << 63:
         raise ValueError(
             f"terms of alpha={p.alpha} up to n_hi={n_hi} exceed the int64 limit 2**63"
         )
-    a, af = lv.alpha.mantissa, frac_to_float(lv.alpha.mantissa, lv.bits)
     out = np.empty(n_hi - n_lo + 1, dtype=np.int64)
     c0 = a * n_lo + lv.beta.mantissa  # alpha*n_lo + beta
     for t0, f in frac_tiles(a, lv.bits, c0, len(out)):
+        if t0 == 0:  # the first tile is the longest; its j serve every tile
+            j = np.arange(len(f), dtype=np.int64)
+            fj, a0j = frac_to_float(a, lv.bits) * j, np.int64(a0) * j
         m = out[t0:t0 + len(f)]
-        j = np.arange(len(m), dtype=np.int64)
         c = c0 + a * t0  # alpha*(n_lo + t0) + beta
-        m[:] = np.rint(af * j + frac_to_float(c, lv.bits) - f)
-        m += np.int64(a0) * j
+        np.rint(fj[:len(m)] + frac_to_float(c, lv.bits) - f, out=m, casting="unsafe")
+        m += a0j[:len(m)]
         m += np.int64(c >> lv.bits)
         for i in border_indices(f, lv.alpha, lv.beta, n_hi):
             m[i] = beatty_term(p, n_lo + t0 + int(i))
@@ -341,11 +357,81 @@ def _member_pairs(p: BeattyParams, A: int, B: int, Q: int, x: int, k: int,
     return count
 
 
+def _n_d(A: int, B: int, Q: int, x: int, dk: int) -> int:
+    """#{n <= x : dk | t_n}, t_n = floor((A*n + B)/Q), by two big-integer
+    floor sums over i = n - 1 of floor(t_n/dk) - floor((t_n - 1)/dk)."""
+    D = Q * dk
+    return floor_sum(x, D, A, A + B) - floor_sum(x, D, A, A + B - Q)
+
+
+def _bracket(v: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo*2**shift <= v and v + _LANE_SLACK <= hi*2**shift:
+    a value in [v, v + _LANE_SLACK) units of 2**-64, bracketed at
+    2**(shift - 64); v <= 2**64 - _LANE_SLACK."""
+    return v >> shift, ((v + np.uint64(_LANE_SLACK - 1)) >> shift) + np.uint64(1)
+
+
+def _lane_counts(A: int, B: int, Q: int, t_1: int, t_x: int,
+                 dk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N_d = #{n <= x : dk | t_n} for the D = d**k in dk (t_x < 2**63) as
+    uint64 lanes, and the mask of lanes whose N_d is certified.
+
+    The multiples of D in [t_1, t_x] are j*D, j = j_lo + i for i < L, and
+    j*D is a term iff [(Q*j*D - B)/A, (Q*j*D + Q - B)/A) holds an integer.
+    The integer parts of the two ceilings cancel, so
+        N_d = sum_{i<L} floor(theta*i + c + gamma) - floor(theta*i + c)
+    with theta = {Q*D/A}, c = {(Q*D*j_lo - B + A - 1)/A} and gamma = Q/A.
+    frac_u64 gives theta and c to within _LANE_SLACK units of 2**-64, and
+    they are bracketed at 2**-s, s = 63 - bitlen(L + 2), so that
+    a*L + b < 2**63 in floor_sum_lanes. Every term is monotone in slope and
+    offset, so equal totals at the lower and the upper brackets make each
+    term, and so the sum, exact. A lane is certified when both sums agree
+    at their brackets, neither bracket wraps past 1, and L < _LANE_MAX, so
+    that the totals fit 64 bits.
+    """
+    u64 = np.uint64
+    j_lo = (t_1 - 1) // dk + 1
+    L = t_x // dk - j_lo + 1
+    g = (Q << 128) // A  # gamma in units of 2**-128, truncated
+    theta = frac_u64(g, 128, dk)
+    c = frac_u64(g, 128, dk.astype(u64) * j_lo.astype(u64))
+    c += u64((((A - 1 - B) % A) << 64) // A)
+    top = u64((1 << 64) - _LANE_SLACK)  # at most this, the bracket does not wrap
+    ok = (L < _LANE_MAX) & (theta <= top) & (c <= top)
+    L = np.where(ok, L, 0).astype(u64)
+    shift = (np.frexp(L + u64(2))[1] + 1).astype(u64)  # 64 - s
+    m = u64(1) << (u64(64) - shift)
+    (t_lo, t_hi), (c_lo, c_hi) = _bracket(theta, shift), _bracket(c, shift)
+    g_lo = u64((Q << 64) // A) >> shift
+    sums = floor_sum_lanes(np.tile(L, 4), np.tile(m, 4), np.concatenate((t_lo, t_hi, t_lo, t_hi)),
+                           np.concatenate((c_lo, c_hi, c_lo + g_lo, c_hi + g_lo + u64(1))))
+    lo1, hi1, lo2, hi2 = sums.reshape(4, -1)
+    return lo2 - lo1, ok & (lo1 == hi1) & (lo2 == hi2)
+
+
+def _floor_sum_count(A: int, B: int, Q: int, x: int, k: int,
+                     d: np.ndarray, mu: np.ndarray) -> int:
+    """sum over the given d of mu(d) * #{n <= x : d**k | t_n}: _lane_counts in
+    chunks of _LANE_CHUNK d, and _n_d for each d whose lane is not certified,
+    or for every d when t_x >= 2**63."""
+    t_1, t_x = (A + B) // Q, (A * x + B) // Q
+    count, rest = 0, range(len(d))
+    if t_x < 1 << 63:  # the lanes' D*j_lo and L are uint64
+        rest = []
+        for c0 in range(0, len(d), _LANE_CHUNK):
+            n_d, cert = _lane_counts(A, B, Q, t_1, t_x, d[c0:c0 + _LANE_CHUNK] ** k)
+            count += int(n_d[cert].astype(np.int64) @ mu[c0:c0 + len(cert)][cert].astype(np.int64))
+            rest += (np.flatnonzero(~cert) + c0).tolist()
+    for i in rest:
+        count += int(mu[i]) * _n_d(A, B, Q, x, int(d[i]) ** k)
+    return count
+
+
 def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: int) -> int:
     """The exact count of count_kfree_beatty, split at D0 = d0 (None: the
-    cost model of _PAIR_COST): floor sums for d <= D0, _member_pairs above,
-    one Moebius window of d at a time. _member_pairs holds 5 int64 arrays
-    over the squarefree d of its window."""
+    cost model of _PAIR_COST): _floor_sum_count for d <= D0, _member_pairs
+    above, one Moebius window of d at a time. _member_pairs holds 5 int64
+    arrays over the squarefree d of its window."""
     s = _certified_slope(p, x)
     # t_n = floor((A*n + B) / Q) exactly for 1 <= n <= x
     A = s.numerator * p.beta.denominator
@@ -363,10 +449,7 @@ def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: 
     count = 0
     for d, mu in squarefree_segments(r, memory_bytes):
         n_small = int(np.searchsorted(d, d0, "right"))
-        for di, m in zip(d[:n_small].tolist(), mu[:n_small].tolist()):
-            # sum over i = n - 1 of floor(t_n / d**k) - floor((t_n - 1) / d**k)
-            D = Q * di**k
-            count += m * (floor_sum(x, D, A, A + B) - floor_sum(x, D, A, A + B - Q))
+        count += _floor_sum_count(A, B, Q, x, k, d[:n_small], mu[:n_small])
         if n_small < len(d):
             count += _member_pairs(p, A, B, Q, x, k, d[n_small:], mu[n_small:])
     return count
@@ -383,14 +466,19 @@ def count_kfree_beatty(
     Exact without enumerating terms:
         count = sum_{d <= t_x**(1/k)} mu(d) * #{n <= x : d**k | t_n},
     with alpha replaced by a certified rational slope (_certified_slope).
-    Up to D0 = (c*t_x)**(1/k), c = 0.005 from a cost model (_PAIR_COST),
-    each inner count is a difference of two floor sums of O(log x) steps;
-    above D0 it counts the Beatty members among the multiples of d**k in
-    [t_1, t_x], tested in numpy chunks of 2**16 pairs. For k = 2
-    that is about 0.61*sqrt(c*t_x) squarefree d of floor sums and
-    0.61*sqrt(t_x/c) pairs. The d come in Moebius windows of
-    kfree.MOEBIUS_SEGMENT d, each of which must fit memory_bytes
-    (MemoryBudgetExceeded otherwise); a few MiB suffice for every x.
+    Up to D0 = (c*t_x)**(1/k), c = 0.04 from a cost model (_PAIR_COST),
+    each inner count is a difference of two floor sums over the multiples
+    of d**k in [t_1, t_x]. _lane_counts runs them for 2**12 d at a time
+    in uint64 lanes, at a lower and an upper bracket of the slope and the
+    offset, and takes a d's count only when the two agree; the other d
+    (few: those with about 2**19 or more multiples) take two big-integer
+    floor sums, as every d does when t_x >= 2**63. Above D0 it counts the
+    Beatty members among the multiples of d**k in [t_1, t_x], tested in
+    numpy chunks of 2**16 pairs. For k = 2 that is about 0.61*sqrt(c*t_x)
+    squarefree d of floor sums and 0.61*sqrt(t_x/c) pairs. The d come in
+    Moebius windows of kfree.MOEBIUS_SEGMENT d, each of which must fit
+    memory_bytes (MemoryBudgetExceeded otherwise); a few MiB suffice for
+    every x.
     """
     if k < 2:
         raise ValueError("k must be >= 2")

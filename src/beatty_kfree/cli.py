@@ -102,7 +102,11 @@ def _positive_float(text: str) -> float:
 
 
 def _mib_to_bytes(text: str) -> int:
-    return int(text) << 20
+    """argparse type for --memory-budget: whole MiB, at least 1, in bytes."""
+    mib = int(text)
+    if mib < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (MiB), got {mib}")
+    return mib << 20
 
 
 _SWEEP_X_MIN = 200  # expsum-sweep draws x from [_SWEEP_X_MIN, --x-max]
@@ -116,7 +120,8 @@ _FLAGS = {
     "eps": dict(type=_positive_float, default=0.05),
     "delta-multiplier": dict(type=_positive_float, default=1.0),
     "seed": dict(type=int, default=0),
-    "precision-bits": dict(type=int, default=192),
+    "precision-bits": dict(type=_int_at_least(64), default=192,
+                           help="working bits, at least 64, the fractional-part kernel's unit"),
     "memory-budget": dict(type=_mib_to_bytes, default="256", dest="memory_bytes",
                           metavar="MIB", help="MiB for sieve windows"),
     "out": dict(default=None, help="CSV output path (default stdout)"),

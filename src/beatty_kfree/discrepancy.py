@@ -17,6 +17,7 @@ import numpy as np
 
 from .beatty import parse_beta
 from .cfrac import IrrationalSpec, to_fixed
+from .errors import PrecisionExhausted
 from .fixed import DEFAULT_BITS, TILE, FixedReal, frac_vector
 
 
@@ -44,9 +45,17 @@ class DiscrepancyResult:
 
 def build_pointset(alpha: IrrationalSpec, beta, M: int,
                    precision_bits: int = DEFAULT_BITS) -> PointSet:
-    """Fractional parts {alpha*m + beta} for m = 1..M at working precision."""
+    """Fractional parts {alpha*m + beta} for m = 1..M at working precision.
+
+    Raises PrecisionExhausted when M * 2**-precision_bits, the scale of the
+    error of alpha*M, exceeds the 2**-54 to which frac_vector rounds.
+    """
     if M < 1:
         raise ValueError("M must be >= 1")
+    if M > 1 << max(precision_bits - 54, 0):
+        raise PrecisionExhausted(
+            f"points up to M={M} at precision_bits={precision_bits}: M * 2**-{precision_bits} "
+            f"exceeds the fractional-part kernel's 2**-54; need {(M - 1).bit_length() + 54} bits")
     a = to_fixed(alpha, precision_bits)
     b = FixedReal.from_fraction(parse_beta(beta) if isinstance(beta, str) else beta,
                                 precision_bits)

@@ -10,6 +10,9 @@ frac_vector reduces whole arrays of multiples mod 1 without certification:
 exact fixed point in units of 2**-64, where uint64 wraparound is the
 reduction, rounded to nearest float64 within 2**-54 + 2**-62 for any
 n < 2**64. The block kernels decide in float only away from the borders.
+frac_u64 is its uint64 sum before the rounding, below the exact value by
+less than 4 units of 2**-64, from which the count's floor-sum lanes bracket
+their slopes and offsets.
 frac_tiles serves consecutive multiples tile by tile: one table of the
 kernel's n < 2**32 sum for all tiles, plus each tile's exact offset, equal
 bit for bit to frac_vector on that tile and so within the same bound.
@@ -121,18 +124,28 @@ def frac_vector(
     offset_mantissa: int = 0,
 ) -> np.ndarray:
     """Fractional parts of (mantissa*n + offset) / 2**scale_bits as float64,
-    for any uint64 n.
+    for any uint64 n: frac_u64's sum plus o = floor(frac(offset) * 2**64) +
+    2**10, rounded to 53 bits. The five truncations lower u + o by under
+    5*2**-64 in all; rounding to 53 bits, to nearest by the 2**10, raises it
+    by at most 2**-54 or lowers it by at most 2**-54 - 2**-64. So every output
+    lies in [0, 1) within 2**-54 + 2**-62 of the exact fractional part on the
+    circle, and one that rounds up to 1 wraps to +0.0.
+    """
+    u = frac_u64(mantissa, scale_bits, n)
+    return _round53(u, offset_mantissa, scale_bits, out=u)
 
-    Fixed point in units of 2**-64, where uint64 wraparound is the reduction
-    mod 1. With t the top 128 bits of the fraction of mantissa / 2**scale_bits,
+
+def frac_u64(mantissa: int, scale_bits: int, n: np.ndarray) -> np.ndarray:
+    """Fractional parts of mantissa*n / 2**scale_bits for uint64 n, cut down
+    to units of 2**-64 as uint64 u; the exact value lies in [u, u + 4) units
+    on the circle (wraparound of uint64 is the reduction mod 1).
+
+    With t the top 128 bits of the fraction of mantissa / 2**scale_bits,
     split into th (64 bits), tl and tl2 (32 bits each), and n = n_hi*2**32 + n_lo:
-        u = th*n + tl*n_hi + (tl*n_lo >> 32) + (tl2*n_hi >> 32) + o  (mod 2**64),
-    with o = floor(frac(offset) * 2**64) + 2**10. The five truncations lower u
-    by under 5*2**-64 in all; rounding the integer u to 53 bits, to nearest by
-    the 2**10, raises it by at most 2**-54 or lowers it by at most 2**-54 -
-    2**-64. So every output lies in [0, 1) within 2**-54 + 2**-62 of the exact
-    fractional part on the circle, and one that rounds up to 1 wraps to +0.0.
-    For n < 2**32 the n_hi terms vanish and two products remain.
+        u = th*n + tl*n_hi + (tl*n_lo >> 32) + (tl2*n_hi >> 32)  (mod 2**64).
+    It drops the bits of the fraction below t, tl2*n_lo and the two shifts,
+    each under one unit. For n < 2**32 the n_hi terms vanish and two products
+    remain.
     """
     n64 = np.ascontiguousarray(n, dtype=np.uint64)
     t = _top128(mantissa, scale_bits)
@@ -151,7 +164,7 @@ def frac_vector(
         w = np.multiply(n64, tl)
     w >>= _32
     u += w
-    return _round53(u, offset_mantissa, scale_bits, out=u)
+    return u
 
 
 def frac_tiles(mantissa: int, scale_bits: int, offset_mantissa: int, length: int):

@@ -56,6 +56,39 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
+def floor_sum_lanes(n: np.ndarray, m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """floor_sum(n[i], m[i], a[i], b[i]) for every lane i of uint64 arrays,
+    by floor_sum's loop in lockstep: each step is a few numpy passes.
+
+    Exact where m*(n + 1) <= 2**64 and the sum is below 2**64, m >= 1. After
+    the first reduction a, b < m, so y_max = a*n + b < m*(n + 1); a swap
+    passes on n' <= n and m' = a < m, so every y_max stays below
+    m*(n + 1). The closed forms q*n*(n - 1)/2 and q*n may wrap, but they are
+    added mod 2**64 to a total that ends below 2**64. A finished lane
+    (y_max < m) goes on with n = 0, which adds nothing, and m = max(a, 1);
+    the finished lanes are dropped once they are half of those left.
+    """
+    n, m, a, b = (np.array(v, dtype=np.uint64) for v in (n, m, a, b))
+    out = np.empty(len(n), dtype=np.uint64)
+    total = np.zeros(len(n), dtype=np.uint64)
+    lane = np.arange(len(n))
+    one = np.uint64(1)
+    while len(lane):
+        q, a = np.divmod(a, m)
+        total += q * ((n >> one) * ((n - one) | one))  # q * n*(n - 1)/2, halving the even factor
+        q, b = np.divmod(b, m)
+        total += q * n
+        y = a * n + b
+        done = y < m
+        if 2 * np.count_nonzero(done) >= len(lane):
+            out[lane[done]] = total[done]
+            run = ~done
+            y, m, a, total, lane = y[run], m[run], a[run], total[run], lane[run]
+        n, b = np.divmod(y, m)
+        m, a = np.maximum(a, one), m
+    return out
+
+
 def primes_upto(n: int) -> np.ndarray:
     if n < 2:
         return np.empty(0, dtype=np.int64)
@@ -213,7 +246,9 @@ def count_kfree(x: int, k: int,
     # every partial sum is at most zeta(k) * x < 2**63 under the 2**62 guard
     count = 0
     for d, mu in squarefree_segments(iroot(x, k), memory_bytes):
-        q = np.uint64(x) // d.astype(np.uint64) ** k
+        q = d.astype(np.uint64)  # x // d**k in place: one window-sized temporary
+        q **= k
+        np.floor_divide(np.uint64(x), q, out=q)
         count += int(np.dot(q.view(np.int64), mu.astype(np.int64)))
     main = x / zeta(k)
     return count, main, count - main

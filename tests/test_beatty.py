@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from beatty_kfree import beatty, fixed, kfree
 from beatty_kfree.beatty import (
     BeattyParams,
+    _bracket,
+    _certified_slope,
     _count_split,
+    _lane_counts,
+    _n_d,
     beatty_term,
     beatty_terms_block,
     count_kfree_beatty,
@@ -433,6 +437,138 @@ class TestSplitCount:
         pks = [q**5 for q in primes_upto(iroot(terms[-1], 5)).tolist()]
         want = sum(all(t % q for q in pks) for t in terms)
         assert count_kfree_beatty(p, 10, 5)[0] == want
+
+
+def slope_form(p: BeattyParams, x: int) -> tuple[int, int, int, int, int]:
+    """(A, B, Q, t_1, t_x) with t_n = floor((A*n + B)/Q) for 1 <= n <= x."""
+    s = _certified_slope(p, x)
+    A = s.numerator * p.beta.denominator
+    B = p.beta.numerator * s.denominator
+    Q = s.denominator * p.beta.denominator
+    return A, B, Q, (A + B) // Q, (A * x + B) // Q
+
+
+LANE_CASES = [(spec, beta, k, x) for spec, beta in (
+    ("quad:1,5,2", "0"), ("quad:1,5,2", "1/2"), ("quad:7,2,3", "-7/10"), ("quad:7,2,3", "3"),
+    (COUNT_SPECS[3], "-7/10"), (COUNT_SPECS[4], "-7/10"), (COUNT_SPECS[4], "3"))
+    for k in (2, 3) for x in (10**4, 10**9)]
+
+
+class TestLaneCounts:
+    """The uint64 lanes of the small d against the big-integer floor sums."""
+
+    @pytest.mark.parametrize("spec, beta, k, x", LANE_CASES)
+    def test_certified_lanes_are_the_two_floor_sums(self, spec, beta, k, x):
+        A, B, Q, t_1, t_x = slope_form(BeattyParams(parse_irrational(spec), parse_beta(beta)), x)
+        d = np.arange(1, min(iroot(t_x, k), 400) + 1)
+        n_d, cert = _lane_counts(A, B, Q, t_1, t_x, d**k)
+        assert cert.any()
+        for i in np.flatnonzero(cert).tolist():
+            assert int(n_d[i]) == _n_d(A, B, Q, x, int(d[i]) ** k), int(d[i])
+
+    @pytest.mark.parametrize("spec, beta, k, x", LANE_CASES[::5])
+    def test_brackets_hold_the_exact_slope_and_offsets(self, spec, beta, k, x, monkeypatch):
+        # the four floor sums' (a, b) at 2**-s: theta, c, theta, c + gamma, each
+        # between its lower and its upper bracket, and m*(L + 2) <= 2**63
+        seen = []
+        monkeypatch.setattr(beatty, "floor_sum_lanes",
+                            lambda *cols: seen.append(cols) or np.zeros(len(cols[0]), np.uint64))
+        A, B, Q, t_1, t_x = slope_form(BeattyParams(parse_irrational(spec), parse_beta(beta)), x)
+        dk = np.arange(1, min(iroot(t_x, k), 300) + 1) ** k
+        _lane_counts(A, B, Q, t_1, t_x, dk)
+        (n, m, a, b), = seen
+        lanes = len(dk)
+        for i, D in enumerate(dk.tolist()):
+            L, s_m = int(n[i]), int(m[i])
+            if L == 0:  # no multiple of D among the terms, or a lane sent to the fallback
+                continue
+            j_lo = (t_1 - 1) // D + 1
+            assert L == t_x // D - j_lo + 1 and s_m * (L + 2) <= 1 << 63
+            theta = Fraction(Q * D % A, A)
+            c = Fraction((Q * D * j_lo - B + A - 1) % A, A)
+            got = [(int(a[g * lanes + i]), int(b[g * lanes + i])) for g in range(4)]
+            (a_lo, c_lo), (a_hi, c_hi), (_, cg_lo), (_, cg_hi) = got
+            assert a_lo <= theta * s_m <= a_hi and c_lo <= c * s_m <= c_hi, D
+            assert cg_lo <= (c + Fraction(Q, A)) * s_m <= cg_hi, D
+            assert [g[0] for g in got] == [a_lo, a_hi, a_lo, a_hi], D
+
+    @pytest.mark.parametrize("shift", [3, 20, 34, 61])
+    def test_a_bracket_covers_the_slack_across_a_multiple(self, shift):
+        step = 1 << shift
+        v = np.array([5 * step + j for j in range(-2 * beatty._LANE_SLACK, 2 * beatty._LANE_SLACK)]
+                     + [(1 << 64) - beatty._LANE_SLACK], dtype=np.uint64)
+        lo, hi = _bracket(v, np.full(len(v), shift, dtype=np.uint64))
+        for vi, l, h in zip(v.tolist(), lo.tolist(), hi.tolist()):
+            assert l * step <= vi and vi + beatty._LANE_SLACK <= h * step <= vi + beatty._LANE_SLACK + step
+
+    def test_a_value_within_the_slack_of_one_takes_the_fallback(self, monkeypatch):
+        # theta or c so near 1 that its bracket could wrap: no lane certifies,
+        # and the count is that of the big-integer floor sums
+        p = BeattyParams(PHI, parse_beta("1/2"))
+        want = _count_split(p, 10**6, 2, ALL_FLOOR_SUMS, DEFAULT_MEMORY_BYTES)
+        A, B, Q, t_1, t_x = slope_form(p, 10**6)
+        dk = np.arange(1, iroot(t_x, 2) + 1) ** 2
+        offset = (((A - 1 - B) % A) << 64) // A  # c's offset, added after frac_u64
+        real = beatty.frac_u64
+        for patched, near in ((0, 1 << 64), (1, (1 << 64) - offset)):
+            calls = []
+
+            def near_one(mantissa, scale_bits, n):  # theta first, then c
+                u = real(mantissa, scale_bits, n)
+                if len(calls) == patched:
+                    u[::3] = np.uint64(near - beatty._LANE_SLACK + 1)
+                calls.append(n)
+                return u
+
+            monkeypatch.setattr(beatty, "frac_u64", near_one)
+            cert = _lane_counts(A, B, Q, t_1, t_x, dk)[1]
+            assert cert.any() and not cert[::3].any(), patched
+            assert _count_split(p, 10**6, 2, ALL_FLOOR_SUMS, DEFAULT_MEMORY_BYTES) == want
+
+    def test_a_lane_past_the_longest_is_never_certified(self, monkeypatch):
+        # even with equal totals: from 2**32 multiples on they could wrap 2**64
+        monkeypatch.setattr(beatty, "floor_sum_lanes", lambda *cols: np.zeros(len(cols[0]), np.uint64))
+        A, B, Q, t_1, t_x = slope_form(BeattyParams(PHI, 0), 10**10)
+        dk = np.arange(1, 101) ** 2
+        cert = _lane_counts(A, B, Q, t_1, t_x, dk)[1]
+        long = t_x // dk >= beatty._LANE_MAX
+        assert long.any() and not long.all()
+        assert not cert[long].any() and cert[~long].all()
+
+    @pytest.mark.parametrize("spec", COUNT_SPECS)
+    def test_no_lane_certified_gives_the_same_counts(self, spec, monkeypatch):
+        alpha = parse_irrational(spec)
+        cases = [(BeattyParams(alpha, parse_beta(beta)), k, x)
+                 for beta in ("0", "1/2", "-7/10", "3", "-2") for k in (2, 3)
+                 for x in ((1, 10, 99) if spec in SHORT_SPECS else (1, 10, 1000, 10**5))]
+        want = [outcome(lambda: count_kfree_beatty(p, x, k)[0]) for p, k, x in cases]
+        real = beatty._lane_counts
+        monkeypatch.setattr(beatty, "_lane_counts",
+                            lambda *args: (real(*args)[0], np.zeros(len(args[-1]), dtype=bool)))
+        assert [outcome(lambda: count_kfree_beatty(p, x, k)[0]) for p, k, x in cases] == want
+
+    def test_window_at_1e12_equals_the_streamed_terms(self, monkeypatch):
+        # count(x0 + 2**20) - count(x0) against the k-free terms that
+        # beatty_terms_block and sieve_kfree stream over (x0, x0 + 2**20],
+        # with both the lanes and the fallback serving d
+        served = {"lanes": 0, "fallback": 0}
+        lane_counts, n_d = beatty._lane_counts, beatty._n_d
+
+        def lanes(*args):
+            out = lane_counts(*args)
+            served["lanes"] += int(out[1].sum())
+            return out
+
+        def fallback(*args):
+            served["fallback"] += 1
+            return n_d(*args)
+
+        monkeypatch.setattr(beatty, "_lane_counts", lanes)
+        monkeypatch.setattr(beatty, "_n_d", fallback)
+        p, x0, w = BeattyParams(PHI, 0), 10**12, 1 << 20
+        window = count_kfree_beatty(p, x0 + w, 2)[0] - count_kfree_beatty(p, x0, 2)[0]
+        assert window == streaming_count(p, 2, x0 + 1, x0 + w)
+        assert served["lanes"] > 0 and served["fallback"] > 0
 
 
 class TestIntervalWidth:

@@ -41,12 +41,13 @@ def test_a_malformed_alpha_or_beta_names_the_flag_and_the_input(flag, value, say
 
 
 def test_a_window_over_the_memory_budget_names_the_flag_and_the_mib(capsys):
-    # x = 1000 sieves mu over d <= isqrt(t_x) = 40
-    argv = ["count", "--grid", "1000:1000:10", "--memory-budget", "0"]
+    # the naive double sum of seed 1's first trial sieves n <= 1,419,671
+    argv = ["expsum-sweep", "--trials", "1", "--x-max", "3000000", "--seed", "1",
+            "--memory-budget", "1"]
     assert cli.main(argv) == cli.EXIT_BUDGET
     err = capsys.readouterr().err
-    assert "window [1,40] needs 127 bytes" in err and "(budget 0)" in err
-    assert "--memory-budget 1 (MiB) or more" in err
+    assert "window [1,1419671] needs 1420863 bytes" in err and "(budget 1048576)" in err
+    assert "--memory-budget 2 (MiB) or more" in err
 
 
 def test_count_refuses_an_uncertified_alpha(capsys):
@@ -245,6 +246,30 @@ def test_out_of_range_value_names_its_flag(flag, value, capsys):
 def test_a_size_below_its_limit_names_the_flag_and_the_limit(argv, flag, limit, capsys):
     assert cli.main(argv) == cli.EXIT_USAGE
     assert f"argument {flag}: must be {limit}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["count", "fit-exponent", "expsum-sweep", "discrepancy",
+                                     "smoothing-check"])
+@pytest.mark.parametrize("bits", ["0", "-5", "63"])
+def test_precision_below_the_kernel_unit_names_the_flag_and_64(command, bits, capsys):
+    assert cli.main([command, f"--precision-bits={bits}"]) == cli.EXIT_USAGE
+    assert f"argument --precision-bits: must be >= 64, got {bits}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["count", "fit-exponent", "expsum-sweep", "smoothing-check"])
+@pytest.mark.parametrize("mib", ["0", "-1"])
+def test_a_budget_below_one_mib_names_the_flag_and_the_limit(command, mib, capsys):
+    assert cli.main([command, f"--memory-budget={mib}"]) == cli.EXIT_USAGE
+    assert f"argument --memory-budget: must be >= 1 (MiB), got {mib}" in capsys.readouterr().err
+
+
+def test_discrepancy_past_its_precision_is_exhausted(tmp_path, capsys):
+    # 64 bits carry M <= 2**10 points within the kernel's 2**-54
+    out = tmp_path / "d.csv"
+    argv = ["discrepancy", "--precision-bits", "64", "--out", str(out)]
+    assert cli.main([*argv, "--grid", "1024:1024:10"]) == cli.EXIT_OK
+    assert cli.main([*argv, "--grid", "1025:1025:10"]) == cli.EXIT_BUDGET
+    assert "M=1025 at precision_bits=64" in capsys.readouterr().err
 
 
 def run_module(*argv) -> subprocess.CompletedProcess:

@@ -16,6 +16,7 @@ from beatty_kfree.discrepancy import (
     extreme_discrepancy,
     extreme_discrepancy_oracle,
 )
+from beatty_kfree.errors import PrecisionExhausted
 from beatty_kfree.fixed import DEFAULT_BITS, TILE, FixedReal, frac_vector
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
@@ -146,3 +147,9 @@ def test_tied_extremes_in_two_tiles_keep_the_first(monkeypatch, tile):
     assert res.extreme == 1.375 / M
     assert res.star == 0.875 / M
     assert res.witness_interval == (xs[1200], xs[1500])
+
+
+def test_pointset_past_the_kernel_precision_raises():
+    assert build_pointset(PHI, 0, 1 << 10, 64).M == 1 << 10
+    with pytest.raises(PrecisionExhausted, match=r"M=1025 at precision_bits=64"):
+        build_pointset(PHI, 0, 1025, 64)

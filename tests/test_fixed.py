@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from beatty_kfree.beatty import BeattyParams
 from beatty_kfree.cfrac import PHI, parse_irrational, to_fixed
 from beatty_kfree.expsums import linear_exp_sum
-from beatty_kfree.fixed import TILE, FixedReal, frac_tiles, frac_to_float, frac_vector
+from beatty_kfree.fixed import TILE, FixedReal, frac_tiles, frac_to_float, frac_u64, frac_vector
 
 
 class TestFrac:
@@ -221,6 +221,35 @@ class TestFracVectorBeyond2To32:
 
     def test_empty_input(self):
         assert frac_vector(12345, 64, np.array([], dtype=np.uint64)).shape == (0,)
+
+
+def u64_gap(u: np.ndarray, mant: int, bits: int, ns) -> list[Fraction]:
+    """(exact fractional part of mant*n / 2**bits) - u, in units of 2**-64
+    and taken mod 2**64, per n."""
+    return [Fraction((mant * n) % (1 << bits) << 64, 1 << bits) - int(v) for v, n in zip(u, ns)]
+
+
+class TestFracU64:
+    """The uint64 sum under frac_vector: the exact value lies in [u, u + 4)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bits=st.sampled_from([64, 128, 192, 300]),
+        data=st.data(),
+        ns=st.lists(st.one_of(st.integers(0, (1 << 32) - 1), st.integers(0, (1 << 64) - 1)),
+                    min_size=1, max_size=20),
+    )
+    def test_exact_value_lies_in_u_to_u_plus_4(self, bits, data, ns):
+        mant = data.draw(st.integers(-(1 << (bits + 8)), 1 << (bits + 8)))
+        u = frac_u64(mant, bits, np.array(ns, dtype=np.uint64))
+        assert all(0 <= gap % (1 << 64) < 4 for gap in u64_gap(u, mant, bits, ns))
+
+    def test_three_dropped_parts_near_a_unit_each(self):
+        # tl = 1, tl2 = n_lo = 2**32 - 1, n_hi = 1: the two shifts and tl2*n_lo
+        # each drop nearly a unit
+        mant, ns = (5 << 64) + (1 << 32) + (1 << 32) - 1, [(1 << 33) - 1]
+        gap, = u64_gap(frac_u64(mant, 128, np.array(ns, dtype=np.uint64)), mant, 128, ns)
+        assert 2.99 < gap < 3
 
 
 class TestFracTiles:

@@ -33,6 +33,9 @@ CASES = {
     "count_sqrt2_k3": (["count", "--alpha", "quad:0,2,1", "--beta=1/2", "--k", "3"], cli.EXIT_OK),
     "count_dec_pi": (["count", "--alpha", PI, "--beta=-7/10", "--grid", "1000:1000000:10"],
                      cli.EXIT_OK),
+    "count_reach_phi": (["count", "--grid", "1e9:1e11:10"], cli.EXIT_OK),
+    "count_reach_dec_pi": (["count", "--alpha", PI, "--beta=-7/10", "--grid", "1e9:1e11:10"],
+                           cli.EXIT_OK),
 }
 
 

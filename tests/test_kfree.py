@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beatty_kfree import kfree
@@ -10,6 +10,7 @@ from beatty_kfree.errors import MemoryBudgetExceeded
 from beatty_kfree.kfree import (
     count_kfree,
     floor_sum,
+    floor_sum_lanes,
     group_offsets,
     iroot,
     sieve_kfree,
@@ -314,3 +315,34 @@ class TestFloorSum:
             floor_sum(-1, 7, 1, 0)
         with pytest.raises(ValueError):
             floor_sum(3, 0, 1, 0)
+
+
+@st.composite
+def lanes(draw):
+    """One floor_sum_lanes lane (n, m, a, b) with m*(n + 1) <= 2**64 and a
+    sum below 2**64, a and b up to 3m (so b >= m is drawn), n often 0 or 1."""
+    m = draw(st.integers(1, 1 << draw(st.integers(0, 63))))
+    n_top = (1 << 64) // m - 1
+    n = draw(st.one_of(st.sampled_from([0, 1, n_top]), st.integers(0, n_top)))
+    a, b = (draw(st.integers(0, min(3 * m, (1 << 64) - 1))) for _ in "ab")
+    assume(floor_sum(n, m, a, b) < 1 << 64)
+    return n, m, a, b
+
+
+class TestFloorSumLanes:
+    """The lockstep uint64 kernel against floor_sum over its whole domain."""
+
+    @given(st.lists(lanes(), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_each_lane_is_floor_sum(self, lanes):
+        cols = [np.array([lane[i] for lane in lanes], dtype=np.uint64) for i in range(4)]
+        assert floor_sum_lanes(*cols).tolist() == [floor_sum(*lane) for lane in lanes]
+
+    def test_the_domain_edges(self):
+        # m*(n + 1) = 2**64 with a, b at and above m, all zero, and m = 1
+        top = (1 << 64) - 1
+        cases = [(1 << 31, 1 << 32, 0, 0), ((1 << 31) - 1, 1 << 33, (1 << 33) - 1, (1 << 33) - 1),
+                 (top, 1, 0, 0), (0, 1 << 63, top, top), (1, 1 << 63, top, top),
+                 ((1 << 32) - 1, 1 << 32, (1 << 32) - 1, 2 * (1 << 32) - 1)]
+        cols = [np.array([c[i] for c in cases], dtype=np.uint64) for i in range(4)]
+        assert floor_sum_lanes(*cols).tolist() == [floor_sum(*c) for c in cases]
