@@ -4,8 +4,8 @@ The membership criterion is the fractional-part test
     m = floor(alpha*n + beta) for some integer n  iff  0 < {gamma*m + delta} <= gamma,
 with gamma = 1/alpha and delta = (1 - beta)/alpha; the witness n is
 floor(gamma*m + delta). The scalar path (member_witness) decides both in one
-certified decision per precision level. All decisions are certified via
-interval fixed-point arithmetic with precision escalation (_decide). The block
+certified decision per precision level. One precision-escalation loop
+(_decide) certifies the floor, the membership and the count's slope. The block
 kernels decide in float64 away from the borders and send entries near a
 border (border_indices) to the certified scalar path.
 
@@ -20,14 +20,14 @@ certified takes two big-integer floor sums instead (so do all d when
 t_x >= 2**63). Above D0 the block membership test decides the multiples of
 d**k up to t_x, about t_x/D0**(k-1) membership pairs. For k = 2 both
 halves take O(sqrt(t_x)) steps. The d come one Moebius window at a time
-(kfree.squarefree_segments) and the lanes and pairs in fixed-size chunks,
-so the memory is that of one window, and the reach is capped by time.
+(kfree.squarefree_segments), the lanes in fixed-size chunks and the pairs
+in chunks of whole d, so the memory is that of one window, and the reach is
+capped by time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -101,12 +101,10 @@ class BeattyParams:
         alpha: IrrationalSpec,
         beta: Fraction | int | str = 0,
         precision_bits: int = DEFAULT_BITS,
-        max_bits: int = MAX_BITS,
     ):
         self.alpha = alpha
         self.beta = Fraction(beta)
         self.precision_bits = precision_bits
-        self.max_bits = max_bits
         self._levels: dict[int, _Level] = {}
         self.level(precision_bits)  # validates alpha > 1 eagerly
 
@@ -132,18 +130,6 @@ class BeattyParams:
             self._levels[bits] = lv
         return lv
 
-    def escalation(self) -> Iterator[_Level]:
-        """Levels from precision_bits, doubling up to max_bits. Stops early
-        when alpha's interval comes back unchanged (cf: and dec: specs),
-        since a level built from it could decide nothing new."""
-        lv = self.level(self.precision_bits)
-        while True:
-            yield lv
-            bits = 2 * lv.bits
-            if bits > self.max_bits or self.alpha.eval_interval(bits + 16) == lv.interval:
-                return
-            lv = self.level(bits)
-
     @property
     def gamma(self) -> FixedReal:
         return self.level(self.precision_bits).gamma
@@ -153,17 +139,19 @@ class BeattyParams:
 
 
 def _decide(p: BeattyParams, what: str, decide):
-    """decide(lv) at each level of p.escalation() until it is not None;
-    PrecisionExhausted names what and the bits tried when no level decides."""
-    tried = []
-    for lv in p.escalation():
+    """decide(lv) at the levels from p.precision_bits, doubling up to
+    MAX_BITS, until it is not None. Stops early when alpha's interval comes
+    back unchanged (cf: and dec: specs), since a level built from it could
+    decide nothing new; PrecisionExhausted names what and the bits tried."""
+    tried, lv = [], p.level(p.precision_bits)
+    while (out := decide(lv)) is None:
         tried.append(lv.bits)
-        out = decide(lv)
-        if out is not None:
-            return out
-    raise PrecisionExhausted(
-        f"{what} undecidable for alpha={p.alpha}, beta={p.beta} at bits {tried}"
-    )
+        bits = 2 * lv.bits
+        if bits > MAX_BITS or p.alpha.eval_interval(bits + 16) == lv.interval:
+            raise PrecisionExhausted(
+                f"{what} undecidable for alpha={p.alpha}, beta={p.beta} at bits {tried}")
+        lv = p.level(bits)
+    return out
 
 
 def beatty_term(p: BeattyParams, n: int) -> int:
@@ -289,11 +277,9 @@ def member_flags_block(p: BeattyParams, m_lo: int, m_hi: int) -> np.ndarray:
 def _certified_slope(p: BeattyParams, x: int) -> Fraction:
     """A rational s with floor(s*n + beta) = floor(alpha*n + beta) for 1 <= n <= x.
 
-    Every slope in alpha's certified interval [lo, hi] gives terms between
+    Every slope in a level's interval [lo, hi] of alpha gives terms between
     those of lo and of hi, so equal term totals at lo and hi (one floor sum
-    each) make every term agree and lo stands in for alpha. The bits double
-    from p.precision_bits up to p.max_bits; PrecisionExhausted when no
-    interval certifies, or at once when the spec returns the same interval.
+    each) make every term agree and lo stands in for alpha (_decide).
     """
     b, c = p.beta.numerator, p.beta.denominator
 
@@ -301,50 +287,35 @@ def _certified_slope(p: BeattyParams, x: int) -> Fraction:
         a, q = s.numerator, s.denominator
         return floor_sum(x, q * c, a * c, a * c + b * q)
 
-    tried: list[int] = []
-    bits, prev = p.precision_bits, None
-    while bits <= p.max_bits:
-        lo, hi = p.alpha.eval_interval(bits)
-        if (lo, hi) == prev:
-            break
-        tried.append(bits)
-        if total(lo) == total(hi):
-            return lo
-        prev = lo, hi
-        bits *= 2
-    raise PrecisionExhausted(
-        f"floor(alpha*n+beta) for n <= x={x} not certified for alpha={p.alpha} "
-        f"at bits {tried}"
-    )
+    def certify(lv: _Level) -> Fraction | None:
+        lo, hi = lv.interval
+        return lo if total(lo) == total(hi) else None
+
+    return _decide(p, f"floor(alpha*n+beta) for n <= x={x}", certify)
 
 
 def _member_pairs(p: BeattyParams, A: int, B: int, Q: int, x: int, k: int,
                   d: np.ndarray, mu: np.ndarray) -> int:
     """sum over the given d of mu(d) * #{n <= x : d**k | t_n}, with
     t_n = floor((A*n + B)/Q) < 2**63: the Beatty members among the
-    multiples m = j*d**k in [t_1, t_x], in chunks of _PAIR_CHUNK pairs.
-    The float gamma-test decides them; a border entry counts iff
-    n = ceil((Q*m - B)/A) has t_n = m. Since the terms increase and
-    t_1 <= m <= t_x, such an n lies in [1, x]."""
+    multiples m = j*d**k in [t_1, t_x], in chunks of whole d cut at each
+    multiple of _PAIR_CHUNK pairs. Above the cost model's D0, d**k >
+    _PAIR_COST*t_x leaves a d at most 24 multiples, so a chunk holds at most
+    _PAIR_CHUNK + 24 pairs; the d0 test hook of _count_split can put all of
+    one d's pairs in a single chunk. The float gamma-test decides them; a
+    border entry counts iff n = ceil((Q*m - B)/A) has t_n = m. Since the
+    terms increase and t_1 <= m <= t_x, such an n lies in [1, x]."""
     t_1, t_x = (A + B) // Q, (A * x + B) // Q
     dk = d**k
     j_lo = (t_1 - 1) // dk + 1
     per_d = t_x // dk - j_lo + 1
     ends = np.cumsum(per_d)
-    total = int(ends[-1])
+    cuts = np.searchsorted(ends, np.arange(_PAIR_CHUNK, int(ends[-1]), _PAIR_CHUNK), "right")
+    bounds = np.unique(np.concatenate(([0], cuts, [len(d)]))).tolist()
     lv = p.level(p.precision_bits)
     count = 0
-    for p0 in range(0, total, _PAIR_CHUNK):
-        # pairs p0 <= i < p1 in order of (d, j): d[g0:g1], cut at both ends
-        p1 = min(p0 + _PAIR_CHUNK, total)
-        g0 = int(np.searchsorted(ends, p0, "right"))
-        g1 = int(np.searchsorted(ends, p1 - 1, "right")) + 1
-        per = per_d[g0:g1].copy()
-        done = p0 - int(ends[g0] - per_d[g0])  # pairs of d[g0] in earlier chunks
-        per[0] -= done
-        per[-1] -= int(ends[g1 - 1]) - p1
-        g, j = group_offsets(per)
-        j[: per[0]] += done
+    for g0, g1 in zip(bounds, bounds[1:]):
+        g, j = group_offsets(per_d[g0:g1])
         m = ((j_lo[g0:g1][g] + j) * dk[g0:g1][g]).astype(np.uint64)
         f = frac_vector(lv.gamma.mantissa, lv.bits, m, offset_mantissa=lv.delta.mantissa)
         flags, border = gamma_test(lv, f, t_x)
@@ -463,22 +434,19 @@ def count_kfree_beatty(
 ) -> tuple[int, float, float]:
     """Count n <= x with t_n = floor(alpha*n + beta) k-free; error vs x/zeta(k).
 
-    Exact without enumerating terms:
+    Exact without enumerating terms (module docstring):
         count = sum_{d <= t_x**(1/k)} mu(d) * #{n <= x : d**k | t_n},
     with alpha replaced by a certified rational slope (_certified_slope).
-    Up to D0 = (c*t_x)**(1/k), c = 0.04 from a cost model (_PAIR_COST),
-    each inner count is a difference of two floor sums over the multiples
-    of d**k in [t_1, t_x]. _lane_counts runs them for 2**12 d at a time
-    in uint64 lanes, at a lower and an upper bracket of the slope and the
-    offset, and takes a d's count only when the two agree; the other d
-    (few: those with about 2**19 or more multiples) take two big-integer
-    floor sums, as every d does when t_x >= 2**63. Above D0 it counts the
-    Beatty members among the multiples of d**k in [t_1, t_x], tested in
-    numpy chunks of 2**16 pairs. For k = 2 that is about 0.61*sqrt(c*t_x)
-    squarefree d of floor sums and 0.61*sqrt(t_x/c) pairs. The d come in
-    Moebius windows of kfree.MOEBIUS_SEGMENT d, each of which must fit
-    memory_bytes (MemoryBudgetExceeded otherwise); a few MiB suffice for
-    every x.
+    Up to D0 = (c*t_x)**(1/k), c = 0.04 (_PAIR_COST), the inner counts are
+    floor sums in uint64 lanes of 2**12 d (_lane_counts), with two
+    big-integer floor sums for each d whose lane does not certify (few:
+    those with about 2**19 or more multiples) and for every d when
+    t_x >= 2**63. Above D0 it tests the Beatty members among the multiples
+    of d**k in [t_1, t_x], about 2**16 pairs at a time (_member_pairs). For
+    k = 2 that is about 0.61*sqrt(c*t_x) squarefree d of floor sums and
+    0.61*sqrt(t_x/c) pairs. The d come in Moebius windows of
+    kfree.MOEBIUS_SEGMENT d, each of which must fit memory_bytes
+    (MemoryBudgetExceeded otherwise); a few MiB suffice for every x.
     """
     if k < 2:
         raise ValueError("k must be >= 2")

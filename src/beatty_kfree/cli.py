@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 import time
@@ -123,7 +124,7 @@ _FLAGS = {
     "precision-bits": dict(type=_int_at_least(64), default=192,
                            help="working bits, at least 64, the fractional-part kernel's unit"),
     "memory-budget": dict(type=_mib_to_bytes, default="256", dest="memory_bytes",
-                          metavar="MIB", help="MiB for sieve windows"),
+                          metavar="MIB", help="MiB for sieve windows and Fourier coefficients"),
     "out": dict(default=None, help="CSV output path (default stdout)"),
     "timings": dict(action="store_true", help="fill the wall_ms column (breaks byte reproducibility)"),
     "trials": dict(type=_int_at_least(1), default=100),
@@ -312,10 +313,13 @@ def cmd_smoothing_check(args) -> int:
     spec = cfrac.parse_irrational(args.alpha)
     params = beatty.BeattyParams(spec, beatty.parse_beta(args.beta), args.precision_bits)
     x = args.x
-    delta = smoothing.default_delta(x, args.k, args.delta_multiplier)
     gf = params.gamma.to_float()
-    delta = min(delta, min(gf, 1.0 - gf) / 2.0, 0.124)
+    delta = smoothing.default_delta(x, args.k, args.delta_multiplier)
+    delta = smoothing.admissible_delta(delta, gf)
     J = smoothing.default_truncation(delta) if args.J is None else args.J
+    if (need := J * smoothing.COEFF_BYTES) > args.memory_bytes:  # before anything is built
+        raise MemoryBudgetExceeded(f"J={J} Fourier coefficients (--J, --delta-multiplier) need "
+                                   f"{need} bytes (budget {args.memory_bytes})", need)
     ind = smoothing.build_smoothed(params.gamma, delta, J)
 
     checks: list[tuple[str, float, float, bool]] = []
@@ -373,6 +377,7 @@ _SUBCOMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beatty-kfree",
@@ -424,8 +429,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except MemoryBudgetExceeded as e:
-        print(f"budget/precision exhausted: {e}; that window needs --memory-budget "
-              f"{math.ceil(e.need / (1 << 20))} (MiB) or more", file=sys.stderr)
+        print(f"budget/precision exhausted: {e}; that needs --memory-budget "
+              f"{-(-e.need >> 20)} (MiB) or more", file=sys.stderr)
         return EXIT_BUDGET
     except PrecisionExhausted as e:
         print(f"budget/precision exhausted: {e}", file=sys.stderr)

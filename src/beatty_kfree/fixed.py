@@ -13,8 +13,8 @@ n < 2**64. The block kernels decide in float only away from the borders.
 frac_u64 is its uint64 sum before the rounding, below the exact value by
 less than 4 units of 2**-64, from which the count's floor-sum lanes bracket
 their slopes and offsets.
-frac_tiles serves consecutive multiples tile by tile: one table of the
-kernel's n < 2**32 sum for all tiles, plus each tile's exact offset, equal
+frac_tiles serves consecutive multiples tile by tile: one frac_u64 table
+for all tiles, plus each tile's exact offset, equal
 bit for bit to frac_vector on that tile and so within the same bound.
 
 TILE is the number of elements that every vectorised pass on the
@@ -171,9 +171,7 @@ def frac_tiles(mantissa: int, scale_bits: int, offset_mantissa: int, length: int
     """Yield (t0, f) for each tile of TILE consecutive j < length (the last
     one shorter), f = frac_vector(mantissa, scale_bits, arange(len(f)),
     offset_mantissa + mantissa*t0) bit for bit (module docstring)."""
-    t = _top128(mantissa, scale_bits)
-    i = np.arange(max(1, min(TILE, length)), dtype=np.uint64)
-    u = i * np.uint64(t >> 64) + (i * np.uint64((t >> 32) & 0xFFFFFFFF) >> _32)
+    u = frac_u64(mantissa, scale_bits, np.arange(max(1, min(TILE, length)), dtype=np.uint64))
     for t0 in range(0, length, len(u)):
         yield t0, _round53(u[:length - t0], offset_mantissa + mantissa * t0, scale_bits)
 

@@ -22,6 +22,7 @@ from .fixed import FixedReal, frac_tiles, frac_vector
 from .kfree import DEFAULT_MEMORY_BYTES, sieve_kfree
 
 _BLOCK = 1 << 20  # sieve_kfree window: per entry, 2**15 windows cost about 6x more
+COEFF_BYTES = 144  # build_smoothed's peak bytes per j <= J: 136.5 by tracemalloc
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,11 @@ class SmoothedIndicator:
 def default_delta(x: int, k: int, multiplier: float = 1.0) -> float:
     """Smoothing width x**(-(k-1)/(2k-1)) scaled by a configurable multiplier."""
     return multiplier * float(x) ** (-(k - 1) / (2.0 * k - 1.0))
+
+
+def admissible_delta(delta: float, gf: float) -> float:
+    """delta cut to min(gamma, 1-gamma)/2 and 0.124, inside build_smoothed's range."""
+    return min(delta, min(gf, 1.0 - gf) / 2.0, 0.124)
 
 
 def default_truncation(delta: float, tail_target: float = 0.01) -> int:
@@ -143,11 +149,9 @@ def smoothed_beatty_count(
     if x < 1:
         raise ValueError("x must be >= 1")
     M = beatty_term(p, x)
-    if delta_param is None:
-        delta_param = default_delta(x, k)
     lv = p.level(p.precision_bits)
     gf = lv.gamma.to_float()
-    d = min(delta_param, min(gf, 1.0 - gf) / 2.0, 0.124)
+    d = admissible_delta(default_delta(x, k) if delta_param is None else delta_param, gf)
 
     g = lv.gamma.mantissa
     psi_sums = []  # one per tile over its k-free ramp points, summed exactly rounded

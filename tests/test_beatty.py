@@ -73,13 +73,12 @@ def two_floor_witness(p: BeattyParams, m: int) -> int | None:
         return 0 if m == p.beta.numerator else None
 
     def floor(v: int) -> int:
-        for lv in p.escalation():
+        def certified(lv):
             g, d = lv.gamma, lv.delta
-            f = FixedReal(g.mantissa * v + d.mantissa, lv.bits,
-                          g.err_ulps * v + d.err_ulps).floor_certified()
-            if f is not None:
-                return f
-        raise PrecisionExhausted(f"W({v})")
+            return FixedReal(g.mantissa * v + d.mantissa, lv.bits,
+                             g.err_ulps * v + d.err_ulps).floor_certified()
+
+        return beatty._decide(p, f"W({v})", certified)
 
     w = floor(m)
     return w if w > floor(m - 1) else None
@@ -303,16 +302,20 @@ class TestFloorSumCount:
                         lambda: streaming_count(p, k, 1, x)
                     ), (beta, k, x)
 
-    def test_error_kinds(self):
+    def test_error_kinds(self, monkeypatch):
         with pytest.raises(ValueError, match="terms must be positive"):
             count_kfree_beatty(BeattyParams(PHI, -2), 10, 2)
         p = BeattyParams(parse_irrational(SHORT_SPECS[0]), 0)
-        with pytest.raises(PrecisionExhausted, match=r"x=1000 .* bits \[192\]"):
+        want = (f"floor(alpha*n+beta) for n <= x=1000 undecidable for alpha={SHORT_SPECS[0]}, "
+                f"beta=0 at bits [192]")
+        with pytest.raises(PrecisionExhausted, match=re.escape(want)):
             count_kfree_beatty(p, 1000, 2)
-        # precision doubles until max_bits before giving up
-        p = BeattyParams(parse_irrational(BIG_ALPHA), 0, precision_bits=8, max_bits=16)
-        with pytest.raises(PrecisionExhausted, match=r"bits \[8, 16\]"):
-            count_kfree_beatty(p, 10**5, 2)
+        # the slope's precision doubles up to MAX_BITS before giving up
+        monkeypatch.setattr(beatty, "MAX_BITS", 16)
+        p = BeattyParams(parse_irrational(BIG_ALPHA), 0, precision_bits=8)
+        with pytest.raises(PrecisionExhausted, match=r"x=1000000000 .* bits \[8, 16\]"):
+            count_kfree_beatty(p, 10**9, 2)
+        assert list(p._levels) == [8, 16]
 
     def test_big_alpha(self):
         p = BeattyParams(parse_irrational(BIG_ALPHA), 0)
@@ -385,7 +388,7 @@ class TestSplitCount:
                         assert self.split(p, x, k, 0) == self.split(p, x, k, ALL_FLOOR_SUMS), (spec, beta, k, x)
 
     @pytest.mark.parametrize("chunk", [2, 7, 64])
-    def test_chunks_cut_inside_and_across_d(self, chunk, monkeypatch):
+    def test_chunks_of_whole_d(self, chunk, monkeypatch):
         monkeypatch.setattr(beatty, "_PAIR_CHUNK", chunk)
         monkeypatch.setattr(kfree, "MOEBIUS_SEGMENT", 3)  # and the d in segments of 3
         for spec, beta in (("quad:1,5,2", "0"), ("quad:7,2,3", "-7/10")):
@@ -394,6 +397,33 @@ class TestSplitCount:
                 for x in (1, 10, 1000):
                     want = self.split(p, x, k, ALL_FLOOR_SUMS)
                     assert self.split(p, x, k, 0) == self.split(p, x, k, None) == want, (spec, k, x)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_few_multiples_above_the_cost_model_cut_off(self, k):
+        # d > D0 = iroot(floor(c*t_x), k) has d**k > c*t_x, so fewer than 1/c
+        # multiples of d**k in [1, t_x]; the fewest d, D0 + 1, has the most
+        t_xs = [*range(1, 3000), *(int(10**e) + i for e in np.arange(4, 18.5, 0.25)
+                                   for i in (-1, 0, 1))]
+        assert iroot(int(beatty._PAIR_COST * 24), k) == 0  # includes D0 = 0
+        for t_x in t_xs:
+            d0 = iroot(int(beatty._PAIR_COST * t_x), k)
+            assert t_x // (d0 + 1) ** k < 1 / beatty._PAIR_COST, (k, t_x)
+
+    def test_cost_model_chunks_stay_near_the_chunk_size(self, monkeypatch):
+        sizes = []
+        real = beatty.group_offsets
+
+        def counted(per):
+            sizes.append(int(per.sum()))
+            return real(per)
+
+        monkeypatch.setattr(beatty, "group_offsets", counted)
+        monkeypatch.setattr(beatty, "_PAIR_CHUNK", 100)
+        p = BeattyParams(PHI, 0)
+        for k in (2, 3):
+            assert self.split(p, 10**7, k, None) == self.split(p, 10**7, k, ALL_FLOOR_SUMS)
+        assert len(sizes) > 20 and max(sizes) <= 100 + 24
+        assert sorted(sizes)[len(sizes) // 2] > 100 - 24
 
     def test_segments_of_three_d(self, monkeypatch):
         # a cut-off inside a segment sends its first d to floor sums, the rest to pairs
@@ -616,11 +646,30 @@ class TestIntervalWidth:
         with pytest.raises(PrecisionExhausted, match=want):
             member_witness(p, m)
 
-    def test_narrowing_interval_escalates_to_max_bits(self):
-        p = BeattyParams(PHI, 0)
-        assert [lv.bits for lv in p.escalation()] == [192, 384, 768]
-        p = BeattyParams(PHI, 0, precision_bits=100, max_bits=800)
-        assert [lv.bits for lv in p.escalation()] == [100, 200, 400, 800]
+    def test_narrowing_interval_escalates_to_max_bits(self, monkeypatch):
+        tried = []
+
+        def never(lv):
+            tried.append(lv.bits)
+
+        with pytest.raises(PrecisionExhausted, match=re.escape("never undecidable for alpha=quad:1,5,2, "
+                                                               "beta=0 at bits [192, 384, 768]")):
+            beatty._decide(BeattyParams(PHI, 0), "never", never)
+        monkeypatch.setattr(beatty, "MAX_BITS", 800)
+        with pytest.raises(PrecisionExhausted, match=re.escape("at bits [100, 200, 400, 800]")):
+            beatty._decide(BeattyParams(PHI, 0, precision_bits=100), "never", never)
+        # a flat interval decides nothing new, so it is tried once
+        p = BeattyParams(parse_irrational(SHORT_SPECS[0]), 0)
+        with pytest.raises(PrecisionExhausted, match=re.escape("at bits [192]")):
+            beatty._decide(p, "never", never)
+        assert tried == [192, 384, 768, 100, 200, 400, 800, 192]
+        assert list(p._levels) == [192]
+
+    def test_precision_above_max_bits_is_tried_once(self):
+        # a start above MAX_BITS still decides, at that one level
+        p = BeattyParams(PHI, 0, precision_bits=2 * fixed.MAX_BITS)
+        assert count_kfree_beatty(p, 1000, 2)[0] == streaming_count(p, 2, 1, 1000)
+        assert beatty_term(p, 10**6) == beatty_term(BeattyParams(PHI, 0), 10**6)
 
 
 class TestParseBeta:

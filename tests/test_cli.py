@@ -156,6 +156,30 @@ def test_smoothing_check_exact_equals_count(tmp_path, capsys, beta):
     assert row[8:] == ["0.0", "0.0", "PASS"]
 
 
+@pytest.mark.parametrize("multiplier, J", [("1e-4", 1013212),
+                                           ("1e-30", 101321183642337757321207083958272)])
+def test_smoothing_check_charges_its_coefficients_to_the_budget(multiplier, J, capsys,
+                                                                monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("coefficients built over the budget")
+
+    monkeypatch.setattr(smoothing, "build_smoothed", unbuilt)
+    argv = ["smoothing-check", "--x", "1000", "--delta-multiplier", multiplier]
+    assert cli.main([*argv, "--memory-budget", "16"]) == cli.EXIT_BUDGET
+    err = capsys.readouterr().err
+    need = J * smoothing.COEFF_BYTES
+    assert f"J={J} Fourier coefficients (--J, --delta-multiplier) need {need} bytes" in err
+    assert f"--memory-budget {-(-need >> 20)} (MiB)" in err
+
+
+def test_smoothing_check_fits_a_J_at_the_budget(tmp_path, capsys):
+    at_budget = (16 << 20) // smoothing.COEFF_BYTES
+    argv = ["smoothing-check", "--x", "1000", "--memory-budget", "16", "--J"]
+    code, rows, _ = run_cli(tmp_path, capsys, *argv, str(at_budget))
+    assert code == cli.EXIT_OK and rows[1][6] == str(at_budget)
+    assert cli.main([*argv, str(at_budget + 1)]) == cli.EXIT_BUDGET
+
+
 def test_smoothing_check_evaluates_the_series_in_one_call(tmp_path, capsys, monkeypatch):
     calls = []
     real = smoothing.eval_truncated_series
@@ -206,7 +230,7 @@ def test_simpson_oracle_by_powers_matches_direct_phases(alpha, beta, k):
     # gamma and delta as smoothing-check forms them at x = 2**22
     spec, b = cfrac.parse_irrational(alpha), beatty.parse_beta(beta)
     gf = beatty.BeattyParams(spec, b, 192).gamma.to_float()
-    delta = min(smoothing.default_delta(1 << 22, k), min(gf, 1.0 - gf) / 2.0, 0.124)
+    delta = smoothing.admissible_delta(smoothing.default_delta(1 << 22, k), gf)
     by_powers = cli._simpson_coefficient(gf, delta, 48)
     assert np.max(np.abs(by_powers - simpson_by_direct_phases(gf, delta, 48))) <= 1e-13
 
