@@ -250,7 +250,7 @@ def cmd_expsum_sweep(args) -> int:
 
 _DISC_HEADER = [
     "experiment", "alpha", "beta", "precision_bits", "seed", "tau_hat", "M",
-    "extreme", "star", "bound", "wall_ms",
+    "extreme", "star", "bound",
 ]
 
 
@@ -261,7 +261,7 @@ def cmd_discrepancy(args) -> int:
     slope, per_M = discrepancy.decay_fit(spec, beta, parse_grid(args.grid), args.precision_bits)
     rows = [
         ["discrepancy", args.alpha, args.beta, args.precision_bits, args.seed,
-         _fmt(tau), M, _fmt(extreme), _fmt(star), _fmt(M ** (-1.0 / tau)), ""]
+         _fmt(tau), M, _fmt(extreme), _fmt(star), _fmt(M ** (-1.0 / tau))]
         for M, extreme, star in per_M
     ]
     _write_csv(args.out, _DISC_HEADER, rows)
@@ -316,6 +316,14 @@ def cmd_smoothing_check(args) -> int:
     gf = params.gamma.to_float()
     delta = smoothing.default_delta(x, args.k, args.delta_multiplier)
     delta = smoothing.admissible_delta(delta, gf)
+    if args.J is None:
+        # the need in float before default_truncation's ceil: for a tiny Delta J
+        # has hundreds of digits, and for a subnormal one the float is infinite
+        j = 1.0 / (math.pi**2 * delta * 0.01)
+        if (need := j * smoothing.COEFF_BYTES) > args.memory_bytes:
+            raise MemoryBudgetExceeded(
+                f"Delta={delta:.4g} (--delta-multiplier) needs J={j:.4g} Fourier "
+                f"coefficients, {need:.4g} bytes (budget {args.memory_bytes})", need)
     J = smoothing.default_truncation(delta) if args.J is None else args.J
     if (need := J * smoothing.COEFF_BYTES) > args.memory_bytes:  # before anything is built
         raise MemoryBudgetExceeded(f"J={J} Fourier coefficients (--J, --delta-multiplier) need "
@@ -413,6 +421,15 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
+def _whole_mib(need: int | float) -> str:
+    """need bytes in whole MiB, rounded up; a float need past 2**53 MiB, or an
+    infinite one, in 4 digits."""
+    if isinstance(need, int):
+        return str(-(-need >> 20))
+    mib = need / (1 << 20)
+    return str(math.ceil(mib)) if mib < 2**53 else f"{mib:.4g}"
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -430,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except MemoryBudgetExceeded as e:
         print(f"budget/precision exhausted: {e}; that needs --memory-budget "
-              f"{-(-e.need >> 20)} (MiB) or more", file=sys.stderr)
+              f"{_whole_mib(e.need)} (MiB) or more", file=sys.stderr)
         return EXIT_BUDGET
     except PrecisionExhausted as e:
         print(f"budget/precision exhausted: {e}", file=sys.stderr)

@@ -12,9 +12,9 @@ class PrecisionExhausted(RuntimeError):
 
 class MemoryBudgetExceeded(RuntimeError):
     """A sieve or table allocation would exceed the configured budget; need
-    is the bytes it asked for."""
+    is the bytes it asked for, a float where it is only estimated."""
 
-    def __init__(self, message: str, need: int):
+    def __init__(self, message: str, need: int | float):
         super().__init__(message)
         self.need = need
 

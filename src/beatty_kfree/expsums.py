@@ -2,19 +2,19 @@
 
 The double sum  sum_{h<=H} sum_{n<=x, n k-free} e(theta*h*n)  is evaluated
 two ways: term by term over sieved k-free n (the naive path), and through
-the three-way split induced by the Moebius identity for the k-free
-indicator. In the split, sum A takes its long inner sums over l in closed
-geometric form, all (h, m) pairs in one vectorised linear_exp_sum call;
-sums B and C are direct Moebius-weighted sums over their pairs (l, m),
-n = l*m**k <= x. Every direct sum goes through one power-sum
-kernel: e(theta*n) is the product of two entries of twiddle tables of about
-sqrt(max n) entries each, built once per call by exact reductions of the
-fixed-point mantissa of theta, so it is within a few ulp of the value; and
-e(theta*h*n) for h = 1..H follows by complex multiplication. Each path sums
+the Moebius identity for the k-free indicator, n = l*m**k <= x weighted by
+mu(m), split at m**k = y into two disjoint parts. Sum A (m**k <= y) takes
+its long inner sums over l in closed geometric form, all (h, m) pairs in one
+vectorised linear_exp_sum call; sum B (m**k > y, so l <= x/y) is a direct
+Moebius-weighted sum over its pairs (l, m). Every direct sum goes through one
+power-sum kernel: e(theta*n) is the product of two entries of twiddle tables
+of about sqrt(max n) entries each, built once per call by exact reductions of
+the fixed-point mantissa of theta, so it is within a few ulp of the value;
+and e(theta*h*n) for h = 1..H follows by complex multiplication. Each path sums
 its partials exactly rounded (complex_fsum), so the two agree to within the
-float64 error of the partials themselves. Because the naive sum and sums B
-and C share the kernel, their agreement checks the split, not the kernel;
-the kernel is checked against one exact reduction per (h, n) in the tests.
+float64 error of the partials themselves. Because the naive sum and sum B
+share the kernel, their agreement checks the split, not the kernel; the
+kernel is checked against one exact reduction per (h, n) in the tests.
 """
 from __future__ import annotations
 
@@ -148,15 +148,14 @@ def double_kfree_sum_naive(
 
 @dataclass(frozen=True)
 class HyperbolaSplit:
-    """Three-way decomposition; sum_A + sum_B - sum_C equals the naive sum."""
+    """Two-way decomposition at m**k = y; sum_A + sum_B equals the naive sum."""
 
     y: float
     sum_A: complex
     sum_B: complex
-    sum_C: complex
 
     def combined(self) -> complex:
-        return self.sum_A + self.sum_B - self.sum_C
+        return self.sum_A + self.sum_B
 
 
 def double_kfree_sum_hyperbola(
@@ -171,8 +170,8 @@ def double_kfree_sum_hyperbola(
 
     A: m**k <= y, inner geometric sum over l <= x/m**k in closed form, one
        linear_exp_sum call over all pairs (h, m) with mu(m) != 0;
-    B: l <= x/y, Moebius-weighted sum over m**k <= x/l (direct);
-    C: the overlap l <= x/y, m**k <= y, Moebius-weighted (direct).
+    B: y < m**k <= x/l, hence l <= x/y, Moebius-weighted and summed
+       directly, one _power_sum call over all its pairs (l, m).
     """
     if y is None:
         y = split_parameter(x, k)
@@ -185,7 +184,7 @@ def double_kfree_sum_hyperbola(
     m_top = iroot(x, k)
     mu = sieve_moebius(1, max(m_top, 1), memory_bytes)
     ma = iroot(int(y), k)
-    lc = int(math.floor(x / y))
+    lc = math.floor(x / Fraction(y))  # exact: a float x / y can round up past it
 
     # the m with mu(m) != 0, m**k <= x; the first na of them have m**k <= y
     nz = np.nonzero(mu)[0]
@@ -199,16 +198,14 @@ def double_kfree_sum_hyperbola(
                             np.tile(np.uint64(x) // mk[:na], H))
     sum_a = complex_fsum(sums_l * np.tile(mus[:na], H))
 
-    # B and C: the pairs (l, m), n = l * m**k <= x, through the kernel
+    # B: per l <= lc the m past the first na with m**k <= x/l; x/l >= y, so
+    # x//l >= floor(y) >= ma**k and no count is negative (np.repeat would raise)
     ls = np.arange(1, lc + 1, dtype=np.uint64)
-    per_l_b = np.searchsorted(mk, np.uint64(x) // ls, side="right")
-    per_l_c = np.full(lc, na)
-    sums = []
-    for per_l in (per_l_b, per_l_c):
-        li, idx = group_offsets(per_l)
-        sums.append(_power_sum(t, bits, ls[li] * mk[idx], H, mus[idx]))
+    li, idx = group_offsets(np.searchsorted(mk, np.uint64(x) // ls, side="right") - na)
+    idx += na
+    sum_b = _power_sum(t, bits, ls[li] * mk[idx], H, mus[idx])
 
-    return HyperbolaSplit(y, sum_a, sums[0], sums[1])
+    return HyperbolaSplit(y, sum_a, sum_b)
 
 
 @dataclass(frozen=True)
@@ -256,8 +253,9 @@ def double_sum_bound_check(
     """
     if not (t.q <= x and H <= x):
         raise ValueError("need q <= x and H <= x")
-    split = double_kfree_sum_hyperbola(t.theta, H, x, k, None, memory_bytes)
+    # the naive sieve first: past the budget it raises before any pair array is built
     naive = double_kfree_sum_naive(t.theta, H, x, k, memory_bytes)
+    split = double_kfree_sum_hyperbola(t.theta, H, x, k, None, memory_bytes)
     lhs = abs(naive)
     rhs = (H * x ** (k / (2.0 * k - 1.0)) + t.q + H * x / t.q) * x**eps
     params = {"H": H, "x": x, "k": k, "q": t.q, "a": t.a, "eps": eps, "y": split.y,

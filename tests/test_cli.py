@@ -117,7 +117,7 @@ def test_discrepancy_smoke(tmp_path, capsys):
     assert code == verdict_code(err)
     assert rows[0] == [
         "experiment", "alpha", "beta", "precision_bits", "seed", "tau_hat", "M",
-        "extreme", "star", "bound", "wall_ms",
+        "extreme", "star", "bound",
     ]
     assert [r[6] for r in rows[1:]] == ["1000", "2000", "4000"]
 
@@ -156,9 +156,18 @@ def test_smoothing_check_exact_equals_count(tmp_path, capsys, beta):
     assert row[8:] == ["0.0", "0.0", "PASS"]
 
 
-@pytest.mark.parametrize("multiplier, J", [("1e-4", 1013212),
-                                           ("1e-30", 101321183642337757321207083958272)])
-def test_smoothing_check_charges_its_coefficients_to_the_budget(multiplier, J, capsys,
+@pytest.mark.parametrize("multiplier, says", [
+    ("1e-4", "Delta=1e-05 (--delta-multiplier) needs J=1.013e+06 Fourier coefficients, "
+             "1.459e+08 bytes (budget 16777216); that needs --memory-budget 140 (MiB)"),
+    ("1e-30", "J=1.013e+32 Fourier coefficients, 1.459e+34 bytes (budget 16777216); "
+              "that needs --memory-budget 1.391e+28 (MiB)"),
+    ("1e-300", "J=1.013e+302 Fourier coefficients, 1.459e+304 bytes (budget 16777216); "
+               "that needs --memory-budget 1.391e+298 (MiB)"),
+    # a subnormal Delta: 1/(pi^2*Delta*0.01) overflows to inf before any ceil
+    ("1e-320", "J=inf Fourier coefficients, inf bytes (budget 16777216); "
+               "that needs --memory-budget inf (MiB)"),
+])
+def test_smoothing_check_charges_its_coefficients_to_the_budget(multiplier, says, capsys,
                                                                 monkeypatch):
     def unbuilt(*args):
         raise AssertionError("coefficients built over the budget")
@@ -167,9 +176,8 @@ def test_smoothing_check_charges_its_coefficients_to_the_budget(multiplier, J, c
     argv = ["smoothing-check", "--x", "1000", "--delta-multiplier", multiplier]
     assert cli.main([*argv, "--memory-budget", "16"]) == cli.EXIT_BUDGET
     err = capsys.readouterr().err
-    need = J * smoothing.COEFF_BYTES
-    assert f"J={J} Fourier coefficients (--J, --delta-multiplier) need {need} bytes" in err
-    assert f"--memory-budget {-(-need >> 20)} (MiB)" in err
+    assert "(--delta-multiplier)" in err and says in err
+    assert len(err) < 250 and "Traceback" not in err
 
 
 def test_smoothing_check_fits_a_J_at_the_budget(tmp_path, capsys):

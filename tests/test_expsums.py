@@ -5,8 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from beatty_kfree import expsums
+from beatty_kfree import beatty, expsums
 from beatty_kfree.cfrac import PHI, SQRT2, dirichlet_approx, to_fixed
+from beatty_kfree.errors import MemoryBudgetExceeded
 from beatty_kfree.expsums import (
     ThetaApprox,
     complex_fsum,
@@ -235,10 +236,19 @@ class TestBoundCheck:
         with pytest.raises(ValueError):
             double_sum_bound_check(t, 2000, 1000, 2)
 
+    def test_naive_sieve_meets_the_budget_before_any_pair_array(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("hyperbola pairs built over the budget")
+
+        monkeypatch.setattr(expsums, "double_kfree_sum_hyperbola", unbuilt)
+        t = ThetaApprox(fixed_from(Fraction(1, 3)), 1, 3)
+        with pytest.raises(MemoryBudgetExceeded, match=r"window \[1,1000000\]"):
+            double_sum_bound_check(t, 5, 10**6, 2, memory_bytes=1 << 16)
+
 
 def mobius_exp_sum(theta: FixedReal, X: int, k: int) -> complex:
     """sum over m**k <= X of mu(m) * e(theta * m**k): the Moebius-weighted
-    power-sum kernel of sums B and C at H = 1."""
+    power-sum kernel of sum B at H = 1."""
     r = iroot(X, k)
     mu = sieve_moebius(1, r)[:r]
     nz = np.nonzero(mu)[0]
@@ -300,22 +310,21 @@ def exact_e(theta: Fraction, n: int) -> complex:
 
 
 def brute_split(theta: FixedReal, H: int, x: int, k: int, y: float):
-    """sum_A, sum_B, sum_C over their own index sets, angles reduced as
-    exact fractions, mu by trial division."""
+    """sum_A and sum_B over their own index sets, angles reduced as exact
+    fractions, mu by trial division: A over m**k <= y and l <= x/m**k, B
+    over l <= x/y and y < m**k <= x/l, with l <= x/y tested exactly."""
     th = Fraction(theta.mantissa, 1 << theta.scale_bits)
-    lc = int(x // y)
-    mus = {m: trial_mu(m) for m in range(1, iroot(x, k) + 1)}
-    a = b = c = 0j
+    mus = {m**k: mu for m in range(1, iroot(x, k) + 1) if (mu := trial_mu(m))}
+    a = b = 0j
     for h in range(1, H + 1):
-        for m, mu in mus.items():
-            if not mu:
-                continue
-            mk = m**k
+        for mk, mu in mus.items():
             if mk <= y:
                 a += mu * sum(exact_e(th, h * l * mk) for l in range(1, x // mk + 1))
-                c += mu * sum(exact_e(th, h * l * mk) for l in range(1, lc + 1))
-            b += mu * sum(exact_e(th, h * l * mk) for l in range(1, min(lc, x // mk) + 1))
-    return a, b, c
+        l = 1
+        while l * Fraction(y) <= x:
+            b += sum(mu * exact_e(th, h * l * mk) for mk, mu in mus.items() if y < mk <= x // l)
+            l += 1
+    return a, b
 
 
 def theta_cases(rng):
@@ -346,16 +355,30 @@ class TestPowerSumKernel:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_split_parts_match_brute_force(self, rng, k):
+        # y = x leaves B empty; a float y = x/q puts x/y within an ulp of q
         thetas = list(theta_cases(rng))
         for i, theta in enumerate(thetas):
             x = int(rng.integers(200, 2001))
             H = (1, 2, 3, 4)[i]
-            y = float(rng.uniform(1.0, x)) if i % 2 else split_parameter(x, k)
-            split = double_kfree_sum_hyperbola(theta, H, x, k, y)
-            a, b, c = brute_split(theta, H, x, k, y)
-            assert abs(split.sum_A - a) <= 1e-9
-            assert abs(split.sum_B - b) <= 1e-9
-            assert abs(split.sum_C - c) <= 1e-9
+            for y in (split_parameter(x, k), float(rng.uniform(1.0, x)), float(x),
+                      x / int(rng.integers(2, 60))):
+                split = double_kfree_sum_hyperbola(theta, H, x, k, y)
+                a, b = brute_split(theta, H, x, k, y)
+                assert abs(split.sum_A - a) <= 1e-9
+                assert abs(split.sum_B - b) <= 1e-9
+                if y == x:
+                    assert split.sum_B == 0j
+
+    def test_splits_agree_past_the_naive_reach(self):
+        # the naive sum would sieve 10**9 n; from y to 4y the m with
+        # y < m**k <= 4y move from the direct sum B to the closed forms of A
+        theta = beatty.BeattyParams(PHI).gamma
+        x, H = 10**9, 4
+        y = split_parameter(x, 2)
+        at_y, at_4y = (double_kfree_sum_hyperbola(theta, H, x, 2, s).combined()
+                       for s in (y, 4 * y))
+        assert abs(at_y) > 1000
+        assert abs(at_y - at_4y) <= 1e-9
 
     @pytest.mark.parametrize("H", [1, 30])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -428,13 +451,18 @@ class TestPowerSumStructure:
     def test_hyperbola_calls_independent_of_h_and_split(self, calls):
         theta = to_fixed(SQRT2, 192)
         x = 5 * 10**4
-        seen = set()
         for H in (1, 30):
             for x_over_y in (1, 3, 50):
                 calls[0] = 0
                 double_kfree_sum_hyperbola(theta, H, x, 2, x / x_over_y)
-                seen.add(calls[0])
-        assert seen == {4}  # sums B and C, two table builds each
+                assert calls[0] == (0 if x_over_y == 1 else 2)  # sum B's two tables
+
+    def test_hyperbola_sums_b_in_one_kernel_call(self, monkeypatch):
+        count = count_calls(monkeypatch, "_power_sum")
+        for x_over_y in (1, 3, 50):
+            count[0] = 0
+            double_kfree_sum_hyperbola(to_fixed(SQRT2, 192), 30, 5 * 10**4, 2, 5e4 / x_over_y)
+            assert count[0] == 1
 
     def test_hyperbola_sums_a_in_one_closed_form_call(self, monkeypatch):
         count = count_calls(monkeypatch, "linear_exp_sum")
