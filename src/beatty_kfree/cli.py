@@ -3,6 +3,10 @@
 Subcommands: count | fit-exponent | expsum-sweep | discrepancy |
 smoothing-check. Every CSV row echoes the parameters needed to
 reproduce it; identical config + seed give byte-identical output.
+No option sets the working precision: every certified decision starts at
+fixed.DEFAULT_BITS and doubles its bits until it is certified, and the
+discrepancy points refuse an alpha whose own certified error is too coarse
+for M (discrepancy.build_pointset).
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 budget/precision
 exhaustion.
 """
@@ -19,9 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import beatty, cfrac, discrepancy, expsums, smoothing
+from . import beatty, cfrac, discrepancy, expsums, kfree, smoothing
 from .errors import DegenerateFit, MemoryBudgetExceeded, PrecisionExhausted
-from .fixed import FixedReal
+from .fixed import DEFAULT_BITS, FixedReal
 
 EXIT_OK, EXIT_CHECK, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
@@ -83,12 +87,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer flag whose error names the lower limit."""
+def _int_in(low: int, high: float = math.inf):
+    """argparse type for an integer flag whose error names the limit it breaks."""
     def parse(text: str) -> int:
         v = int(text)
         if v < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {v}")
+        if v > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {v}")
         return v
     parse.__name__ = "int"  # argparse says "invalid int value" for a non-integer
     return parse
@@ -116,28 +122,25 @@ _SWEEP_X_MIN = 200  # expsum-sweep draws x from [_SWEEP_X_MIN, --x-max]
 _FLAGS = {
     "alpha": dict(default="quad:1,5,2", help=cfrac.ALPHA_FORMS),
     "beta": dict(default="0", help="exact rational, e.g. 0, 1/2, -0.7"),
-    "k": dict(type=_int_at_least(2), default=2),
+    "k": dict(type=_int_in(2), default=2),
     "grid": dict(default="1000:1000000:10", help="geometric grid start:stop:ratio"),
     "eps": dict(type=_positive_float, default=0.05),
     "delta-multiplier": dict(type=_positive_float, default=1.0),
     "seed": dict(type=int, default=0),
-    "precision-bits": dict(type=_int_at_least(64), default=192,
-                           help="working bits, at least 64, the fractional-part kernel's unit"),
     "memory-budget": dict(type=_mib_to_bytes, default="256", dest="memory_bytes",
                           metavar="MIB", help="MiB for sieve windows and Fourier coefficients"),
     "out": dict(default=None, help="CSV output path (default stdout)"),
     "timings": dict(action="store_true", help="fill the wall_ms column (breaks byte reproducibility)"),
-    "trials": dict(type=_int_at_least(1), default=100),
-    "x-max": dict(type=_int_at_least(_SWEEP_X_MIN), default=100000),
-    "h-max": dict(type=_int_at_least(1), default=30),
-    "x": dict(type=_int_at_least(1), default=10000),
-    "J": dict(type=_int_at_least(1), default=None),
+    "trials": dict(type=_int_in(1), default=100),
+    "x-max": dict(type=_int_in(_SWEEP_X_MIN, kfree.MAX_COUNT_X), default=100000),
+    "h-max": dict(type=_int_in(1), default=30),
+    "x": dict(type=_int_in(1), default=10000),
 }
 
 
 def _count_rows(args):
     spec = cfrac.parse_irrational(args.alpha)
-    params = beatty.BeattyParams(spec, beatty.parse_beta(args.beta), args.precision_bits)
+    params = beatty.BeattyParams(spec, beatty.parse_beta(args.beta))
     tau = cfrac.estimate_type(spec, 10**6)
     exp_bound = max(args.k / (2.0 * args.k - 1.0), 1.0 - 1.0 / (tau + 1.0))
     rows = []
@@ -148,18 +151,17 @@ def _count_rows(args):
         wall = f"{(time.perf_counter() - t0) * 1e3:.1f}" if args.timings else ""
         rows.append(
             [
-                "count", args.alpha, args.beta, args.k, _fmt(args.eps), args.precision_bits,
-                args.seed, _fmt(tau), x, count, _fmt(main), _fmt(err),
-                _fmt(bound), _fmt(abs(err) / bound), wall,
+                "count", args.alpha, args.beta, args.k, _fmt(args.eps), args.seed,
+                _fmt(tau), x, count, _fmt(main), _fmt(err), _fmt(bound),
+                _fmt(abs(err) / bound), wall,
             ]
         )
     return rows, tau, exp_bound
 
 
 _COUNT_HEADER = [
-    "experiment", "alpha", "beta", "k", "eps", "precision_bits", "seed",
-    "tau_hat", "x", "count", "main_term", "error", "bound", "ratio",
-    "wall_ms",
+    "experiment", "alpha", "beta", "k", "eps", "seed", "tau_hat", "x",
+    "count", "main_term", "error", "bound", "ratio", "wall_ms",
 ]
 
 
@@ -171,7 +173,8 @@ def cmd_count(args) -> int:
 def cmd_fit_exponent(args) -> int:
     grid = parse_grid(args.grid)
     if len(grid) < 4:
-        raise ValueError("fit-exponent needs at least 4 grid points")
+        raise ValueError(f"fit-exponent needs at least 4 --grid points, "
+                         f"got {len(grid)} from {args.grid!r}")
     rows, tau, exp_bound = _count_rows(args)
     x_col, err_col = _COUNT_HEADER.index("x"), _COUNT_HEADER.index("error")
     xs = [row[x_col] for row in rows]
@@ -190,12 +193,12 @@ def cmd_fit_exponent(args) -> int:
 
 
 _SWEEP_HEADER = [
-    "experiment", "k", "eps", "precision_bits", "seed", "trial", "kind", "x",
-    "H", "a", "q", "lhs", "rhs", "ratio", "hyperbola_gap", "wall_ms",
+    "experiment", "k", "eps", "seed", "trial", "kind", "x", "H", "a", "q",
+    "lhs", "rhs", "ratio", "hyperbola_gap", "wall_ms",
 ]
 
 
-def _sweep_theta(rng: np.random.Generator, trial: int, x: int, bits: int):
+def _sweep_theta(rng: np.random.Generator, trial: int, x: int):
     pool = [cfrac.SQRT2, cfrac.PHI, cfrac.SQRT3, cfrac.QuadraticIrrational(7, 2, 3)]
     if trial % 2 == 0:
         q = int(rng.integers(1, x + 1))
@@ -205,11 +208,11 @@ def _sweep_theta(rng: np.random.Generator, trial: int, x: int, bits: int):
             while math.gcd(a, q) != 1:
                 a = int(rng.integers(1, q))
         eta = Fraction(int(rng.integers(-(1 << 30) + 1, 1 << 30)), 1 << 30)
-        theta = FixedReal.from_fraction(Fraction(a, q) + eta / (q * q), bits)
+        theta = FixedReal.from_fraction(Fraction(a, q) + eta / (q * q), DEFAULT_BITS)
         return expsums.ThetaApprox(theta, a, q), "random"
     alpha = pool[(trial // 2) % len(pool)]
     w = int(rng.integers(1, 64))
-    theta = cfrac.to_fixed(alpha, bits).mul_int(w)
+    theta = cfrac.to_fixed(alpha, DEFAULT_BITS).mul_int(w)
     a, q = cfrac.dirichlet_approx(theta, x)
     return expsums.ThetaApprox(theta, a, q), "convergent"
 
@@ -223,7 +226,7 @@ def cmd_expsum_sweep(args) -> int:
         x = int(rng.integers(_SWEEP_X_MIN, args.x_max + 1))
         h = int(rng.integers(1, args.h_max + 1))
         t0 = time.perf_counter()
-        theta, kind = _sweep_theta(rng, trial, x, args.precision_bits)
+        theta, kind = _sweep_theta(rng, trial, x)
         rep = expsums.double_sum_bound_check(
             theta, h, x, args.k, args.eps, memory_bytes=args.memory_bytes
         )
@@ -233,8 +236,8 @@ def cmd_expsum_sweep(args) -> int:
         wall = f"{(time.perf_counter() - t0) * 1e3:.1f}" if args.timings else ""
         rows.append(
             [
-                "expsum", args.k, _fmt(args.eps), args.precision_bits, args.seed, trial,
-                kind, x, h, theta.a, theta.q, _fmt(rep.lhs), _fmt(rep.rhs_value),
+                "expsum", args.k, _fmt(args.eps), args.seed, trial, kind, x, h,
+                theta.a, theta.q, _fmt(rep.lhs), _fmt(rep.rhs_value),
                 _fmt(rep.ratio), _fmt(gap), wall,
             ]
         )
@@ -249,8 +252,8 @@ def cmd_expsum_sweep(args) -> int:
 
 
 _DISC_HEADER = [
-    "experiment", "alpha", "beta", "precision_bits", "seed", "tau_hat", "M",
-    "extreme", "star", "bound",
+    "experiment", "alpha", "beta", "seed", "tau_hat", "M", "extreme", "star",
+    "bound",
 ]
 
 
@@ -258,10 +261,10 @@ def cmd_discrepancy(args) -> int:
     spec = cfrac.parse_irrational(args.alpha)
     beta = beatty.parse_beta(args.beta)
     tau = cfrac.estimate_type(spec, 10**6)
-    slope, per_M = discrepancy.decay_fit(spec, beta, parse_grid(args.grid), args.precision_bits)
+    slope, per_M = discrepancy.decay_fit(spec, beta, parse_grid(args.grid))
     rows = [
-        ["discrepancy", args.alpha, args.beta, args.precision_bits, args.seed,
-         _fmt(tau), M, _fmt(extreme), _fmt(star), _fmt(M ** (-1.0 / tau))]
+        ["discrepancy", args.alpha, args.beta, args.seed, _fmt(tau), M,
+         _fmt(extreme), _fmt(star), _fmt(M ** (-1.0 / tau))]
         for M, extreme, star in per_M
     ]
     _write_csv(args.out, _DISC_HEADER, rows)
@@ -311,23 +314,19 @@ def _simpson_coefficient(gamma_f: float, delta: float, n: int,
 
 def cmd_smoothing_check(args) -> int:
     spec = cfrac.parse_irrational(args.alpha)
-    params = beatty.BeattyParams(spec, beatty.parse_beta(args.beta), args.precision_bits)
+    params = beatty.BeattyParams(spec, beatty.parse_beta(args.beta))
     x = args.x
     gf = params.gamma.to_float()
     delta = smoothing.default_delta(x, args.k, args.delta_multiplier)
     delta = smoothing.admissible_delta(delta, gf)
-    if args.J is None:
-        # the need in float before default_truncation's ceil: for a tiny Delta J
-        # has hundreds of digits, and for a subnormal one the float is infinite
-        j = 1.0 / (math.pi**2 * delta * 0.01)
-        if (need := j * smoothing.COEFF_BYTES) > args.memory_bytes:
-            raise MemoryBudgetExceeded(
-                f"Delta={delta:.4g} (--delta-multiplier) needs J={j:.4g} Fourier "
-                f"coefficients, {need:.4g} bytes (budget {args.memory_bytes})", need)
-    J = smoothing.default_truncation(delta) if args.J is None else args.J
-    if (need := J * smoothing.COEFF_BYTES) > args.memory_bytes:  # before anything is built
-        raise MemoryBudgetExceeded(f"J={J} Fourier coefficients (--J, --delta-multiplier) need "
-                                   f"{need} bytes (budget {args.memory_bytes})", need)
+    # default_truncation's J as a float, which for a subnormal Delta is infinite
+    j = np.ceil(1.0 / (math.pi**2 * delta * 0.01))
+    if j > args.memory_bytes // smoothing.COEFF_BYTES:  # before anything is built
+        need = j * smoothing.COEFF_BYTES
+        raise MemoryBudgetExceeded(
+            f"Delta={delta:.4g} (--delta-multiplier) needs J={j:.4g} Fourier "
+            f"coefficients, {need:.4g} bytes (budget {args.memory_bytes})", need)
+    J = smoothing.default_truncation(delta)
     ind = smoothing.build_smoothed(params.gamma, delta, J)
 
     checks: list[tuple[str, float, float, bool]] = []
@@ -367,21 +366,19 @@ def cmd_smoothing_check(args) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK
 
 
-_COUNT_FLAGS = ("alpha", "beta", "k", "grid", "eps", "seed", "precision-bits",
-                "memory-budget", "out", "timings")
+_COUNT_FLAGS = ("alpha", "beta", "k", "grid", "eps", "seed", "memory-budget", "out",
+                "timings")
 
 # (name, help, handler, flags the handler reads); every subcommand also takes --config
 _SUBCOMMANDS = (
     ("count", "k-free Beatty counts against x/zeta(k)", cmd_count, _COUNT_FLAGS),
     ("fit-exponent", "OLS exponent of the count error", cmd_fit_exponent, _COUNT_FLAGS),
     ("expsum-sweep", "double-sum bound ratios over seeded trials", cmd_expsum_sweep,
-     ("k", "eps", "seed", "precision-bits", "memory-budget", "out", "timings",
-      "trials", "x-max", "h-max")),
+     ("k", "eps", "seed", "memory-budget", "out", "timings", "trials", "x-max", "h-max")),
     ("discrepancy", "extreme/star discrepancy decay", cmd_discrepancy,
-     ("alpha", "beta", "grid", "seed", "precision-bits", "out")),
+     ("alpha", "beta", "grid", "seed", "out")),
     ("smoothing-check", "smoothed-indicator verification", cmd_smoothing_check,
-     ("alpha", "beta", "k", "delta-multiplier", "precision-bits", "memory-budget", "out",
-      "x", "J")),
+     ("alpha", "beta", "k", "delta-multiplier", "memory-budget", "out", "x")),
 )
 
 

@@ -43,26 +43,30 @@ class DiscrepancyResult:
     witness_interval: tuple[float, float]
 
 
-def build_pointset(alpha: IrrationalSpec, beta, M: int,
-                   precision_bits: int = DEFAULT_BITS) -> PointSet:
-    """Fractional parts {alpha*m + beta} for m = 1..M at working precision.
+def build_pointset(alpha: IrrationalSpec, beta, M: int) -> PointSet:
+    """Fractional parts {alpha*m + beta} for m = 1..M at DEFAULT_BITS.
 
-    Raises PrecisionExhausted when M * 2**-precision_bits, the scale of the
-    error of alpha*M, exceeds the 2**-54 to which frac_vector rounds.
+    Each point is within 2**-54 + 2**-62 of the fractional part of the
+    fixed-point alpha*m + beta, which is within its certified error of the
+    true value. Moving every point by eps moves the extreme discrepancy by at
+    most 2*eps (Kuipers-Niederreiter, Ch. 2), so PrecisionExhausted is raised,
+    before any array is built, when the certified error of alpha*M + beta,
+    from alpha's own interval, exceeds 2**-54.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if M > 1 << max(precision_bits - 54, 0):
-        raise PrecisionExhausted(
-            f"points up to M={M} at precision_bits={precision_bits}: M * 2**-{precision_bits} "
-            f"exceeds the fractional-part kernel's 2**-54; need {(M - 1).bit_length() + 54} bits")
-    a = to_fixed(alpha, precision_bits)
+    a = to_fixed(alpha, DEFAULT_BITS)
     b = FixedReal.from_fraction(parse_beta(beta) if isinstance(beta, str) else beta,
-                                precision_bits)
+                                DEFAULT_BITS)
+    if (err := a.err_ulps * M + b.err_ulps) > 1 << (DEFAULT_BITS - 54):
+        raise PrecisionExhausted(
+            f"points up to M={M} for alpha={alpha}: alpha*M + beta is certified within "
+            f"{err / (1 << DEFAULT_BITS):.3g}, coarser than the fractional-part "
+            f"kernel's 2**-54")
     pts = np.empty(M)
     for m0 in range(0, M, TILE):
         m = np.arange(m0 + 1, min(M, m0 + TILE) + 1, dtype=np.uint64)
-        pts[m0:m0 + len(m)] = frac_vector(a.mantissa, precision_bits, m,
+        pts[m0:m0 + len(m)] = frac_vector(a.mantissa, DEFAULT_BITS, m,
                                           offset_mantissa=b.mantissa)
     return PointSet(pts, M)
 
@@ -160,14 +164,10 @@ def extreme_discrepancy_oracle(points: np.ndarray) -> float:
     return best
 
 
-def decay_fit(
-    alpha: IrrationalSpec,
-    beta,
-    M_grid: list[int],
-    precision_bits: int = DEFAULT_BITS,
-) -> tuple[float, list[tuple[int, float, float]]]:
+def decay_fit(alpha: IrrationalSpec, beta,
+              M_grid: list[int]) -> tuple[float, list[tuple[int, float, float]]]:
     """OLS slope of log D(M) against log M over prefix sizes; NaN below two sizes."""
-    full = build_pointset(alpha, beta, max(M_grid, default=1), precision_bits)
+    full = build_pointset(alpha, beta, max(M_grid, default=1))
     per_M: list[tuple[int, float, float]] = []
     for M in sorted(M_grid):
         res = extreme_discrepancy(full if M == full.M else PointSet(full.points[:M], M))

@@ -70,8 +70,8 @@ def verdict_code(err: str) -> int:
 
 
 COUNT_HEADER = [
-    "experiment", "alpha", "beta", "k", "eps", "precision_bits", "seed", "tau_hat",
-    "x", "count", "main_term", "error", "bound", "ratio", "wall_ms",
+    "experiment", "alpha", "beta", "k", "eps", "seed", "tau_hat", "x", "count",
+    "main_term", "error", "bound", "ratio", "wall_ms",
 ]
 
 
@@ -79,7 +79,7 @@ def test_count_smoke(tmp_path, capsys):
     code, rows, _ = run_cli(tmp_path, capsys, "count", "--grid", "100:1000:10")
     assert code == cli.EXIT_OK
     assert rows[0] == COUNT_HEADER
-    assert [r[8] for r in rows[1:]] == ["100", "1000"]
+    assert [r[7] for r in rows[1:]] == ["100", "1000"]
 
 
 def test_fit_exponent_slope_is_the_fit_of_the_csv(tmp_path, capsys):
@@ -97,7 +97,7 @@ def test_fit_exponent_defaults_give_four_points(tmp_path, capsys):
     code, rows, err = run_cli(tmp_path, capsys, "fit-exponent")
     assert code in (cli.EXIT_OK, cli.EXIT_CHECK)
     assert code == verdict_code(err)
-    assert [r[8] for r in rows[1:]] == ["1000", "10000", "100000", "1000000"]
+    assert [r[7] for r in rows[1:]] == ["1000", "10000", "100000", "1000000"]
 
 
 def test_expsum_sweep_smoke(tmp_path, capsys):
@@ -106,8 +106,8 @@ def test_expsum_sweep_smoke(tmp_path, capsys):
     )
     assert code == cli.EXIT_OK
     assert rows[0] == [
-        "experiment", "k", "eps", "precision_bits", "seed", "trial", "kind", "x",
-        "H", "a", "q", "lhs", "rhs", "ratio", "hyperbola_gap", "wall_ms",
+        "experiment", "k", "eps", "seed", "trial", "kind", "x", "H", "a", "q",
+        "lhs", "rhs", "ratio", "hyperbola_gap", "wall_ms",
     ]
     assert len(rows) == 4
 
@@ -116,17 +116,16 @@ def test_discrepancy_smoke(tmp_path, capsys):
     code, rows, err = run_cli(tmp_path, capsys, "discrepancy", "--grid", "1000:4000:2")
     assert code == verdict_code(err)
     assert rows[0] == [
-        "experiment", "alpha", "beta", "precision_bits", "seed", "tau_hat", "M",
-        "extreme", "star", "bound",
+        "experiment", "alpha", "beta", "seed", "tau_hat", "M", "extreme", "star", "bound",
     ]
-    assert [r[6] for r in rows[1:]] == ["1000", "2000", "4000"]
+    assert [r[5] for r in rows[1:]] == ["1000", "2000", "4000"]
 
 
 @pytest.mark.parametrize("grid, Ms", [("5000:5000:10", ["5000"]), ("5000:10:10", [])])
 def test_discrepancy_below_two_points_has_no_slope(grid, Ms, tmp_path, capsys):
     code, rows, err = run_cli(tmp_path, capsys, "discrepancy", "--grid", grid)
     assert code == cli.EXIT_OK
-    assert [r[6] for r in rows[1:]] == Ms
+    assert [r[5] for r in rows[1:]] == Ms
     assert "slope=nan" in err
 
 
@@ -138,12 +137,6 @@ def test_smoothing_check_smoke(tmp_path, capsys):
         "bound", "status",
     ]
     assert [r[-1] for r in rows[1:]] == ["PASS"] * 5
-
-
-def test_smoothing_check_runs_with_the_J_it_is_given(tmp_path, capsys):
-    code, rows, _ = run_cli(tmp_path, capsys, "smoothing-check", "--x", "1000", "--J", "1")
-    assert code == cli.EXIT_OK
-    assert {r[6] for r in rows[1:]} == {"1"}
 
 
 @pytest.mark.parametrize("beta", ["0", "1/2", "3", "4"])
@@ -180,12 +173,29 @@ def test_smoothing_check_charges_its_coefficients_to_the_budget(multiplier, says
     assert len(err) < 250 and "Traceback" not in err
 
 
-def test_smoothing_check_fits_a_J_at_the_budget(tmp_path, capsys):
+def multiplier_for_j(j: float, x: int = 1000, k: int = 2) -> str:
+    """--delta-multiplier whose Delta gives default_truncation's j before its ceil."""
+    delta = 1.0 / (np.pi**2 * 0.01 * j)
+    return repr(delta / smoothing.default_delta(x, k))
+
+
+def test_smoothing_check_fits_a_J_at_the_budget(tmp_path, capsys, monkeypatch):
+    # J = ceil(j) coefficients fit 16 MiB up to j = at_budget; j = at_budget + 1/4
+    # costs J = at_budget + 1 coefficients, though j itself would fit in bytes
     at_budget = (16 << 20) // smoothing.COEFF_BYTES
-    argv = ["smoothing-check", "--x", "1000", "--memory-budget", "16", "--J"]
-    code, rows, _ = run_cli(tmp_path, capsys, *argv, str(at_budget))
-    assert code == cli.EXIT_OK and rows[1][6] == str(at_budget)
-    assert cli.main([*argv, str(at_budget + 1)]) == cli.EXIT_BUDGET
+    assert (at_budget + 0.25) * smoothing.COEFF_BYTES < 16 << 20
+    argv = ["smoothing-check", "--x", "1000", "--memory-budget", "16", "--delta-multiplier"]
+    code, rows, _ = run_cli(tmp_path, capsys, *argv, multiplier_for_j(at_budget - 0.25))
+    assert code == cli.EXIT_OK and {r[6] for r in rows[1:]} == {str(at_budget)}
+
+    def unbuilt(*args):
+        raise AssertionError("coefficients built over the budget")
+
+    monkeypatch.setattr(smoothing, "build_smoothed", unbuilt)
+    assert cli.main([*argv, multiplier_for_j(at_budget + 0.25)]) == cli.EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert f"needs J={at_budget + 1:.4g} Fourier coefficients" in err
+    assert "that needs --memory-budget 17 (MiB)" in err
 
 
 def test_smoothing_check_evaluates_the_series_in_one_call(tmp_path, capsys, monkeypatch):
@@ -272,20 +282,39 @@ def test_out_of_range_value_names_its_flag(flag, value, capsys):
     (["expsum-sweep", "--h-max", "0"], "--h-max", ">= 1"),
     (["expsum-sweep", "--trials", "-3"], "--trials", ">= 1"),
     (["smoothing-check", "--x", "1000", "--delta-multiplier", "0"], "--delta-multiplier", "> 0"),
-    (["smoothing-check", "--x", "1000", "--J", "0"], "--J", ">= 1"),
-    (["smoothing-check", "--x", "1000", "--J", "-5"], "--J", ">= 1"),
+    # the sieve keeps its values in int64 up to 2**62
+    (["expsum-sweep", "--x-max", str(2**62 + 1)], "--x-max", f"<= {2**62}"),
+    (["expsum-sweep", "--x-max", str(2**63)], "--x-max", f"<= {2**62}"),
 ])
 def test_a_size_below_its_limit_names_the_flag_and_the_limit(argv, flag, limit, capsys):
     assert cli.main(argv) == cli.EXIT_USAGE
     assert f"argument {flag}: must be {limit}" in capsys.readouterr().err
 
 
+def test_x_max_at_the_sieve_limit_reaches_the_budget(capsys):
+    argv = ["expsum-sweep", "--trials", "1", "--x-max", str(2**62), "--out", os.devnull]
+    assert cli.main(argv) == cli.EXIT_BUDGET
+    assert "--memory-budget" in capsys.readouterr().err
+
+
+def test_fit_exponent_below_four_points_names_the_grid_and_the_count(capsys):
+    argv = ["fit-exponent", "--grid", "1000:10000:10", "--out", os.devnull]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "needs at least 4 --grid points, got 2 from '1000:10000:10'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["count", "fit-exponent", "expsum-sweep", "discrepancy",
                                      "smoothing-check"])
-@pytest.mark.parametrize("bits", ["0", "-5", "63"])
-def test_precision_below_the_kernel_unit_names_the_flag_and_64(command, bits, capsys):
-    assert cli.main([command, f"--precision-bits={bits}"]) == cli.EXIT_USAGE
-    assert f"argument --precision-bits: must be >= 64, got {bits}" in capsys.readouterr().err
+@pytest.mark.parametrize("given_as", ["flag", "config key"])
+def test_precision_bits_is_no_flag_and_no_config_key(command, given_as, tmp_path, capsys):
+    # the bits follow the input: each certified decision escalates on its own
+    argv = [command, "--precision-bits", "192"]
+    if given_as == "config key":
+        config = tmp_path / "run.cfg"
+        config.write_text("precision_bits = 192\n")
+        argv = [command, "--config", str(config)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "unrecognized arguments: --precision-bits 192" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["count", "fit-exponent", "expsum-sweep", "smoothing-check"])
@@ -295,13 +324,15 @@ def test_a_budget_below_one_mib_names_the_flag_and_the_limit(command, mib, capsy
     assert f"argument --memory-budget: must be >= 1 (MiB), got {mib}" in capsys.readouterr().err
 
 
-def test_discrepancy_past_its_precision_is_exhausted(tmp_path, capsys):
-    # 64 bits carry M <= 2**10 points within the kernel's 2**-54
+def test_discrepancy_of_a_coarse_alpha_is_exhausted(tmp_path, capsys):
+    # alpha = 3.14159 +- 2**-20 puts no point within the kernel's 2**-54
     out = tmp_path / "d.csv"
-    argv = ["discrepancy", "--precision-bits", "64", "--out", str(out)]
-    assert cli.main([*argv, "--grid", "1024:1024:10"]) == cli.EXIT_OK
-    assert cli.main([*argv, "--grid", "1025:1025:10"]) == cli.EXIT_BUDGET
-    assert "M=1025 at precision_bits=64" in capsys.readouterr().err
+    argv = ["discrepancy", "--alpha", "dec:3.14159:20", "--grid", "1000:1000000:10"]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "M=1000000 for alpha=dec:3.14159:20" in err and "certified within 0.954" in err
+    assert not out.exists()
 
 
 def run_module(*argv) -> subprocess.CompletedProcess:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beatty_kfree import discrepancy
-from beatty_kfree.cfrac import PHI, SQRT2, to_fixed
+from beatty_kfree.cfrac import PHI, SQRT2, parse_irrational, to_fixed
 from beatty_kfree.discrepancy import (
     PointSet,
     _endpoint_arrays,
@@ -149,7 +150,35 @@ def test_tied_extremes_in_two_tiles_keep_the_first(monkeypatch, tile):
     assert res.witness_interval == (xs[1200], xs[1500])
 
 
-def test_pointset_past_the_kernel_precision_raises():
-    assert build_pointset(PHI, 0, 1 << 10, 64).M == 1 << 10
-    with pytest.raises(PrecisionExhausted, match=r"M=1025 at precision_bits=64"):
-        build_pointset(PHI, 0, 1025, 64)
+PI_100 = "dec:3.14159265358979323846264338327950288419716939937510582097494459:100"
+EXHAUSTED = r"M={M} for alpha={spec}: alpha\*M \+ beta is certified within"
+
+
+class Built(Exception):
+    """Raised by a patched np.empty: the check let build_pointset allocate."""
+
+
+def built(*args):
+    raise Built
+
+
+@pytest.mark.parametrize("spec, M", [("dec:3.14159:20", 1), ("cf:3,7,15,1", 1), (PI_100, 2**46)])
+def test_pointset_past_alphas_certified_error_raises_before_any_array(spec, M, monkeypatch):
+    monkeypatch.setattr(discrepancy.np, "empty", built)
+    with pytest.raises(PrecisionExhausted, match=EXHAUSTED.format(M=M, spec=re.escape(spec))):
+        build_pointset(parse_irrational(spec), 0, M)
+
+
+@pytest.mark.parametrize("alpha, limit", [(parse_irrational(PI_100), 2**46 - 1), (PHI, 2**137)])
+def test_pointset_check_sits_at_alphas_own_error(alpha, limit, monkeypatch):
+    # limit = 2**138 // err_ulps at DEFAULT_BITS: pi to 100 bits is within
+    # 2**-100, just over 2**92 ulps; phi within 2 ulps; beta = 0 adds no error
+    monkeypatch.setattr(discrepancy.np, "empty", built)
+    with pytest.raises(Built):
+        build_pointset(alpha, 0, limit)
+    with pytest.raises(PrecisionExhausted):
+        build_pointset(alpha, 0, limit + 1)
+
+
+def test_pointset_of_phi_passes_at_2_to_the_22():
+    assert build_pointset(PHI, 0, 1 << 22).M == 1 << 22

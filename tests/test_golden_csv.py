@@ -6,8 +6,9 @@ CSV change rewrites the goldens with
 
     PYTHONPATH=src python tests/test_golden_csv.py
 
-which prints, per golden, "unchanged" or each changed column with its
-largest absolute and relative change, for the CHANGES.md entry that names it.
+which prints, per golden, "unchanged" or the dropped and added columns and
+each changed column with its largest absolute and relative change, for the
+CHANGES.md entry that names it.
 """
 import csv
 import io
@@ -48,15 +49,24 @@ def test_csv_and_exit_code_match_golden(name, tmp_path, capsys):
 
 
 def column_changes(old: str, new: str) -> list[str]:
-    """One line per column that differs between two CSV texts with the same
-    header and row count: the cells changed and, for numbers, the largest
-    absolute and relative change."""
+    """What differs between two CSV texts with the same row count, columns
+    matched by name: a line for the dropped and one for the added columns,
+    then one per shared column that differs, with the cells changed and, for
+    numbers, the largest absolute and relative change."""
     old_rows, new_rows = (list(csv.reader(io.StringIO(t))) for t in (old, new))
-    if old_rows[:1] != new_rows[:1] or len(old_rows) != len(new_rows):
-        return [f"header or row count changed: {len(old_rows)} -> {len(new_rows)} lines"]
+    if len(old_rows) != len(new_rows):
+        return [f"row count changed: {len(old_rows)} -> {len(new_rows)} lines"]
+    old_cols, new_cols = old_rows[0], new_rows[0]
     lines = []
-    for j, col in enumerate(new_rows[0]):
-        pairs = [(a[j], b[j]) for a, b in zip(old_rows[1:], new_rows[1:]) if a[j] != b[j]]
+    for what, cols, others in (("dropped", old_cols, new_cols), ("added", new_cols, old_cols)):
+        if gone := [c for c in cols if c not in others]:
+            lines.append(f"{what} columns: {', '.join(gone)}")
+    shared = [c for c in new_cols if c in old_cols]
+    if shared != [c for c in old_cols if c in new_cols]:
+        lines.append("shared columns reordered")
+    for col in shared:
+        i, j = old_cols.index(col), new_cols.index(col)
+        pairs = [(a[i], b[j]) for a, b in zip(old_rows[1:], new_rows[1:]) if a[i] != b[j]]
         if not pairs:
             continue
         try:
@@ -76,8 +86,11 @@ def test_column_changes_names_each_changed_column():
     assert column_changes(old, old) == []
     assert column_changes(old, "x,lhs,kind\n1,2.0,a\n2,5.0,c\n") == [
         "lhs: 1 cells, max abs change 1, max rel change 0.25", "kind: 1 cells changed"]
-    assert column_changes(old, "x,lhs\n1,2.0\n") == [
-        "header or row count changed: 3 -> 2 lines"]
+    assert column_changes(old, "x,kind\n1,a\n2,b\n") == ["dropped columns: lhs"]
+    assert column_changes(old, "q,x,kind\n7,1,a\n8,2,c\n") == [
+        "dropped columns: lhs", "added columns: q", "kind: 1 cells changed"]
+    assert column_changes(old, "kind,x,lhs\na,1,2.0\nb,2,4.0\n") == ["shared columns reordered"]
+    assert column_changes(old, "x,lhs\n1,2.0\n") == ["row count changed: 3 -> 2 lines"]
 
 
 if __name__ == "__main__":
