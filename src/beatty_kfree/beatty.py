@@ -11,18 +11,20 @@ border (border_indices) to the certified scalar path.
 
 The k-free count along the sequence enumerates no terms. It replaces alpha
 by a rational slope A/Q certified to reproduce every term up to x and sums
-mu(d) * N_d, N_d = #{n <= x : d**k | t_n}, over d <= t_x**(1/k). Up to a
-cut-off D0 from a cost model, N_d is a difference of two floor sums over
-the multiples of d**k in [t_1, t_x], run in numpy uint64 lanes at a lower
-and an upper dyadic bracket of their slope and offset; a lane counts only
-when both brackets give equal totals, and each d whose lane is not
-certified takes two big-integer floor sums instead (so do all d when
-t_x >= 2**63). Above D0 the block membership test decides the multiples of
-d**k up to t_x, about t_x/D0**(k-1) membership pairs. For k = 2 both
-halves take O(sqrt(t_x)) steps. The d come one Moebius window at a time
-(kfree.squarefree_segments), the lanes in fixed-size chunks and the pairs
-in chunks of whole d, so the memory is that of one window, and the reach is
-capped by time.
+mu(d) * N_d, N_d = #{n <= x : d**k | t_n}, over d <= t_x**(1/k). From then
+on it reads alpha only through A, B and Q: the i-th multiple of D = d**k in
+[t_1, t_x] is a term iff {theta*i + c} >= 1 - Q/A, with theta and c the
+uint64 fractional parts of one lane per d (_lanes). Up to a cut-off D0 from
+a cost model, N_d is a difference of two floor sums over that lane, run in
+numpy uint64 lanes at a lower and an upper dyadic bracket of theta and c; a
+lane counts only when both brackets give equal totals, and each d whose
+lane is not certified takes two big-integer floor sums instead (so do all d
+when t_x >= 2**63). Above D0 the same test runs term by term, about
+t_x/D0**(k-1) pairs, each decided in uint64 or, within the slack of a
+border, by its exact residue mod A. For k = 2 both halves take
+O(sqrt(t_x)) steps. The d come one Moebius window at a time
+(kfree.squarefree_segments) and in it in chunks of _LANE_CHUNK d, so the
+memory is that of one window, and the reach is capped by time.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from .cfrac import IrrationalSpec
 from .errors import PrecisionExhausted
-from .fixed import (
+from .fixed import (  # noqa: F401  perfbench's binding self-test reads beatty.frac_vector
     DEFAULT_BITS,
     MAX_BITS,
     FixedReal,
@@ -55,8 +57,7 @@ from .kfree import (  # noqa: F401  perfbench's tracer self-test expects beatty.
 )
 
 _BORDER_TOL = 2.0**-40
-_PAIR_CHUNK = 1 << 16  # membership pairs per chunk of the count
-_LANE_CHUNK = 1 << 12  # d per chunk of the floor-sum lanes
+_LANE_CHUNK = 1 << 12  # d per chunk of the count
 _LANE_SLACK = 5  # theta, c within 5 units of 2**-64: frac_u64's 4, the offset's floor 1
 # A lane of this many multiples or more goes to the fallback: such lanes
 # seldom certify (for phi at 1e12-1e13, 10 of 758 of 2**22-2**23 multiples
@@ -65,10 +66,9 @@ _LANE_MAX = 1 << 22
 # c = c_p/c_f, the cost of one membership pair over that of one d in the
 # floor-sum lanes. About 0.61*D0 squarefree d take lanes and
 # 0.61*t_x*D0**(1-k)/(k-1) pairs lie above D0, so the total is least at
-# D0 = (c*t_x)**(1/k). Measured on a 2-core Xeon at x = 1e12 and 1e13: 52-53
-# ns per pair against 1.2-1.4 us per d, so c is near 0.04, whatever the bits
-# of the slope; of c = 0.005-0.08, 0.04 timed best on the 2**20..2**24 grid
-# of the benchmark's count configs and at x = 1e12-1e14.
+# D0 = (c*t_x)**(1/k). Measured on a 2-core Xeon at x = 1e12 and 1e13: 16-22
+# ns per pair against 0.9 us per d, so c is near 0.025; of c = 0.02-0.16,
+# 0.04 timed best at x = 1e12 and 1e13 and within 2% of the best at 1e14.
 _PAIR_COST = 0.04
 
 
@@ -294,45 +294,35 @@ def _certified_slope(p: BeattyParams, x: int) -> Fraction:
     return _decide(p, f"floor(alpha*n+beta) for n <= x={x}", certify)
 
 
-def _member_pairs(p: BeattyParams, A: int, B: int, Q: int, x: int, k: int,
-                  d: np.ndarray, mu: np.ndarray) -> int:
-    """sum over the given d of mu(d) * #{n <= x : d**k | t_n}, with
-    t_n = floor((A*n + B)/Q) < 2**63: the Beatty members among the
-    multiples m = j*d**k in [t_1, t_x], in chunks of whole d cut at each
-    multiple of _PAIR_CHUNK pairs. Above the cost model's D0, d**k >
-    _PAIR_COST*t_x leaves a d at most 24 multiples, so a chunk holds at most
-    _PAIR_CHUNK + 24 pairs; the d0 test hook of _count_split can put all of
-    one d's pairs in a single chunk. The float gamma-test decides them; a
-    border entry counts iff n = ceil((Q*m - B)/A) has t_n = m. Since the
-    terms increase and t_1 <= m <= t_x, such an n lies in [1, x]."""
-    t_1, t_x = (A + B) // Q, (A * x + B) // Q
-    dk = d**k
-    j_lo = (t_1 - 1) // dk + 1
-    per_d = t_x // dk - j_lo + 1
-    ends = np.cumsum(per_d)
-    cuts = np.searchsorted(ends, np.arange(_PAIR_CHUNK, int(ends[-1]), _PAIR_CHUNK), "right")
-    bounds = np.unique(np.concatenate(([0], cuts, [len(d)]))).tolist()
-    lv = p.level(p.precision_bits)
-    count = 0
-    for g0, g1 in zip(bounds, bounds[1:]):
-        g, j = group_offsets(per_d[g0:g1])
-        m = ((j_lo[g0:g1][g] + j) * dk[g0:g1][g]).astype(np.uint64)
-        f = frac_vector(lv.gamma.mantissa, lv.bits, m, offset_mantissa=lv.delta.mantissa)
-        flags, border = gamma_test(lv, f, t_x)
-        for i in border.tolist():
-            mi = int(m[i])
-            n = -((B - Q * mi) // A)  # least n with t_n >= mi
-            flags[i] = (A * n + B) // Q == mi
-        members = np.bincount(g[flags], minlength=g1 - g0)
-        count += int(members @ mu[g0:g1])
-    return count
-
-
 def _n_d(A: int, B: int, Q: int, x: int, dk: int) -> int:
     """#{n <= x : dk | t_n}, t_n = floor((A*n + B)/Q), by two big-integer
     floor sums over i = n - 1 of floor(t_n/dk) - floor((t_n - 1)/dk)."""
     D = Q * dk
     return floor_sum(x, D, A, A + B) - floor_sum(x, D, A, A + B - Q)
+
+
+def _lanes(A: int, B: int, Q: int, t_1: int, t_x: int,
+           dk: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(j_lo, L, theta, c) of the D = d**k in dk (t_x < 2**63): the slope
+    of t_n = floor((A*n + B)/Q) as both halves of the count read it.
+
+    The multiples of D in [t_1, t_x] are j*D, j = j_lo + i for i < L, and
+    m = j*D is a term iff [(Q*m - B)/A, (Q*m + Q - B)/A) holds an integer,
+    its least candidate being ceil((Q*m - B)/A). With
+    r = (Q*m - B + A - 1) mod A that is iff r >= A - Q, and
+    r/A = {theta*i + c}, theta = {Q*D/A}, c = {(Q*D*j_lo - B + A - 1)/A}:
+    m is a term iff {theta*i + c} >= 1 - gamma, gamma = Q/A. theta and c
+    are uint64 in units of 2**-64, each within _LANE_SLACK units below its
+    exact value.
+    """
+    u64 = np.uint64
+    j_lo = (t_1 - 1) // dk + 1
+    L = t_x // dk - j_lo + 1
+    g = (Q << 128) // A  # gamma in units of 2**-128, truncated
+    theta = frac_u64(g, 128, dk)
+    c = frac_u64(g, 128, dk.astype(u64) * j_lo.astype(u64))
+    c += u64((((A - 1 - B) % A) << 64) // A)
+    return j_lo, L, theta, c
 
 
 def _bracket(v: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -342,18 +332,13 @@ def _bracket(v: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v >> shift, ((v + np.uint64(_LANE_SLACK - 1)) >> shift) + np.uint64(1)
 
 
-def _lane_counts(A: int, B: int, Q: int, t_1: int, t_x: int,
-                 dk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """N_d = #{n <= x : dk | t_n} for the D = d**k in dk (t_x < 2**63) as
-    uint64 lanes, and the mask of lanes whose N_d is certified.
+def _lane_counts(L: np.ndarray, theta: np.ndarray, c: np.ndarray,
+                 gamma: int) -> tuple[np.ndarray, np.ndarray]:
+    """N_d = sum_{i<L} floor(theta*i + c + gamma) - floor(theta*i + c) for
+    lanes of _lanes as uint64, gamma = floor(Q/A * 2**64), and the mask of
+    lanes whose N_d is certified.
 
-    The multiples of D in [t_1, t_x] are j*D, j = j_lo + i for i < L, and
-    j*D is a term iff [(Q*j*D - B)/A, (Q*j*D + Q - B)/A) holds an integer.
-    The integer parts of the two ceilings cancel, so
-        N_d = sum_{i<L} floor(theta*i + c + gamma) - floor(theta*i + c)
-    with theta = {Q*D/A}, c = {(Q*D*j_lo - B + A - 1)/A} and gamma = Q/A.
-    frac_u64 gives theta and c to within _LANE_SLACK units of 2**-64, and
-    they are bracketed at 2**-s, s = 63 - bitlen(L + 2), so that
+    theta and c are bracketed at 2**-s, s = 63 - bitlen(L + 2), so that
     a*L + b < 2**63 in floor_sum_lanes. Every term is monotone in slope and
     offset, so equal totals at the lower and the upper brackets make each
     term, and so the sum, exact. A lane is certified when both sums agree
@@ -361,48 +346,47 @@ def _lane_counts(A: int, B: int, Q: int, t_1: int, t_x: int,
     that the totals fit 64 bits.
     """
     u64 = np.uint64
-    j_lo = (t_1 - 1) // dk + 1
-    L = t_x // dk - j_lo + 1
-    g = (Q << 128) // A  # gamma in units of 2**-128, truncated
-    theta = frac_u64(g, 128, dk)
-    c = frac_u64(g, 128, dk.astype(u64) * j_lo.astype(u64))
-    c += u64((((A - 1 - B) % A) << 64) // A)
     top = u64((1 << 64) - _LANE_SLACK)  # at most this, the bracket does not wrap
     ok = (L < _LANE_MAX) & (theta <= top) & (c <= top)
     L = np.where(ok, L, 0).astype(u64)
     shift = (np.frexp(L + u64(2))[1] + 1).astype(u64)  # 64 - s
     m = u64(1) << (u64(64) - shift)
     (t_lo, t_hi), (c_lo, c_hi) = _bracket(theta, shift), _bracket(c, shift)
-    g_lo = u64((Q << 64) // A) >> shift
+    g_lo = u64(gamma) >> shift
     sums = floor_sum_lanes(np.tile(L, 4), np.tile(m, 4), np.concatenate((t_lo, t_hi, t_lo, t_hi)),
                            np.concatenate((c_lo, c_hi, c_lo + g_lo, c_hi + g_lo + u64(1))))
     lo1, hi1, lo2, hi2 = sums.reshape(4, -1)
     return lo2 - lo1, ok & (lo1 == hi1) & (lo2 == hi2)
 
 
-def _floor_sum_count(A: int, B: int, Q: int, x: int, k: int,
-                     d: np.ndarray, mu: np.ndarray) -> int:
-    """sum over the given d of mu(d) * #{n <= x : d**k | t_n}: _lane_counts in
-    chunks of _LANE_CHUNK d, and _n_d for each d whose lane is not certified,
-    or for every d when t_x >= 2**63."""
-    t_1, t_x = (A + B) // Q, (A * x + B) // Q
-    count, rest = 0, range(len(d))
-    if t_x < 1 << 63:  # the lanes' D*j_lo and L are uint64
-        rest = []
-        for c0 in range(0, len(d), _LANE_CHUNK):
-            n_d, cert = _lane_counts(A, B, Q, t_1, t_x, d[c0:c0 + _LANE_CHUNK] ** k)
-            count += int(n_d[cert].astype(np.int64) @ mu[c0:c0 + len(cert)][cert].astype(np.int64))
-            rest += (np.flatnonzero(~cert) + c0).tolist()
-    for i in rest:
-        count += int(mu[i]) * _n_d(A, B, Q, x, int(d[i]) ** k)
-    return count
+def _pair_counts(A: int, B: int, Q: int, dk: np.ndarray, j_lo: np.ndarray, L: np.ndarray,
+                 theta: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """N_d for the lanes of _lanes, term by term: the i-th multiple
+    m = (j_lo + i)*D counts iff {theta*i + c} >= 1 - gamma.
+
+    v = c + theta*i in uint64 (mod 2**64) lies at most S = _LANE_SLACK*max(L)
+    units below the exact value, so v decides against
+    T = ceil((1 - gamma)*2**64) unless it lies within S below T or below
+    2**64; such an entry counts iff (Q*m - B + A - 1) mod A >= A - Q.
+    """
+    i_d, i = group_offsets(L)
+    v = c[i_d] + theta[i_d] * i.astype(np.uint64)
+    T = (1 << 64) - (Q << 64) // A
+    S = _LANE_SLACK * int(L.max())  # the caller passes a multiple, so 2**64 - S < 2**64
+    term = v >= np.uint64(T)
+    border = (v > np.uint64(max((1 << 64) - S, 0))) | ((v >= np.uint64(max(T - S, 0))) & ~term)
+    for e in np.flatnonzero(border).tolist():
+        m = (int(j_lo[i_d[e]]) + int(i[e])) * int(dk[i_d[e]])
+        term[e] = (Q * m - B + A - 1) % A >= A - Q
+    return np.bincount(i_d[term], minlength=len(dk))
 
 
 def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: int) -> int:
     """The exact count of count_kfree_beatty, split at D0 = d0 (None: the
-    cost model of _PAIR_COST): _floor_sum_count for d <= D0, _member_pairs
-    above, one Moebius window of d at a time. _member_pairs holds 5 int64
-    arrays over the squarefree d of its window."""
+    cost model of _PAIR_COST): one Moebius window of d at a time, and in it
+    chunks of _LANE_CHUNK d, each read once by _lanes. The d <= D0 take
+    _lane_counts, the others _pair_counts, and each d whose lane is not
+    certified takes _n_d; every d takes _n_d when t_x >= 2**63."""
     s = _certified_slope(p, x)
     # t_n = floor((A*n + B) / Q) exactly for 1 <= n <= x
     A = s.numerator * p.beta.denominator
@@ -415,14 +399,24 @@ def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: 
     r = iroot(t_x, k)
     if d0 is None:
         d0 = iroot(int(_PAIR_COST * t_x), k)
-    if t_x >= 1 << 63:  # the pairs' multiples are int64
-        d0 = r
+    gamma = (Q << 64) // A
     count = 0
     for d, mu in squarefree_segments(r, memory_bytes):
-        n_small = int(np.searchsorted(d, d0, "right"))
-        count += _floor_sum_count(A, B, Q, x, k, d[:n_small], mu[:n_small])
-        if n_small < len(d):
-            count += _member_pairs(p, A, B, Q, x, k, d[n_small:], mu[n_small:])
+        if t_x >= 1 << 63:  # the lanes' D*j_lo and L are uint64
+            count += sum(m * _n_d(A, B, Q, x, e**k) for e, m in zip(d.tolist(), mu.tolist()))
+            continue
+        for c0 in range(0, len(d), _LANE_CHUNK):
+            d_c, mu_c = d[c0:c0 + _LANE_CHUNK], mu[c0:c0 + _LANE_CHUNK].astype(np.int64)
+            dk = d_c**k
+            j_lo, L, theta, c = _lanes(A, B, Q, t_1, t_x, dk)
+            n = int(np.searchsorted(d_c, d0, "right"))
+            n_d, cert = _lane_counts(L[:n], theta[:n], c[:n], gamma)
+            count += int(n_d[cert].astype(np.int64) @ mu_c[:n][cert])
+            for i in np.flatnonzero(~cert).tolist():
+                count += int(mu_c[i]) * _n_d(A, B, Q, x, int(dk[i]))
+            if L[n:].any():
+                count += int(_pair_counts(A, B, Q, dk[n:], j_lo[n:], L[n:], theta[n:], c[n:])
+                             @ mu_c[n:])
     return count
 
 
@@ -437,13 +431,14 @@ def count_kfree_beatty(
     Exact without enumerating terms (module docstring):
         count = sum_{d <= t_x**(1/k)} mu(d) * #{n <= x : d**k | t_n},
     with alpha replaced by a certified rational slope (_certified_slope).
-    Up to D0 = (c*t_x)**(1/k), c = 0.04 (_PAIR_COST), the inner counts are
-    floor sums in uint64 lanes of 2**12 d (_lane_counts), with two
-    big-integer floor sums for each d whose lane does not certify (few:
-    those with about 2**19 or more multiples) and for every d when
-    t_x >= 2**63. Above D0 it tests the Beatty members among the multiples
-    of d**k in [t_1, t_x], about 2**16 pairs at a time (_member_pairs). For
-    k = 2 that is about 0.61*sqrt(c*t_x) squarefree d of floor sums and
+    The d come in chunks of _LANE_CHUNK = 2**12 d, each read once as lanes
+    of slope and offset (_lanes). Up to D0 = (c*t_x)**(1/k), c = 0.04
+    (_PAIR_COST), the inner counts are floor sums in uint64 lanes
+    (_lane_counts), with two big-integer floor sums for each d whose lane
+    does not certify (few: those with about 2**19 or more multiples) and for
+    every d when t_x >= 2**63. Above D0 it decides the multiples of d**k in
+    [t_1, t_x] one by one from the same lanes (_pair_counts). For k = 2
+    that is about 0.61*sqrt(c*t_x) squarefree d of floor sums and
     0.61*sqrt(t_x/c) pairs. The d come in Moebius windows of
     kfree.MOEBIUS_SEGMENT d, each of which must fit memory_bytes
     (MemoryBudgetExceeded otherwise); a few MiB suffice for every x.

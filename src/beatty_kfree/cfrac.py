@@ -158,15 +158,6 @@ def cf_interval_iter(lo: Fraction, hi: Fraction) -> Iterator[int]:
     cannot pin down.
     """
     while True:
-        if lo == hi:
-            x = lo
-            while True:
-                a = math.floor(x)
-                yield a
-                f = x - a
-                if f == 0:
-                    return
-                x = 1 / f
         alo, ahi = math.floor(lo), math.floor(hi)
         if alo != ahi:
             return

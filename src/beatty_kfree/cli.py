@@ -230,15 +230,14 @@ def cmd_expsum_sweep(args) -> int:
         rep = expsums.double_sum_bound_check(
             theta, h, x, args.k, args.eps, memory_bytes=args.memory_bytes
         )
-        gap = rep.params["hyperbola_gap"]
         max_ratio = max(max_ratio, rep.ratio)
-        worst_gap = max(worst_gap, gap)
+        worst_gap = max(worst_gap, rep.hyperbola_gap)
         wall = f"{(time.perf_counter() - t0) * 1e3:.1f}" if args.timings else ""
         rows.append(
             [
                 "expsum", args.k, _fmt(args.eps), args.seed, trial, kind, x, h,
                 theta.a, theta.q, _fmt(rep.lhs), _fmt(rep.rhs_value),
-                _fmt(rep.ratio), _fmt(gap), wall,
+                _fmt(rep.ratio), _fmt(rep.hyperbola_gap), wall,
             ]
         )
     _write_csv(args.out, _SWEEP_HEADER, rows)
@@ -398,18 +397,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_flags(path: str) -> list[str]:
-    """Flags from a key=value file, skipping blanks and # comments; a store_true
-    flag takes 1 (set) or 0 (unset)."""
+def _config_flags(path: str, command: str) -> list[str]:
+    """Flags of command from a key=value file, skipping blanks and # comments;
+    a store_true flag takes 1 (set) or 0 (unset)."""
+    known = next(flags for name, _, _, flags in _SUBCOMMANDS if name == command)
     flags: list[str] = []
     with open(path) as f:
         for line in f:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            key, value = key.strip().replace("_", "-"), value.strip()
-            if _FLAGS.get(key, {}).get("action") != "store_true":
+            name, _, value = line.partition("=")
+            key, value = name.strip().replace("_", "-"), value.strip()
+            if key not in known:
+                raise ValueError(f"{path}: key {name.strip()!r} (--{key}) is not an option "
+                                 f"of {command}")
+            if _FLAGS[key].get("action") != "store_true":
                 flags.extend([f"--{key}", value])
             elif value not in ("0", "1"):
                 raise ValueError(f"config key {key!r} takes 0 or 1, got {value!r}")
@@ -434,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             # file values go right after the subcommand so explicit flags win
-            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+            args = parser.parse_args(argv[:1] + _config_flags(args.config, args.command) + argv[1:])
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     except (OSError, ValueError) as e:
@@ -448,6 +451,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except PrecisionExhausted as e:
         print(f"budget/precision exhausted: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as e:
+        print(f"budget/precision exhausted: {args.command} ran out of memory: "
+              f"{str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, DegenerateFit, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -14,7 +14,9 @@ from beatty_kfree.beatty import (
     _certified_slope,
     _count_split,
     _lane_counts,
+    _lanes,
     _n_d,
+    _pair_counts,
     beatty_term,
     beatty_terms_block,
     count_kfree_beatty,
@@ -347,19 +349,9 @@ class TestSplitCount:
         return outcome(lambda: _count_split(p, x, k, d0, DEFAULT_MEMORY_BYTES))
 
     @pytest.mark.parametrize("spec", COUNT_SPECS)
-    def test_all_pairs_and_all_floor_sums_agree(self, spec, monkeypatch):
-        borders = []
-        real = beatty.border_indices
-
-        def counted(*args):
-            out = real(*args)
-            borders.append(len(out))
-            return out
-
-        monkeypatch.setattr(beatty, "border_indices", counted)
+    def test_all_pairs_and_all_floor_sums_agree(self, spec):
         alpha = parse_irrational(spec)
-        # the short specs certify only small x, where their wide intervals
-        # send pair entries to the integer decision
+        # the short specs certify a slope only for small x
         xs = range(1, 100) if spec in SHORT_SPECS else (1, 10, 1000, 10**5)
         for beta in ("0", "1/2", "-7/10", "3", "-2"):
             p = BeattyParams(alpha, parse_beta(beta))
@@ -368,28 +360,51 @@ class TestSplitCount:
                     public = outcome(lambda: count_kfree_beatty(p, x, k)[0])
                     assert self.split(p, x, k, 0) == self.split(p, x, k, ALL_FLOOR_SUMS) == public, (
                         beta, k, x)
-        if spec in SHORT_SPECS:
-            assert sum(borders) > 100
 
-    def test_border_decision_alone(self, monkeypatch):
-        # every pair goes to the integer decision, with its float flag inverted
-        real = beatty.gamma_test
+    def test_count_reads_alpha_only_through_its_slope(self, monkeypatch):
+        # no float membership test, border scan or 192-bit kernel in the count
+        def refuse(*args, **kwargs):
+            raise AssertionError("called by the count")
 
-        def all_border(lv, f, m_hi):
-            flags, _ = real(lv, f, m_hi)
-            return ~flags, np.arange(len(f))
+        p = BeattyParams(PHI, parse_beta("1/2"))
+        want = streaming_count(p, 2, 1, 10**5)
+        for name in ("gamma_test", "border_indices", "frac_vector"):
+            monkeypatch.setattr(beatty, name, refuse)
+        for d0 in (0, None, ALL_FLOOR_SUMS):
+            assert self.split(p, 10**5, 2, d0) == want
 
-        monkeypatch.setattr(beatty, "gamma_test", all_border)
-        for spec in ("quad:1,5,2", "quad:7,2,3", "dec:3.14159265358979323846264338327950288:100"):
-            for beta in ("0", "-7/10", "3"):
-                p = BeattyParams(parse_irrational(spec), parse_beta(beta))
-                for k in (2, 3):
-                    for x in (1, 10, 1000, 20000):
-                        assert self.split(p, x, k, 0) == self.split(p, x, k, ALL_FLOOR_SUMS), (spec, beta, k, x)
+    @pytest.mark.parametrize("spec", ["quad:1,5,2", "quad:7,2,3", COUNT_SPECS[4]])
+    def test_exact_paths_alone_at_a_slack_of_a_quarter(self, spec, monkeypatch):
+        # with _LANE_SLACK = 2**62 units (a quarter), S = _LANE_SLACK*max(L)
+        # reaches 2**64 in the one chunk of the d0 = 0 runs, so the residue
+        # decides every pair: with theta and c inverted the counts still
+        # hold. Lanes of three or more multiples no longer certify and take
+        # _n_d.
+        cases = [(BeattyParams(parse_irrational(spec), parse_beta(beta)), k, x)
+                 for beta in ("0", "-7/10", "3") for k in (2, 3) for x in (10, 1000, 20000)]
+        want = [self.split(p, x, k, ALL_FLOOR_SUMS) for p, k, x in cases]
+        monkeypatch.setattr(beatty, "_LANE_SLACK", 1 << 62)
+        lanes, lane_counts, fallbacks, n_d = beatty._lanes, beatty._lane_counts, [], beatty._n_d
+
+        def certified(L, theta, c, gamma):
+            out = lane_counts(L, theta, c, gamma)
+            assert (L[out[1]] <= 2).all()
+            return out
+
+        monkeypatch.setattr(beatty, "_lane_counts", certified)
+        monkeypatch.setattr(beatty, "_n_d", lambda *args: fallbacks.append(args) or n_d(*args))
+        assert [self.split(p, x, k, ALL_FLOOR_SUMS) for p, k, x in cases] == want
+        assert len(fallbacks) > 0
+        def inverted(*args):
+            j_lo, L, theta, c = lanes(*args)
+            return j_lo, L, ~theta, ~c
+
+        monkeypatch.setattr(beatty, "_lanes", inverted)
+        assert [self.split(p, x, k, 0) for p, k, x in cases] == want
 
     @pytest.mark.parametrize("chunk", [2, 7, 64])
     def test_chunks_of_whole_d(self, chunk, monkeypatch):
-        monkeypatch.setattr(beatty, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(beatty, "_LANE_CHUNK", chunk)
         monkeypatch.setattr(kfree, "MOEBIUS_SEGMENT", 3)  # and the d in segments of 3
         for spec, beta in (("quad:1,5,2", "0"), ("quad:7,2,3", "-7/10")):
             p = BeattyParams(parse_irrational(spec), parse_beta(beta))
@@ -410,20 +425,26 @@ class TestSplitCount:
             assert t_x // (d0 + 1) ** k < 1 / beatty._PAIR_COST, (k, t_x)
 
     def test_cost_model_chunks_stay_near_the_chunk_size(self, monkeypatch):
-        sizes = []
-        real = beatty.group_offsets
+        # chunks of _LANE_CHUNK d, and above D0 fewer than 25 pairs per d
+        chunks, pairs = [], []
+        lanes, real = beatty._lanes, beatty.group_offsets
 
-        def counted(per):
-            sizes.append(int(per.sum()))
+        def counted_lanes(A, B, Q, t_1, t_x, dk):
+            chunks.append(len(dk))
+            return lanes(A, B, Q, t_1, t_x, dk)
+
+        def counted_pairs(per):
+            pairs.append((len(per), int(per.sum())))
             return real(per)
 
-        monkeypatch.setattr(beatty, "group_offsets", counted)
-        monkeypatch.setattr(beatty, "_PAIR_CHUNK", 100)
+        monkeypatch.setattr(beatty, "_lanes", counted_lanes)
+        monkeypatch.setattr(beatty, "group_offsets", counted_pairs)
+        monkeypatch.setattr(beatty, "_LANE_CHUNK", 100)
         p = BeattyParams(PHI, 0)
         for k in (2, 3):
             assert self.split(p, 10**7, k, None) == self.split(p, 10**7, k, ALL_FLOOR_SUMS)
-        assert len(sizes) > 20 and max(sizes) <= 100 + 24
-        assert sorted(sizes)[len(sizes) // 2] > 100 - 24
+        assert len(chunks) > 20 and max(chunks) == 100
+        assert len(pairs) > 20 and all(n_pairs < 25 * n_d for n_d, n_pairs in pairs)
 
     def test_segments_of_three_d(self, monkeypatch):
         # a cut-off inside a segment sends its first d to floor sums, the rest to pairs
@@ -442,15 +463,15 @@ class TestSplitCount:
             p, 10**10, 2, ALL_FLOOR_SUMS, DEFAULT_MEMORY_BYTES) == 6079271025
 
     def test_terms_past_the_pair_limit(self, monkeypatch):
-        # t_x >= 2**44, where frac_vector once stopped and every d took floor sums
+        # t_x >= 2**44, where the float pair test once stopped and every d took floor sums
         largest = []
-        real = beatty.frac_vector
+        real = beatty._pair_counts
 
-        def counted(mantissa, scale_bits, n, offset_mantissa=0):
-            largest.append(int(n.max()))
-            return real(mantissa, scale_bits, n, offset_mantissa)
+        def counted(A, B, Q, dk, j_lo, L, theta, c):
+            largest.append(int(((j_lo + L - 1) * dk)[L > 0].max()))
+            return real(A, B, Q, dk, j_lo, L, theta, c)
 
-        monkeypatch.setattr(beatty, "frac_vector", counted)
+        monkeypatch.setattr(beatty, "_pair_counts", counted)
         p = BeattyParams(parse_irrational(BIG_ALPHA), 0)
         x = 1_250_000
         assert big_alpha_term(x) >= 1 << 44
@@ -478,6 +499,11 @@ def slope_form(p: BeattyParams, x: int) -> tuple[int, int, int, int, int]:
     return A, B, Q, (A + B) // Q, (A * x + B) // Q
 
 
+def lane_counts(A: int, B: int, Q: int, t_1: int, t_x: int, dk: np.ndarray):
+    """_lane_counts on the lanes of the D in dk."""
+    return _lane_counts(*_lanes(A, B, Q, t_1, t_x, dk)[1:], (Q << 64) // A)
+
+
 LANE_CASES = [(spec, beta, k, x) for spec, beta in (
     ("quad:1,5,2", "0"), ("quad:1,5,2", "1/2"), ("quad:7,2,3", "-7/10"), ("quad:7,2,3", "3"),
     (COUNT_SPECS[3], "-7/10"), (COUNT_SPECS[4], "-7/10"), (COUNT_SPECS[4], "3"))
@@ -491,7 +517,7 @@ class TestLaneCounts:
     def test_certified_lanes_are_the_two_floor_sums(self, spec, beta, k, x):
         A, B, Q, t_1, t_x = slope_form(BeattyParams(parse_irrational(spec), parse_beta(beta)), x)
         d = np.arange(1, min(iroot(t_x, k), 400) + 1)
-        n_d, cert = _lane_counts(A, B, Q, t_1, t_x, d**k)
+        n_d, cert = lane_counts(A, B, Q, t_1, t_x, d**k)
         assert cert.any()
         for i in np.flatnonzero(cert).tolist():
             assert int(n_d[i]) == _n_d(A, B, Q, x, int(d[i]) ** k), int(d[i])
@@ -505,7 +531,7 @@ class TestLaneCounts:
                             lambda *cols: seen.append(cols) or np.zeros(len(cols[0]), np.uint64))
         A, B, Q, t_1, t_x = slope_form(BeattyParams(parse_irrational(spec), parse_beta(beta)), x)
         dk = np.arange(1, min(iroot(t_x, k), 300) + 1) ** k
-        _lane_counts(A, B, Q, t_1, t_x, dk)
+        lane_counts(A, B, Q, t_1, t_x, dk)
         (n, m, a, b), = seen
         lanes = len(dk)
         for i, D in enumerate(dk.tolist()):
@@ -551,7 +577,7 @@ class TestLaneCounts:
                 return u
 
             monkeypatch.setattr(beatty, "frac_u64", near_one)
-            cert = _lane_counts(A, B, Q, t_1, t_x, dk)[1]
+            cert = lane_counts(A, B, Q, t_1, t_x, dk)[1]
             assert cert.any() and not cert[::3].any(), patched
             assert _count_split(p, 10**6, 2, ALL_FLOOR_SUMS, DEFAULT_MEMORY_BYTES) == want
 
@@ -560,10 +586,33 @@ class TestLaneCounts:
         monkeypatch.setattr(beatty, "floor_sum_lanes", lambda *cols: np.zeros(len(cols[0]), np.uint64))
         A, B, Q, t_1, t_x = slope_form(BeattyParams(PHI, 0), 10**10)
         dk = np.arange(1, 101) ** 2
-        cert = _lane_counts(A, B, Q, t_1, t_x, dk)[1]
+        cert = lane_counts(A, B, Q, t_1, t_x, dk)[1]
         long = t_x // dk >= beatty._LANE_MAX
         assert long.any() and not long.all()
         assert not cert[long].any() and cert[~long].all()
+
+    @pytest.mark.parametrize("slack", [beatty._LANE_SLACK, 1 << 62])
+    def test_pairs_equal_the_enumerated_terms(self, slack, rng, monkeypatch):
+        # small A put many multiples m on the borders of the v rule: an exact
+        # {theta*i + c} of 1 - gamma (r = A - Q) or of 0 (r = 0), where v
+        # lies just below T or just below 2**64
+        monkeypatch.setattr(beatty, "_LANE_SLACK", slack)
+        borders = {"T": 0, "one": 0}
+        for _ in range(300):
+            Q = int(rng.integers(1, 40))
+            A = int(rng.integers(Q + 1, 60))
+            B = int(rng.integers(Q - A, 40))  # t_1 >= 1
+            t = np.array([(A * n + B) // Q for n in range(1, int(rng.integers(1, 200)) + 1)])
+            t_1, t_x = int(t[0]), int(t[-1])
+            dk = np.unique(np.concatenate((np.arange(1, min(t_x, 40) + 1),
+                                           rng.integers(1, t_x + 1, 10))))
+            got = _pair_counts(A, B, Q, dk, *_lanes(A, B, Q, t_1, t_x, dk))
+            assert got.tolist() == (t[None, :] % dk[:, None] == 0).sum(axis=1).tolist(), (A, B, Q)
+            for D in dk.tolist():
+                r = [(Q * m - B + A - 1) % A for m in range(-(-t_1 // D) * D, t_x + 1, D)]
+                borders["T"] += r.count(A - Q)
+                borders["one"] += r.count(0)
+        assert borders["T"] > 100 and borders["one"] > 100
 
     @pytest.mark.parametrize("spec", COUNT_SPECS)
     def test_no_lane_certified_gives_the_same_counts(self, spec, monkeypatch):
@@ -574,7 +623,7 @@ class TestLaneCounts:
         want = [outcome(lambda: count_kfree_beatty(p, x, k)[0]) for p, k, x in cases]
         real = beatty._lane_counts
         monkeypatch.setattr(beatty, "_lane_counts",
-                            lambda *args: (real(*args)[0], np.zeros(len(args[-1]), dtype=bool)))
+                            lambda *args: (real(*args)[0], np.zeros(len(args[0]), dtype=bool)))
         assert [outcome(lambda: count_kfree_beatty(p, x, k)[0]) for p, k, x in cases] == want
 
     def test_window_at_1e12_equals_the_streamed_terms(self, monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beatty_kfree import beatty, cfrac, cli, smoothing
+from beatty_kfree import beatty, cfrac, cli, discrepancy, smoothing
 
 
 def test_help_lists_the_experiment_subcommands(capsys):
@@ -309,12 +309,27 @@ def test_fit_exponent_below_four_points_names_the_grid_and_the_count(capsys):
 def test_precision_bits_is_no_flag_and_no_config_key(command, given_as, tmp_path, capsys):
     # the bits follow the input: each certified decision escalates on its own
     argv = [command, "--precision-bits", "192"]
+    says = "unrecognized arguments: --precision-bits 192"
     if given_as == "config key":
         config = tmp_path / "run.cfg"
         config.write_text("precision_bits = 192\n")
         argv = [command, "--config", str(config)]
+        says = f"{config}: key 'precision_bits' (--precision-bits) is not an option of {command}"
     assert cli.main(argv) == cli.EXIT_USAGE
-    assert "unrecognized arguments: --precision-bits 192" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert says in err and (given_as == "flag") == ("unrecognized" in err)
+
+
+def test_out_of_memory_is_exhausted_and_names_the_subcommand(monkeypatch, capsys):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(discrepancy, "decay_fit", no_memory)
+    argv = ["discrepancy", "--grid", "1e12:1e12:10", "--out", os.devnull]
+    assert cli.main(argv) == cli.EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err == ("budget/precision exhausted: discrepancy ran out of memory: "
+                   "Unable to allocate 7.28 TiB for an array\n")
 
 
 @pytest.mark.parametrize("command", ["count", "fit-exponent", "expsum-sweep", "smoothing-check"])

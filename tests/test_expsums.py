@@ -221,7 +221,7 @@ class TestBoundCheck:
         rep = double_sum_bound_check(t, 5, 2000, 2, eps=0.05)
         assert math.isfinite(rep.ratio)
         assert rep.ratio <= 2.0
-        assert rep.params["hyperbola_gap"] <= 1e-6
+        assert rep.hyperbola_gap <= 1e-6
 
     def test_golden_convergent_ratio(self):
         from beatty_kfree.cfrac import dirichlet_approx
@@ -412,7 +412,7 @@ class TestPowerSumKernel:
         theta = to_fixed(PHI, 192).mul_int(17)
         a, q = dirichlet_approx(theta, x)
         rep = double_sum_bound_check(ThetaApprox(theta, a, q), H, x, 2)
-        assert rep.params["hyperbola_gap"] <= 1e-8
+        assert rep.hyperbola_gap <= 1e-8
 
 
 def count_calls(monkeypatch, name: str) -> list[int]:
