@@ -133,7 +133,7 @@ _FLAGS = {
     "timings": dict(action="store_true", help="fill the wall_ms column (breaks byte reproducibility)"),
     "trials": dict(type=_int_in(1), default=100),
     "x-max": dict(type=_int_in(_SWEEP_X_MIN, kfree.MAX_COUNT_X), default=100000),
-    "h-max": dict(type=_int_in(1), default=30),
+    "h-max": dict(type=_int_in(1), default=30, help="H is drawn from 1..min(H_MAX, x) per trial"),
     "x": dict(type=_int_in(1), default=10000),
 }
 
@@ -224,7 +224,7 @@ def cmd_expsum_sweep(args) -> int:
     worst_gap = 0.0
     for trial in range(args.trials):
         x = int(rng.integers(_SWEEP_X_MIN, args.x_max + 1))
-        h = int(rng.integers(1, args.h_max + 1))
+        h = int(rng.integers(1, min(args.h_max, x) + 1))
         t0 = time.perf_counter()
         theta, kind = _sweep_theta(rng, trial, x)
         rep = expsums.double_sum_bound_check(

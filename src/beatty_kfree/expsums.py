@@ -1,20 +1,23 @@
 """Exponential sums over k-free integers and their hyperbola decomposition.
 
 The double sum  sum_{h<=H} sum_{n<=x, n k-free} e(theta*h*n)  is evaluated
-two ways: term by term over sieved k-free n (the naive path), and through
-the Moebius identity for the k-free indicator, n = l*m**k <= x weighted by
-mu(m), split at m**k = y into two disjoint parts. Sum A (m**k <= y) takes
-its long inner sums over l in closed geometric form, all (h, m) pairs in one
-vectorised linear_exp_sum call; sum B (m**k > y, so l <= x/y) is a direct
-Moebius-weighted sum over its pairs (l, m). Every direct sum goes through one
-power-sum kernel: e(theta*n) is the product of two entries of twiddle tables
-of about sqrt(max n) entries each, built once per call by exact reductions of
-the fixed-point mantissa of theta, so it is within a few ulp of the value;
-and e(theta*h*n) for h = 1..H follows by complex multiplication. Each path sums
-its partials exactly rounded (complex_fsum), so the two agree to within the
-float64 error of the partials themselves. Because the naive sum and sum B
-share the kernel, their agreement checks the split, not the kernel; the
-kernel is checked against one exact reduction per (h, n) in the tests.
+two ways, by two kernels. The naive path sums straight over the sieve flags:
+with n = a*2**s + b, the inner sums over b for every h are one real matrix
+product per chunk of flags against a table of e(h*theta*b), and the outer
+sums over a weight them by a table of e(h*theta*a*2**s). The hyperbola path
+goes through the Moebius identity for the k-free indicator, n = l*m**k <= x
+weighted by mu(m), split at m**k = y into two disjoint parts. Sum A
+(m**k <= y) takes its long inner sums over l in closed geometric form, all
+(h, m) pairs in one vectorised linear_exp_sum call; sum B (m**k > y, so
+l <= x/y) is a direct Moebius-weighted sum over its sparse pairs (l, m) by
+the power-sum kernel, which takes e(theta*n) as the product of two twiddle
+table entries and e(theta*h*n) by complex multiplication. Every twiddle entry
+is one exact reduction of the fixed-point mantissa of theta, so it is within
+a few ulp of its value. Each path sums its partials exactly rounded
+(complex_fsum), so the two agree to within the float64 error of the partials
+themselves. The naive sum and sum B share no kernel, so their agreement
+checks the kernels as well as the split; the tests also check each kernel
+against one exact reduction per (h, n).
 """
 from __future__ import annotations
 
@@ -24,10 +27,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import MemoryBudgetExceeded
 from .fixed import TILE, FixedReal, frac_vector
 from .kfree import DEFAULT_MEMORY_BYTES, group_offsets, iroot, sieve_kfree, sieve_moebius
 
 TWO_PI = 2.0 * math.pi
+# bytes per table entry and h: the complex table, its real copy and the
+# temporaries of _unit_circle (about 32 measured)
+_TABLE_BYTES = 64
 
 
 def split_parameter(x: int, k: int) -> float:
@@ -54,9 +61,8 @@ def _unit_circle(t: int, bits: int, ns: np.ndarray) -> np.ndarray:
     return z
 
 
-def _power_sum(t: int, bits: int, ns: np.ndarray, H: int,
-               w: np.ndarray | None = None) -> complex:
-    """sum_{h=1..H} sum_j w_j * e(h * t * ns_j / 2**bits), w_j = 1 by default.
+def _power_sum(t: int, bits: int, ns: np.ndarray, H: int, w: np.ndarray) -> complex:
+    """sum_{h=1..H} sum_j w_j * e(h * t * ns_j / 2**bits).
 
     Each n splits as n = a * 2**s + b, b < 2**s, with s half the bit length
     of max(ns) rounded up, and e(theta*n) = e(theta*b) * e(theta*a*2**s).
@@ -85,7 +91,7 @@ def _power_sum(t: int, bits: int, ns: np.ndarray, H: int,
         # int64 views: numpy gathers by a uint64 index at about twice the cost
         z = lo[(n & mask).view(np.int64)]
         z *= hi[(n >> shift).view(np.int64)]
-        v = z.copy() if w is None else z * w[j0:j0 + TILE]
+        v = z * w[j0:j0 + TILE]
         for h in range(1, H + 1):
             parts.append(complex(np.sum(v)))
             if h < H:
@@ -138,12 +144,64 @@ def double_kfree_sum_naive(
     k: int,
     memory_bytes: int = DEFAULT_MEMORY_BYTES,
 ) -> complex:
-    """Direct double sum over h <= H and sieved k-free n <= x."""
+    """Direct double sum over h <= H and k-free n <= x, straight from the
+    sieve flags.
+
+    With n = a * 2**s + b, b < 2**s and s half the bit length of x rounded
+    up, S_h = sum_a e(h*theta*a*2**s) * sum_b F[a, b] * e(h*theta*b), where
+    F is the flags in rows of 2**s, zero at n = 0 and past x. The twiddle
+    tables lo[b, h] = e(h*theta*b) and hi[a, h] = e(h*theta*a*2**s) take one
+    _unit_circle call each, over the products h*b and h*a*2**s. Per chunk of
+    TILE flags the inner sums of every h are one real matrix product,
+    F_chunk @ [lo.real | lo.imag]; their products with the hi rows are summed
+    per h and the per-h partials exactly rounded by complex_fsum. The h run
+    in as few blocks as fit their two tables into what memory_bytes leaves
+    after the sieve, two reductions per block; MemoryBudgetExceeded when the
+    tables of one h do not fit.
+
+    Float bound: each table entry is one exact reduction, within 2**-54 +
+    2**-62 turns of its angle before cos and sin round, so it is within a few
+    ulp of its value for any h; no power of a rounded entry is taken, and the
+    error does not grow with h. Each inner sum adds 2**s terms of modulus
+    <= 1 and each S_h about x / 2**s products of an inner sum with a hi
+    entry, so S_h is within a few ulp of x in the worst case.
+    """
     if H < 1 or x < 1:
         return 0j
     flags = sieve_kfree(k, 1, x, memory_bytes)
-    ns = (np.nonzero(flags)[0] + 1).astype(np.uint64)
-    return _power_sum(theta.mantissa % (1 << theta.scale_bits), theta.scale_bits, ns, H)
+    if H * x >> 64:
+        raise ValueError(f"H*x = {H * x} exceeds 2**64; the products h*n are uint64")
+    bits = theta.scale_bits
+    t = theta.mantissa % (1 << bits)
+    s = (x.bit_length() + 1) // 2
+    width, rows = 1 << s, (x >> s) + 1
+    per_h = _TABLE_BYTES * (width + rows)
+    left = memory_bytes - flags.nbytes
+    if per_h > left:
+        raise MemoryBudgetExceeded(
+            f"twiddle tables for x={x} need {per_h} bytes per h, the sieve leaves "
+            f"{left} of the budget {memory_bytes}", per_h + flags.nbytes)
+    size = -(-H // -(-H * per_h // left))  # h per block, over the fewest blocks
+    step = max(1, TILE >> s)  # rows per chunk
+    b = np.arange(width, dtype=np.uint64)
+    a = np.arange(rows, dtype=np.uint64) << np.uint64(s)
+    parts = []
+    for h0 in range(1, H + 1, size):
+        hs = np.arange(h0, min(h0 + size, H + 1), dtype=np.uint64)
+        nh = len(hs)
+        lo = _unit_circle(t, bits, np.outer(b, hs).ravel()).reshape(width, nh)
+        lo = np.hstack([lo.real, lo.imag])  # one real product gives both parts
+        hi = _unit_circle(t, bits, np.outer(a, hs).ravel()).reshape(rows, nh)
+        for a0 in range(0, rows, step):
+            a1 = min(a0 + step, rows)
+            f = np.zeros((a1 - a0) << s)
+            n0, n1 = max(a0 << s, 1), min(a1 << s, x + 1)
+            f[n0 - (a0 << s):n1 - (a0 << s)] = flags[n0 - 1:n1 - 1]
+            p = f.reshape(a1 - a0, width) @ lo
+            inner = p[:, :nh] + 1j * p[:, nh:]
+            inner *= hi[a0:a1]
+            parts.append(inner.sum(axis=0))
+    return complex_fsum(np.concatenate(parts))
 
 
 @dataclass(frozen=True)

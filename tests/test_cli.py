@@ -112,6 +112,15 @@ def test_expsum_sweep_smoke(tmp_path, capsys):
     assert len(rows) == 4
 
 
+def test_expsum_sweep_draws_h_up_to_each_trials_x(tmp_path, capsys):
+    code, rows, _ = run_cli(
+        tmp_path, capsys, "expsum-sweep", "--trials", "3", "--x-max", "300", "--h-max", "1000"
+    )
+    assert code == cli.EXIT_OK
+    table = [dict(zip(rows[0], r)) for r in rows[1:]]
+    assert len(table) == 3
+    assert all(1 <= int(r["H"]) <= int(r["x"]) <= 300 for r in table)
+
 def test_discrepancy_smoke(tmp_path, capsys):
     code, rows, err = run_cli(tmp_path, capsys, "discrepancy", "--grid", "1000:4000:2")
     assert code == verdict_code(err)

@@ -327,6 +327,12 @@ def brute_split(theta: FixedReal, H: int, x: int, k: int, y: float):
     return a, b
 
 
+# x = 5000 lays its flags out in 40 rows of 128; this budget holds the
+# sieve's 5000 bytes plus the twiddle tables of 7 h, so 30 h take 5 blocks
+BLOCKS_X = 5000
+BLOCKS_BUDGET = BLOCKS_X + 7 * expsums._TABLE_BYTES * (128 + 40)
+
+
 def theta_cases(rng):
     yield fixed_from(Fraction(int(rng.integers(1, 1 << 62)), 1 << 62))
     yield fixed_from(Fraction(3, 7))
@@ -343,15 +349,45 @@ class TestPowerSumKernel:
             got = double_kfree_sum_naive(theta, H, x, k)
             assert abs(got - per_h_naive(theta, H, x, k)) <= 1e-9
 
+    @pytest.mark.parametrize("H", [1, 30])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_naive_at_the_layout_seams(self, rng, H, k):
+        # n = a * 2**s + b lays the flags out in rows of 2**s, s half the bit
+        # length of x: 63 and 4095 fill their last row, 64 and 4096 start a
+        # row of one flag, 3 and 65 leave a partial row, and 5 * TILE + 3
+        # spans six chunks of TILE flags, the last one partial
+        xs = [1, 2, 3, 4, 63, 64, 65, 4095, 4096, 4097, int(rng.integers(5000, 16000)),
+              5 * TILE + 3]
+        for theta in theta_cases(rng):
+            for x in xs:
+                got = double_kfree_sum_naive(theta, H, x, k)
+                assert abs(got - per_h_naive(theta, H, x, k)) <= 1e-9
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_naive_h_blocks_under_a_small_budget(self, rng, k):
+        for theta in theta_cases(rng):
+            got = double_kfree_sum_naive(theta, 30, BLOCKS_X, k, BLOCKS_BUDGET)
+            assert abs(got - per_h_naive(theta, 30, BLOCKS_X, k)) <= 1e-9
+
+    def test_naive_tables_over_the_budget_raise(self):
+        theta = fixed_from(Fraction(1, 3))
+        with pytest.raises(MemoryBudgetExceeded, match="twiddle tables for x=5000"):
+            double_kfree_sum_naive(theta, 1, 5000, 2, memory_bytes=5100)
+        with pytest.raises(ValueError, match="exceeds 2\\*\\*64"):
+            double_kfree_sum_naive(theta, 1 << 40, 1 << 24, 2)
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_naive_long_h_range(self, rng, k):
-        # z**h accumulates the rounding of z once per step, so the error
-        # grows with h; H = 300 bounds it well past the CLI's H
+        # every table entry is one reduction whatever h, so the error stays
+        # within a couple of ulp of H*N, the trivial bound on |S| (N k-free
+        # n <= x); z**h, as sum B forms it, reached 2.8 ulp of H*N here
+        x, H = 2000, 300
+        n = np.count_nonzero(sieve_kfree(k, 1, x))
         thetas = list(theta_cases(rng)) + [to_fixed(PHI, 192)]
         for theta in thetas:
-            want = per_h_naive(theta, 300, 2000, k)
-            got = double_kfree_sum_naive(theta, 300, 2000, k)
-            assert abs(got - want) <= 1e-9 + 1e-15 * abs(want)
+            want = per_h_naive(theta, H, x, k)
+            got = double_kfree_sum_naive(theta, H, x, k)
+            assert abs(got - want) <= 2 * np.finfo(float).eps * H * n
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_split_parts_match_brute_force(self, rng, k):
@@ -388,11 +424,12 @@ class TestPowerSumKernel:
         top = int(rng.integers(1 << 39, 1 << 40))
         s = (top.bit_length() + 1) // 2
         ns = [1, (1 << s) - 1, 1 << s, (1 << s) + 1, int(rng.integers(1, top)), top]
-        w = rng.choice([-1.0, 0.0, 1.0], len(ns)) if weighted else None  # Moebius-style
+        # Moebius-style weights
+        w = rng.choice([-1.0, 0.0, 1.0], len(ns)) if weighted else np.ones(len(ns))
         for theta in list(theta_cases(rng)) + [to_fixed(PHI, 192)]:
             bits = theta.scale_bits
             th = Fraction(theta.mantissa, 1 << bits)
-            want = complex_fsum((1.0 if w is None else w[j]) * exact_e(th, h * n)
+            want = complex_fsum(w[j] * exact_e(th, h * n)
                                 for h in range(1, H + 1) for j, n in enumerate(ns))
             got = expsums._power_sum(theta.mantissa % (1 << bits), bits,
                                      np.array(ns, dtype=np.uint64), H, w)
@@ -406,7 +443,7 @@ class TestPowerSumKernel:
 
     def test_convergent_theta_two_chunks(self):
         # 303,968 squarefree n <= 5*10**5 fill more than one kernel tile; the
-        # gap bounds the drift of z**h over h <= 30
+        # gap bounds the drift of sum B's z**h over h <= 30
         x, H = 5 * 10**5, 30
         assert np.count_nonzero(sieve_kfree(2, 1, x)) > TILE
         theta = to_fixed(PHI, 192).mul_int(17)
@@ -431,21 +468,32 @@ def count_calls(monkeypatch, name: str) -> list[int]:
 class TestPowerSumStructure:
     """Counts frac_vector and linear_exp_sum calls, so per-element, per-tile,
     per-h, per-(h, l) or per-(h, m) calls cannot come back unnoticed: each
-    non-empty kernel call reduces exactly twice, once per twiddle table."""
+    non-empty kernel call (or h-block of the naive sum) reduces exactly
+    twice, once per twiddle table."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         return count_calls(monkeypatch, "frac_vector")
 
-    def test_naive_reduces_twice_per_call(self, calls):
-        # x = 5*10**5 fills more than one tile
+    def test_naive_reduces_twice_per_h_block(self, calls, monkeypatch):
+        power_sums = count_calls(monkeypatch, "_power_sum")
+        theta = to_fixed(PHI, 192)
+        # x = 5*10**5 fills more than one chunk
         for x in (1000, 5 * 10**5):
             for H in (1, 30):
                 calls[0] = 0
-                double_kfree_sum_naive(to_fixed(PHI, 192), H, x, 2)
+                double_kfree_sum_naive(theta, H, x, 2)
                 assert calls[0] == 2
         calls[0] = 0
-        assert expsums._power_sum(1, 2, np.array([], dtype=np.uint64), 30) == 0j
+        double_kfree_sum_naive(theta, 30, BLOCKS_X, 2, BLOCKS_BUDGET)
+        assert calls[0] == 10  # 5 blocks
+        assert power_sums[0] == 0
+        # sum B is the one power-sum call of a bound check
+        double_sum_bound_check(ThetaApprox(theta, *dirichlet_approx(theta, 5000)), 30, 5000, 2)
+        assert power_sums[0] == 1
+        calls[0] = 0
+        empty = np.array([], dtype=np.uint64)
+        assert expsums._power_sum(1, 2, empty, 30, empty.astype(np.float64)) == 0j
         assert calls[0] == 0
 
     def test_hyperbola_calls_independent_of_h_and_split(self, calls):
