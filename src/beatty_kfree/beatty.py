@@ -5,9 +5,11 @@ The membership criterion is the fractional-part test
 with gamma = 1/alpha and delta = (1 - beta)/alpha; the witness n is
 floor(gamma*m + delta). The scalar path (member_witness) decides both in one
 certified decision per precision level. One precision-escalation loop
-(_decide) certifies the floor, the membership and the count's slope. The block
-kernels decide in float64 away from the borders and send entries near a
-border (border_indices) to the certified scalar path.
+(_decide) certifies the floor, the membership and the blocks' slope: the
+blocks read alpha only through a rational slope A/Q certified over the n
+they depend on (_certified_slope), t_n = floor((A*n + B)/Q), and decide in
+the uint64 tiles of fixed.residue_tiles, each entry near a border by its
+exact residue, so none falls back to the scalar path.
 
 The k-free count along the sequence enumerates no terms. It replaces alpha
 by a rational slope A/Q certified to reproduce every term up to x and sums
@@ -28,6 +30,7 @@ memory is that of one window, and the reach is capped by time.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,10 +43,9 @@ from .fixed import (  # noqa: F401  perfbench's binding self-test reads beatty.f
     MAX_BITS,
     FixedReal,
     decision_margin,
-    frac_tiles,
-    frac_to_float,
     frac_u64,
     frac_vector,
+    residue_tiles,
 )
 from .kfree import (  # noqa: F401  perfbench's tracer self-test expects beatty.sieve_kfree
     DEFAULT_MEMORY_BYTES,
@@ -56,7 +58,6 @@ from .kfree import (  # noqa: F401  perfbench's tracer self-test expects beatty.
     zeta,
 )
 
-_BORDER_TOL = 2.0**-40
 _LANE_CHUNK = 1 << 12  # d per chunk of the count
 _LANE_SLACK = 5  # theta, c within 5 units of 2**-64: frac_u64's 4, the offset's floor 1
 # A lane of this many multiples or more goes to the fallback: such lanes
@@ -167,53 +168,42 @@ def beatty_term(p: BeattyParams, n: int) -> int:
     return _decide(p, f"floor(alpha*n+beta) at n={n}", floor)
 
 
-def border_indices(
-    f: np.ndarray, value: FixedReal, offset: FixedReal, n_hi: int, *targets: float
-) -> np.ndarray:
-    """Indices i where f[i], the float fractional part of value*n + offset for
-    the i-th n of a block ending at n_hi, lies too near 0, 1 or one of
-    targets for a float decision to hold.
-
-    The tolerance is the float kernels' 2**-40 plus the error bound of
-    value*n_hi + offset, so a wide alpha interval (short cf:, coarse dec:)
-    sends its entries to the certified scalar path.
-    """
-    tol = _BORDER_TOL + (value.err_ulps * n_hi + offset.err_ulps) / (1 << value.scale_bits)
-    near = (f < tol) | (f > 1.0 - tol)
-    for t in targets:
-        near |= np.abs(f - t) < tol
-    return np.nonzero(near)[0]
+def _check_range(lo_name: str, lo: int, hi_name: str, hi: int, least: int) -> None:
+    """ValueError unless lo >= least and hi >= lo - 1 (hi = lo - 1: empty)."""
+    if lo < least:
+        raise ValueError(f"{lo_name} must be >= {least}, got {lo}")
+    if hi < lo - 1:
+        raise ValueError(f"{hi_name} must be >= {lo_name} - 1 = {lo - 1}, got {hi}")
 
 
 def beatty_terms_block(p: BeattyParams, n_lo: int, n_hi: int) -> np.ndarray:
-    """Vector of floor(alpha*n + beta) for n in [n_lo, n_hi] (int64).
+    """Vector of floor(alpha*n + beta) for n in [n_lo, n_hi] (int64), n_lo >= 0.
 
-    Filled in tiles of frac_tiles. With n = n_0 + j for a tile starting at
-    n_0, a0*j and floor(alpha*n_0 + beta) are exact integers; a float64
-    estimate of the rest, less its exactly reduced fractional part, gives its
-    floor. Entries near a border are recomputed through the certified scalar
-    path. Raises ValueError when the terms could leave int64.
+    With t_n = floor((A*n + B)/Q) certified over [n_lo, n_hi] and
+    v = j*g + o (mod 2**64) from residue_tiles for n = n_0 + j,
+    t_n = t_(n_0) + j*floor(A/Q) + floor(j*g/2**64) + (v < o, the carry),
+    except where v is near 2**64: there t_n = (A*n + B)//Q. Raises
+    ValueError when the terms could leave int64.
     """
-    lv = p.level(p.precision_bits)
-    a = lv.alpha.mantissa
-    a0 = a >> lv.bits
-    if (a0 + 1) * n_hi + abs(p.beta) + 1 >= 1 << 63:
-        raise ValueError(
-            f"terms of alpha={p.alpha} up to n_hi={n_hi} exceed the int64 limit 2**63"
-        )
+    _check_range("n_lo", n_lo, "n_hi", n_hi, 0)
     out = np.empty(n_hi - n_lo + 1, dtype=np.int64)
-    c0 = a * n_lo + lv.beta.mantissa  # alpha*n_lo + beta
-    for t0, f in frac_tiles(a, lv.bits, c0, len(out)):
+    A, B, Q = _certified_slope(p, f"floor(alpha*n+beta) for n in [{n_lo}, {n_hi}]",
+                               lambda lo, hi: (n_lo, n_hi))
+    if (A * n_hi + abs(B)) // Q >= 1 << 63:
+        raise ValueError(f"terms of alpha={p.alpha} up to n_hi={n_hi} exceed the int64 "
+                         "limit 2**63")
+    a0, g = A // Q, ((A % Q) << 64) // Q
+    for t0, v, near in residue_tiles(A, Q, A * n_lo + B, len(out), [0]):
         if t0 == 0:  # the first tile is the longest; its j serve every tile
-            j = np.arange(len(f), dtype=np.int64)
-            fj, a0j = frac_to_float(a, lv.bits) * j, np.int64(a0) * j
-        m = out[t0:t0 + len(f)]
-        c = c0 + a * t0  # alpha*(n_lo + t0) + beta
-        np.rint(fj[:len(m)] + frac_to_float(c, lv.bits) - f, out=m, casting="unsafe")
-        m += a0j[:len(m)]
-        m += np.int64(c >> lv.bits)
-        for i in border_indices(f, lv.alpha, lv.beta, n_hi):
-            m[i] = beatty_term(p, n_lo + t0 + int(i))
+            j = np.arange(len(v), dtype=np.uint64)
+            # floor(j*g/2**64) from g's 32-bit halves, exact for j < 2**32
+            g_hi = j * np.uint64(g >> 32) + (j * np.uint64(g & 0xFFFFFFFF) >> np.uint64(32))
+            base = (j * np.uint64(a0) + (g_hi >> np.uint64(32))).view(np.int64)
+        n0, t = n_lo + t0, out[t0:t0 + len(v)]
+        np.add(base[:len(t)], v < v[0], out=t)
+        t += np.int64((A * n0 + B) // Q)
+        for i in near:
+            t[i] = (A * (n0 + i) + B) // Q
     return out
 
 
@@ -252,46 +242,58 @@ def is_member(p: BeattyParams, m: int) -> bool:
     return member_witness(p, m) is not None
 
 
-def gamma_test(lv: _Level, f: np.ndarray, m_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The float membership test 0 < f <= gamma on f = {gamma*m + delta} at
-    level lv, m <= m_hi, and the indices (border_indices) whose float decision
-    does not hold, which the caller decides exactly."""
-    gf = lv.gamma.to_float()
-    return (f > 0.0) & (f <= gf), border_indices(f, lv.gamma, lv.delta, m_hi, gf)
+def _member_tiles(A: int, B: int, Q: int, m_lo: int, length: int):
+    """Yield (t0, v, flags) for m = m_lo + t0 + j, j < len(v): v from
+    residue_tiles at y = (Q*m + Q - B)/A and flags the test 0 < {y} <= Q/A,
+    that is 1 <= v <= floor(2**64*Q/A), or for v near either end of that
+    range 1 <= (Q*m + Q - B) mod A <= Q."""
+    G = (Q << 64) // A
+    for t0, v, near in residue_tiles(Q, A, Q * m_lo + Q - B, length, [1, G + 1]):
+        flags = v - np.uint64(1) < np.uint64(G)
+        for i in near:
+            flags[i] = 1 <= (Q * (m_lo + t0 + i) + Q - B) % A <= Q
+        yield t0, v, flags
 
 
 def member_flags_block(p: BeattyParams, m_lo: int, m_hi: int) -> np.ndarray:
-    """Vectorized membership criterion for m in [m_lo, m_hi] (bool array),
-    filled in tiles of frac_tiles."""
-    lv = p.level(p.precision_bits)
-    g = lv.gamma.mantissa
+    """Membership of m in [m_lo, m_hi] (bool array, _member_tiles), m_lo >= 1,
+    from a slope certified over every n (n <= 0 too) whose term can land in
+    [m_lo, m_hi] at either end of alpha's interval: PrecisionExhausted
+    comes just when that interval leaves a flag or its witness open."""
+    _check_range("m_lo", m_lo, "m_hi", m_hi, 1)
     flags = np.empty(m_hi - m_lo + 1, dtype=bool)
-    for t0, f in frac_tiles(g, lv.bits, g * m_lo + lv.delta.mantissa, len(flags)):
-        tile, border = gamma_test(lv, f, m_hi)
-        for i in border:
-            tile[i] = is_member(p, m_lo + t0 + int(i))
-        flags[t0:t0 + len(f)] = tile
+    y0, y1 = m_lo - p.beta, m_hi + 1 - p.beta
+
+    def witnesses(lo: Fraction, hi: Fraction) -> tuple[int, int]:
+        return math.ceil(min(y0 / lo, y0 / hi)), math.ceil(max(y1 / lo, y1 / hi)) - 1
+
+    A, B, Q = _certified_slope(p, f"membership of m in [{m_lo}, {m_hi}]", witnesses)
+    for t0, _, tile in _member_tiles(A, B, Q, m_lo, len(flags)):
+        flags[t0:t0 + len(tile)] = tile
     return flags
 
 
-def _certified_slope(p: BeattyParams, x: int) -> Fraction:
-    """A rational s with floor(s*n + beta) = floor(alpha*n + beta) for 1 <= n <= x.
-
-    Every slope in a level's interval [lo, hi] of alpha gives terms between
-    those of lo and of hi, so equal term totals at lo and hi (one floor sum
-    each) make every term agree and lo stands in for alpha (_decide).
-    """
+def _certified_slope(p: BeattyParams, what: str, n_range) -> tuple[int, int, int]:
+    """(A, B, Q) with floor((A*n + B)/Q) = floor(alpha*n + beta) for n in
+    n_range(lo, hi), [lo, hi] a level's interval of alpha. Every slope in it
+    gives terms between those of lo and of hi on each side of n = 0 (whose
+    term is floor(beta)), so equal totals at lo and hi over n >= 1 and over
+    n <= -1 (one floor sum each) make every term agree, and lo stands in
+    for alpha (_decide)."""
     b, c = p.beta.numerator, p.beta.denominator
 
-    def total(s: Fraction) -> int:
+    def total(s: Fraction, n0: int, n1: int) -> int:  # floor(s*n + beta) over n0 <= n <= n1
         a, q = s.numerator, s.denominator
-        return floor_sum(x, q * c, a * c, a * c + b * q)
+        return floor_sum(n1 - n0 + 1, q * c, a * c, a * c * n0 + b * q)
 
     def certify(lv: _Level) -> Fraction | None:
         lo, hi = lv.interval
-        return lo if total(lo) == total(hi) else None
+        n_lo, n_hi = n_range(lo, hi)
+        sides = [r for r in ((max(n_lo, 1), n_hi), (n_lo, min(n_hi, -1))) if r[0] <= r[1]]
+        return lo if all(total(lo, *r) == total(hi, *r) for r in sides) else None
 
-    return _decide(p, f"floor(alpha*n+beta) for n <= x={x}", certify)
+    s = _decide(p, what, certify)
+    return s.numerator * c, b * s.denominator, s.denominator * c
 
 
 def _n_d(A: int, B: int, Q: int, x: int, dk: int) -> int:
@@ -387,11 +389,8 @@ def _count_split(p: BeattyParams, x: int, k: int, d0: int | None, memory_bytes: 
     chunks of _LANE_CHUNK d, each read once by _lanes. The d <= D0 take
     _lane_counts, the others _pair_counts, and each d whose lane is not
     certified takes _n_d; every d takes _n_d when t_x >= 2**63."""
-    s = _certified_slope(p, x)
     # t_n = floor((A*n + B) / Q) exactly for 1 <= n <= x
-    A = s.numerator * p.beta.denominator
-    B = p.beta.numerator * s.denominator
-    Q = s.denominator * p.beta.denominator
+    A, B, Q = _certified_slope(p, f"floor(alpha*n+beta) for n <= x={x}", lambda lo, hi: (1, x))
     t_1, t_x = (A + B) // Q, (A * x + B) // Q
     if t_1 < 1:
         raise ValueError(f"terms must be positive: t_1 = floor(alpha + beta) = {t_1} for "

@@ -40,7 +40,6 @@ class PointSet:
 class DiscrepancyResult:
     extreme: float
     star: float
-    witness_interval: tuple[float, float]
 
 
 def build_pointset(alpha: IrrationalSpec, beta, M: int) -> PointSet:
@@ -95,27 +94,19 @@ def extreme_discrepancy(ps: PointSet) -> DiscrepancyResult:
     (lr/M - u). Closed [x_s, x_t] (s <= t) and open (x_t, x_s) (t < s) both
     score pf_t - pg_s, so the sup is max pf - min pg. The star discrepancy
     is max(pf_i, -pg_i), from the same two reductions, taken per tile of
-    TILE points; a later tile wins only when strictly better, so t and s are
-    the first indices, as one argmax and one argmin would give.
+    TILE points.
     """
     xs, M = ps.sorted_points, ps.M
-    f_max, t, g_min, s = -math.inf, 0, math.inf, 0
+    f_max, g_min = -math.inf, math.inf
     for i0 in range(0, M, TILE):
         x = xs[i0:i0 + TILE]
         r = np.arange(i0, i0 + len(x) + 1) / M
         pf = r[1:] - x
-        i = int(np.argmax(pf))
-        if pf[i] > f_max:
-            f_max, t = float(pf[i]), i0 + i
-        pg = np.subtract(r[:-1], x, out=pf)
-        i = int(np.argmin(pg))
-        if pg[i] < g_min:
-            g_min, s = float(pg[i]), i0 + i
+        f_max = max(f_max, float(pf.max()))
+        g_min = min(g_min, float(np.subtract(r[:-1], x, out=pf).min()))
     # the endpoint 1 adds pg = 0; a sampled 0 (no inclusive c-side) has pg >= 0
     g_min = min(0.0, g_min)
-    c_end = float(xs[s]) if g_min < 0.0 else 1.0
-    witness = tuple(sorted((c_end, float(xs[t]))))
-    return DiscrepancyResult(f_max - g_min, max(f_max, -g_min), witness)
+    return DiscrepancyResult(f_max - g_min, max(f_max, -g_min))
 
 
 def extreme_discrepancy_oracle(points: np.ndarray) -> float:

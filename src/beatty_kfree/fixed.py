@@ -9,13 +9,14 @@ when a decision cannot be certified.
 frac_vector reduces whole arrays of multiples mod 1 without certification:
 exact fixed point in units of 2**-64, where uint64 wraparound is the
 reduction, rounded to nearest float64 within 2**-54 + 2**-62 for any
-n < 2**64. The block kernels decide in float only away from the borders.
-frac_u64 is its uint64 sum before the rounding, below the exact value by
-less than 4 units of 2**-64, from which the count's floor-sum lanes bracket
-their slopes and offsets.
-frac_tiles serves consecutive multiples tile by tile: one frac_u64 table
-for all tiles, plus each tile's exact offset, equal
-bit for bit to frac_vector on that tile and so within the same bound.
+n < 2**64. frac_u64 is its uint64 sum before the rounding, below the exact
+value by less than 4 units of 2**-64, from which the count's floor-sum lanes
+bracket their slopes and offsets.
+
+residue_tiles serves the fractional parts of a rational progression
+(p*i + r)/q tile by tile as uint64, from one table for all tiles plus each
+tile's exact offset, and marks the entries near a border, which the caller
+decides by their exact residue (p*i + r) mod q.
 
 TILE is the number of elements that every vectorised pass on the
 membership side (smoothing, discrepancy, the term and membership blocks)
@@ -37,6 +38,7 @@ import numpy as np
 DEFAULT_BITS = 192
 MAX_BITS = 1024
 TILE = 1 << 14  # elements per vectorised pass, sized for L2 (module docstring)
+TILE_SLACK = 1  # residue_tiles' slack, in units of 2**-64 per entry of a tile
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK64 = (1 << 64) - 1
@@ -132,7 +134,9 @@ def frac_vector(
     circle, and one that rounds up to 1 wraps to +0.0.
     """
     u = frac_u64(mantissa, scale_bits, n)
-    return _round53(u, offset_mantissa, scale_bits, out=u)
+    u += np.uint64(((_top128(offset_mantissa, scale_bits) >> 64) + (1 << 10)) & _MASK64)
+    u >>= np.uint64(11)
+    return np.multiply(u.view(np.int64), 2.0**-53)
 
 
 def frac_u64(mantissa: int, scale_bits: int, n: np.ndarray) -> np.ndarray:
@@ -167,24 +171,29 @@ def frac_u64(mantissa: int, scale_bits: int, n: np.ndarray) -> np.ndarray:
     return u
 
 
-def frac_tiles(mantissa: int, scale_bits: int, offset_mantissa: int, length: int):
-    """Yield (t0, f) for each tile of TILE consecutive j < length (the last
-    one shorter), f = frac_vector(mantissa, scale_bits, arange(len(f)),
-    offset_mantissa + mantissa*t0) bit for bit (module docstring)."""
-    u = frac_u64(mantissa, scale_bits, np.arange(max(1, min(TILE, length)), dtype=np.uint64))
-    for t0 in range(0, length, len(u)):
-        yield t0, _round53(u[:length - t0], offset_mantissa + mantissa * t0, scale_bits)
+def residue_tiles(p: int, q: int, r: int, length: int, ends: list[int]):
+    """Yield (t0, v, near) for each tile of TILE consecutive i < length (the
+    last one shorter). v[j] = j*g + o (mod 2**64), with g = floor(2**64*{p/q})
+    and o = floor(2**64*{(p*t0 + r)/q}), lies below 2**64*{(p*i + r)/q},
+    i = t0 + j, q >= 1, by less than j + 1 units on the circle; near lists the
+    j whose v lies within TILE_SLACK*TILE units below one of ends (mod 2**64),
+    the only v whose value may lie at or past that end. A binary search in
+    the sorted table per end spares the tiles without such a j a full pass.
+    """
+    g = np.uint64(((p % q) << 64) // q)
+    table = np.arange(max(1, min(TILE, length)), dtype=np.uint64) * g
+    slack = np.uint64(min(TILE_SLACK * TILE, 1 << 64) - 1)
+    last = np.array([(e - 1) & _MASK64 for e in ends], dtype=np.uint64)  # top unit below each end
+    ranked = np.sort(table)
+    for t0 in range(0, length, len(table)):
+        o = np.uint64((((p * t0 + r) % q) << 64) // q)
+        v = table[:length - t0] + o
+        low = last - o - slack  # v near an end iff its table value is in [low, low + slack]
+        hit = ((ranked[ranked.searchsorted(low) % len(ranked)] - low) <= slack).any()
+        near = np.flatnonzero((last[:, None] - v <= slack).any(axis=0)).tolist() if hit else []
+        yield t0, v, near
 
 
 def _top128(mantissa: int, scale_bits: int) -> int:
     """The top 128 bits of the fraction of mantissa / 2**scale_bits."""
     return ((mantissa % (1 << scale_bits)) << 128) >> scale_bits
-
-
-def _round53(u: np.ndarray, offset_mantissa: int, scale_bits: int, out=None) -> np.ndarray:
-    """u + o (mod 2**64) in units of 2**-64, o = floor(frac(offset)*2**64) +
-    2**10, cut to 53 bits (to nearest, by the 2**10) as float64."""
-    o = np.uint64(((_top128(offset_mantissa, scale_bits) >> 64) + (1 << 10)) & _MASK64)
-    u = np.add(u, o, out=out)
-    u >>= np.uint64(11)
-    return np.multiply(u.view(np.int64), 2.0**-53)

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beatty import BeattyParams, beatty_term, gamma_test, is_member
+from .beatty import BeattyParams, _certified_slope, _member_tiles
+from .beatty import beatty_term, is_member  # noqa: F401  perfbench's binding self-test reads them
 from .errors import InvalidDelta
-from .fixed import FixedReal, frac_tiles, frac_vector
+from .fixed import FixedReal, frac_vector
 from .kfree import DEFAULT_MEMORY_BYTES, sieve_kfree
 
 _BLOCK = 1 << 20  # sieve_kfree window: per entry, 2**15 windows cost about 6x more
@@ -139,38 +140,35 @@ def smoothed_beatty_count(
     count_kfree_beatty does. The exceptional count V(Delta), about
     4*Delta*(t_x - t_1), covers every m in [t_1, t_x], k-free or not, whose
     fractional part falls in the ramps [0, Delta), (gamma-Delta,
-    gamma+Delta), (1-Delta, 1). Off them the trapezoid is the float step bit
-    for bit, so it is summed on the k-free ramp points only, plus the count
-    of the k-free plateau points. |smoothed - exact| <= V holds by
-    construction and is asserted per run.
-
-    Each sieve window of _BLOCK values of m is tested in tiles of frac_tiles.
+    gamma+Delta), (1-Delta, 1). Off them the trapezoid is the step, so it is
+    summed on the k-free ramp points only, plus the count of the k-free
+    plateau members. |smoothed - exact| <= V holds by construction and is
+    asserted per run. Each sieve window of _BLOCK values of m takes the
+    exact flags of beatty._member_tiles at the count's slope (gamma = Q/A)
+    and f = (v >> 11)*2**-53, below {gamma*m + delta} by under 2**-49.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    M = beatty_term(p, x)
-    lv = p.level(p.precision_bits)
-    gf = lv.gamma.to_float()
+    A, B, Q = _certified_slope(p, f"floor(alpha*n+beta) for n <= x={x}", lambda lo, hi: (1, x))
+    gf = Q / A
     d = admissible_delta(default_delta(x, k) if delta_param is None else delta_param, gf)
 
-    g = lv.gamma.mantissa
     psi_sums = []  # one per tile over its k-free ramp points, summed exactly rounded
     plateau = exact = exceptional = 0
-    m0 = max(1, beatty_term(p, 1))
+    m0, M = max(1, (A + B) // Q), (A * x + B) // Q
     while m0 <= M:
         m1 = min(M, m0 + _BLOCK - 1)
         kf_block = sieve_kfree(k, m0, m1, memory_bytes)
-        for t0, f in frac_tiles(g, lv.bits, g * m0 + lv.delta.mantissa, m1 - m0 + 1):
+        for t0, v, step in _member_tiles(A, B, Q, m0, m1 - m0 + 1):
+            f = np.multiply((v >> np.uint64(11)).view(np.int64), 2.0**-53)
             kf = kf_block[t0:t0 + len(f)]
             ramp = (f < d) | ((f > gf - d) & (f < gf + d)) | (f > 1.0 - d)
             exceptional += int(np.count_nonzero(ramp))
-            step, border = gamma_test(lv, f, m1)
-            plateau += int(np.count_nonzero(step & kf & ~ramp))  # before the border fix
+            step &= kf
+            plateau += int(np.count_nonzero(step & ~ramp))
             ramp &= kf
             psi_sums.append(float(np.sum(_psi_values(f[ramp], gf, d))))
-            for i in border:
-                step[i] = is_member(p, m0 + t0 + int(i))
-            exact += int(np.count_nonzero(step & kf))
+            exact += int(np.count_nonzero(step))
         m0 = m1 + 1
 
     smoothed = math.fsum(psi_sums + [plateau])

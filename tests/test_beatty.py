@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beatty_kfree import beatty, fixed, kfree
+from beatty_kfree import beatty, fixed, kfree, smoothing
 from beatty_kfree.beatty import (
     BeattyParams,
     _bracket,
-    _certified_slope,
     _count_split,
     _lane_counts,
     _lanes,
@@ -29,6 +28,7 @@ from beatty_kfree.cfrac import PHI, SQRT2, SQRT3, QuadraticIrrational, parse_irr
 from beatty_kfree.errors import PrecisionExhausted
 from beatty_kfree.fixed import TILE, FixedReal
 from beatty_kfree.kfree import DEFAULT_MEMORY_BYTES, iroot, primes_upto, sieve_kfree
+from beatty_kfree.smoothing import smoothed_beatty_count
 
 BIG_ALPHA = "quad:0,200000000000000,1"  # sqrt(2e14): term n is isqrt(2e14 * n * n)
 SHORT_SPECS = ("cf:1,1,1,1,1,1,1,1", "dec:3.14159:12")
@@ -228,10 +228,9 @@ class TestTiles:
     @pytest.mark.parametrize("tile", [7, 1000, TILE])
     def test_blocks_match_scalar_across_tiles(self, monkeypatch, tile):
         monkeypatch.setattr(fixed, "TILE", tile)
-        # a wide border sends a few entries per tile to the scalar path
-        monkeypatch.setattr(beatty, "_BORDER_TOL", 1e-3)
         for alpha, beta, n0 in ((PHI, 0, (1 << 32) - tile // 2),
-                                (SQRT2, Fraction(1, 2), 1 << 40)):
+                                (SQRT2, Fraction(1, 2), 1 << 40),
+                                (QuadraticIrrational(7, 2, 3), Fraction(3), 1)):
             p = BeattyParams(alpha, beta)
             n1 = n0 + 3 * tile + 4
             assert beatty_terms_block(p, n0, n1).tolist() == [
@@ -240,6 +239,104 @@ class TestTiles:
             assert member_flags_block(p, n0, n1).tolist() == [
                 is_member(p, m) for m in range(n0, n1 + 1)
             ]
+
+
+BLOCK_CASES = [(spec, beta, start) for spec in COUNT_SPECS[:5] for beta in ("0", "1/2", "-7/10", "3")
+               for start in (1, 1 << 32, (1 << 40) - 3)]
+
+
+def blocks(cases, length=3000):
+    """Terms and flags of each case's block of length entries from start."""
+    out = []
+    for spec, beta, start in cases:
+        p = BeattyParams(parse_irrational(spec), parse_beta(beta))
+        out.append((beatty_terms_block(p, start, start + length - 1).tolist(),
+                    member_flags_block(p, start, start + length - 1).tolist()))
+    return out
+
+
+class TestSlopeBlocks:
+    """The blocks and the smoothed count read alpha only through the certified
+    slope and decide every entry from residue_tiles or its exact residue."""
+
+    def test_the_residue_alone_decides_every_entry(self, monkeypatch):
+        # with TILE_SLACK = 2**62 units, the slack TILE*2**62 passes 2**64, so
+        # every entry takes its exact residue: with v inverted the terms and
+        # flags still hold, and the smoothed count does not move at all
+        want = blocks(BLOCK_CASES)
+        cases = [(BeattyParams(parse_irrational(spec), parse_beta(beta)), k, x)
+                 for spec in ("quad:1,5,2", COUNT_SPECS[4]) for beta in ("0", "-7/10", "3")
+                 for k in (2, 3) for x in (1000, 20000)]
+        smoothed = [smoothed_beatty_count(p, k, x) for p, k, x in cases]
+        monkeypatch.setattr(fixed, "TILE_SLACK", 1 << 62)
+        assert [smoothed_beatty_count(p, k, x) for p, k, x in cases] == smoothed
+        tiles = beatty.residue_tiles
+        monkeypatch.setattr(beatty, "residue_tiles",
+                            lambda *args: ((t0, ~v, near) for t0, v, near in tiles(*args)))
+        assert blocks(BLOCK_CASES) == want
+
+    def test_no_scalar_query_and_no_float_kernel(self, monkeypatch):
+        want = blocks(BLOCK_CASES[::3])
+        p = BeattyParams(PHI, parse_beta("1/2"))
+        smoothed = smoothed_beatty_count(p, 2, 20000)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called by a block kernel")
+
+        for module in (beatty, smoothing, fixed):
+            for name in ("beatty_term", "is_member", "member_witness", "frac_vector"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert blocks(BLOCK_CASES[::3]) == want
+        assert smoothed_beatty_count(p, 2, 20000) == smoothed
+
+    @pytest.mark.parametrize("spec", ["quad:1,5,2", "quad:0,2,1", "quad:7,2,3", BIG_ALPHA,
+                                      COUNT_SPECS[3], COUNT_SPECS[4]])
+    @pytest.mark.parametrize("beta", ["3", "-2"])
+    def test_witnesses_at_n_up_to_zero(self, spec, beta):
+        # m = beta has the witness 0 and m = beta - 1 none; below them the
+        # witnesses are negative (m = 1, 2 for beta = 3 and phi: n = -1, 0)
+        p = BeattyParams(parse_irrational(spec), parse_beta(beta))
+        for m_lo, m_hi in ((1, 12), (1, 1), (2, 3), (3, 3), (3, 40)):
+            assert member_flags_block(p, m_lo, m_hi).tolist() == [
+                is_member(p, m) for m in range(m_lo, m_hi + 1)], (m_lo, m_hi)
+        assert beatty_terms_block(p, 0, 30).tolist() == [beatty_term(p, n) for n in range(31)]
+
+    def test_ranges_are_checked_as_the_scalars_check_them(self):
+        p = BeattyParams(PHI, 0)
+        with pytest.raises(ValueError, match=r"n_lo must be >= 0, got -3"):
+            beatty_terms_block(p, -3, 3)
+        with pytest.raises(ValueError, match=r"m_lo must be >= 1, got -7"):
+            member_flags_block(p, -7, -2)
+        with pytest.raises(ValueError, match=r"m_lo must be >= 1, got 0"):
+            member_flags_block(p, 0, 5)
+        with pytest.raises(ValueError, match=r"n_hi must be >= n_lo - 1 = 9, got 8"):
+            beatty_terms_block(p, 10, 8)
+        with pytest.raises(ValueError, match=r"m_hi must be >= m_lo - 1 = 9, got 5"):
+            member_flags_block(p, 10, 5)
+        for block in (beatty_terms_block, member_flags_block):
+            empty = block(p, 10, 9)
+            assert empty.shape == (0,) and empty.dtype == block(p, 10, 10).dtype
+        assert beatty_terms_block(p, 0, 0).tolist() == [0]
+
+    def test_the_count_and_the_blocks_certify_their_ranges(self, monkeypatch):
+        # the count over 1 <= n <= x; the term block over [n_lo, n_hi]; the
+        # membership block over the n whose term can land in [m_lo, m_hi]
+        ranges = []
+        real = beatty._certified_slope
+
+        def recorded(p, what, n_range):
+            lo, hi = p.level(p.precision_bits).interval
+            ranges.append(n_range(lo, hi))
+            return real(p, what, n_range)
+
+        monkeypatch.setattr(beatty, "_certified_slope", recorded)
+        p = BeattyParams(PHI, parse_beta("3"))
+        count_kfree_beatty(p, 100, 2)
+        beatty_terms_block(p, 5, 9)
+        member_flags_block(p, 1, 10)
+        # t_n = floor(phi*n + 3): t_-1 = 1, t_4 = 9, t_5 = 11
+        assert ranges == [(1, 100), (5, 9), (-1, 4)]
 
 
 class TestCounting:
@@ -362,13 +459,13 @@ class TestSplitCount:
                         beta, k, x)
 
     def test_count_reads_alpha_only_through_its_slope(self, monkeypatch):
-        # no float membership test, border scan or 192-bit kernel in the count
+        # no scalar query or 192-bit kernel in the count
         def refuse(*args, **kwargs):
             raise AssertionError("called by the count")
 
         p = BeattyParams(PHI, parse_beta("1/2"))
         want = streaming_count(p, 2, 1, 10**5)
-        for name in ("gamma_test", "border_indices", "frac_vector"):
+        for name in ("beatty_term", "is_member", "member_witness", "frac_vector"):
             monkeypatch.setattr(beatty, name, refuse)
         for d0 in (0, None, ALL_FLOOR_SUMS):
             assert self.split(p, 10**5, 2, d0) == want
@@ -492,10 +589,7 @@ class TestSplitCount:
 
 def slope_form(p: BeattyParams, x: int) -> tuple[int, int, int, int, int]:
     """(A, B, Q, t_1, t_x) with t_n = floor((A*n + B)/Q) for 1 <= n <= x."""
-    s = _certified_slope(p, x)
-    A = s.numerator * p.beta.denominator
-    B = p.beta.numerator * s.denominator
-    Q = s.denominator * p.beta.denominator
+    A, B, Q = beatty._certified_slope(p, f"n <= x={x}", lambda lo, hi: (1, x))
     return A, B, Q, (A + B) // Q, (A * x + B) // Q
 
 
@@ -651,7 +745,7 @@ class TestLaneCounts:
 
 
 class TestIntervalWidth:
-    """Block kernels send entries the alpha interval leaves open to the scalar path."""
+    """Block kernels refuse a range whose entries the alpha interval leaves open."""
 
     @pytest.mark.parametrize("spec, n_bad, m_bad", [(SHORT_SPECS[0], 21, 33), (SHORT_SPECS[1], 99, 310)])
     def test_blocks_agree_with_scalar_or_raise(self, spec, n_bad, m_bad):

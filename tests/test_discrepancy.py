@@ -50,27 +50,6 @@ def test_scan_matches_oracle_and_star_by_index(points):
     res = extreme_discrepancy(PointSet(points, len(points)))
     assert res.extreme == extreme_discrepancy_oracle(points)
     assert res.star == star_by_index(points)
-    c, d = res.witness_interval
-    assert 0.0 <= c <= d <= 1.0
-
-
-@settings(max_examples=300, deadline=None)
-@given(multisets())
-@example(np.array([0.5]))
-@example(np.zeros(5))
-@example(np.array([0.0, 0.0, 0.5, 0.5, 0.5, np.nextafter(1.0, 0.0)]))
-def test_the_witness_attains_the_extreme(points):
-    """Closed [c, d] scores a surplus, open (c, d) a deficit; the better of the
-    two, in exact rationals, is the extreme up to its five float roundings
-    (fl(i/M) twice, two differences and their difference, each <= 2**-54)."""
-    M = len(points)
-    res = extreme_discrepancy(PointSet(points, M))
-    c, d = res.witness_interval
-    closed = int(np.count_nonzero((c <= points) & (points <= d)))
-    opened = int(np.count_nonzero((c < points) & (points < d)))
-    length = Fraction(d) - Fraction(c)
-    best = max(abs(Fraction(closed, M) - length), abs(Fraction(opened, M) - length))
-    assert abs(Fraction(res.extreme) - best) <= 5 * Fraction(1, 1 << 54)
 
 
 @settings(max_examples=200, deadline=None)
@@ -135,7 +114,7 @@ def test_tiles_change_no_point_and_no_scan(monkeypatch, tile):
 
 
 @pytest.mark.parametrize("tile", [7, 1000, TILE])
-def test_tied_extremes_in_two_tiles_keep_the_first(monkeypatch, tile):
+def test_tied_extremes_in_two_tiles(monkeypatch, tile):
     # dyadic points: pf = (i+1)/M - x_i and pg = i/M - x_i are exact, and pf
     # peaks (pg bottoms out) at two indices that lie in different tiles
     monkeypatch.setattr(discrepancy, "TILE", tile)
@@ -147,7 +126,6 @@ def test_tied_extremes_in_two_tiles_keep_the_first(monkeypatch, tile):
     res = extreme_discrepancy(PointSet(xs, M))
     assert res.extreme == 1.375 / M
     assert res.star == 0.875 / M
-    assert res.witness_interval == (xs[1200], xs[1500])
 
 
 PI_100 = "dec:3.14159265358979323846264338327950288419716939937510582097494459:100"

@@ -8,9 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beatty_kfree.beatty import BeattyParams
-from beatty_kfree.cfrac import PHI, parse_irrational, to_fixed
+from beatty_kfree.cfrac import PHI, to_fixed
 from beatty_kfree.expsums import linear_exp_sum
-from beatty_kfree.fixed import TILE, FixedReal, frac_tiles, frac_to_float, frac_u64, frac_vector
+from beatty_kfree import fixed
+from beatty_kfree.fixed import (
+    TILE,
+    FixedReal,
+    frac_to_float,
+    frac_u64,
+    frac_vector,
+    residue_tiles,
+)
 
 
 class TestFrac:
@@ -252,29 +260,65 @@ class TestFracU64:
         assert 2.99 < gap < 3
 
 
-class TestFracTiles:
-    """The tile generator against frac_vector on each tile, bit for bit."""
+class TestResidueTiles:
+    """The residue tile generator against the exact fractional parts."""
 
-    @pytest.mark.parametrize("length", [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
-    @pytest.mark.parametrize("spec, beta, bits", [
-        ("quad:1,5,2", "0", 192),
-        ("cf:1," + ",".join(["1", "2"] * 40), "1/2", 192),
-        ("dec:3.14159265358979323846264338327950288:100", "-7/10", 192),
-        ("quad:0,2,1", "3", 64),
-        ("quad:7,2,3", "-7/10", 40),
-    ])
-    def test_each_tile_is_frac_vector(self, spec, beta, bits, length):
-        # gamma and delta of one precision level, offsets folded from m_lo
-        lv = BeattyParams(parse_irrational(spec), Fraction(beta), bits).level(bits)
-        g = lv.gamma.mantissa
-        for m_lo in (1, 1 << 32, 1 << 40, 1 << 62):
-            start = g * m_lo + lv.delta.mantissa
-            tiles = list(frac_tiles(g, bits, start, length))
-            assert [t0 for t0, _ in tiles] == list(range(0, length, TILE))
-            for t0, f in tiles:
-                j = np.arange(min(TILE, length - t0), dtype=np.uint64)
-                want = frac_vector(g, bits, j, offset_mantissa=start + g * t0)
-                assert f.dtype == want.dtype and f.tobytes() == want.tobytes()
+    @staticmethod
+    def check(p, q, r, length, ends):
+        tiles = list(residue_tiles(p, q, r, length, ends))
+        assert [t0 for t0, _, _ in tiles] == list(range(0, length, fixed.TILE))
+        slack = fixed.TILE_SLACK * fixed.TILE
+        for t0, v, near in tiles:
+            assert v.dtype == np.uint64 and len(v) == min(fixed.TILE, length - t0)
+            for j, vj in enumerate(v.tolist()):
+                # 2**64 * {(p*i + r)/q} - v, in units of 1/q, on the circle
+                gap = ((((p * (t0 + j) + r) % q) << 64) - vj * q) % (q << 64)
+                assert 0 <= gap < slack * q, (t0, j)
+                # near: v within the slack below an end, among them every v
+                # whose exact value lies at or past that end
+                within = [(e - vj - 1) % (1 << 64) < slack for e in ends]
+                past = [0 < ((e - vj) % (1 << 64)) * q <= gap for e in ends]
+                assert (j in near) == any(within) and all(w or not x for w, x in zip(within, past))
+
+    @pytest.mark.parametrize("length", [1, TILE - 1, 2 * TILE + 5])
+    def test_below_the_exact_value_within_the_slack(self, length):
+        # the count's 207-bit slope and its reciprocal, offsets far out
+        lv = BeattyParams(PHI, Fraction(-7, 10)).level(192)
+        lo = lv.interval[0] * 10
+        A, Q = lo.numerator, lo.denominator
+        for r in (0, 7, A * (1 << 40) - 3):
+            self.check(A, Q, r, length, [0])
+            self.check(Q, A, r, length, [1, ((Q << 64) // A) + 1])
+
+    @pytest.mark.parametrize("tile", [7, 1000])
+    @given(q=st.integers(1, 1 << 70), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_small_tiles_and_any_progression(self, tile, q, data):
+        p = data.draw(st.integers(-(1 << 80), 1 << 80))
+        r = data.draw(st.integers(-(1 << 80), 1 << 80))
+        length = data.draw(st.integers(0, 3 * tile + 5))
+        ends = data.draw(st.lists(st.integers(0, 1 << 64), min_size=1, max_size=3))
+        old = fixed.TILE
+        fixed.TILE = tile  # hypothesis runs many examples per fixture call
+        try:
+            self.check(p, q, r, length, ends)
+        finally:
+            fixed.TILE = old
+
+    def test_small_denominators_put_values_on_the_ends(self, monkeypatch):
+        # with q = 3 or 7 and r = 0 every value is some k/q, so v lies within
+        # the slack below the end floor(2**64*k/q) + 1: every entry is near
+        monkeypatch.setattr(fixed, "TILE", 1000)
+        for p, q in ((1, 3), (3, 7), (-5, 7)):
+            ends = [((k << 64) // q) + 1 for k in range(q)]
+            self.check(p, q, 0, 2005, ends)
+            for _, v, near in residue_tiles(p, q, 0, 2005, ends):
+                assert near == list(range(len(v)))
+
+    def test_a_slack_past_2_64_marks_every_entry(self, monkeypatch):
+        monkeypatch.setattr(fixed, "TILE_SLACK", 1 << 62)
+        for _, v, near in residue_tiles(5, 7, 1, 3 * TILE + 5, [0]):
+            assert near == list(range(len(v)))
 
     def test_nothing_to_yield(self):
-        assert list(frac_tiles(to_fixed(PHI, 192).mantissa, 192, 5, 0)) == []
+        assert list(residue_tiles(5, 7, 1, 0, [0])) == []

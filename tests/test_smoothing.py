@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beatty_kfree import beatty, fixed, smoothing
-from beatty_kfree.beatty import BeattyParams, beatty_term, border_indices, count_kfree_beatty, is_member
+from beatty_kfree import fixed, smoothing
+from beatty_kfree.beatty import BeattyParams, beatty_term, count_kfree_beatty, is_member
 from beatty_kfree.cfrac import PHI, SQRT2, parse_irrational
 from beatty_kfree.errors import InvalidDelta
 from beatty_kfree.fixed import TILE, FixedReal, frac_vector
@@ -283,10 +283,8 @@ class TestSmoothedTiles:
     @pytest.mark.parametrize("spec, beta, k", [("quad:1,5,2", "0", 2), ("quad:0,2,1", "1/2", 3)])
     def test_tiles_and_blocks_cut_anywhere(self, monkeypatch, tile, spec, beta, k):
         p = BeattyParams(parse_irrational(spec), Fraction(beta))
-        # tiles cut inside sieve windows, and a wide border sends under 1% of
-        # the entries to is_member, at their index in the tile plus its start
+        # tiles cut inside sieve windows
         monkeypatch.setattr(smoothing, "_BLOCK", 2500)
-        monkeypatch.setattr(beatty, "_BORDER_TOL", 1e-3)
         want = smoothed_beatty_count(p, k, 6000, 0.01)
         monkeypatch.setattr(fixed, "TILE", tile)
         got = smoothed_beatty_count(p, k, 6000, 0.01)
@@ -294,9 +292,22 @@ class TestSmoothedTiles:
         assert got[0] == pytest.approx(want[0], rel=1e-9)
 
 
-def smoothed_count_all_points(p, k, x, delta_param):
+def border_indices(f: np.ndarray, value: FixedReal, offset: FixedReal, n_hi: int, tol: float,
+                   *targets: float) -> np.ndarray:
+    """Indices i where f[i], the float fractional part of value*n + offset
+    for the i-th n of a block ending at n_hi, lies within tol plus the error
+    bound of value*n_hi + offset of 0, 1 or one of targets."""
+    tol += (value.err_ulps * n_hi + offset.err_ulps) / (1 << value.scale_bits)
+    near = (f < tol) | (f > 1.0 - tol)
+    for t in targets:
+        near |= np.abs(f - t) < tol
+    return np.nonzero(near)[0]
+
+
+def smoothed_count_all_points(p, k, x, delta_param, tol=2.0**-40):
     """Oracle: the loop that evaluated the trapezoid at every m, with
-    frac_vector on each tile at its sieve window's offset."""
+    frac_vector on each tile at its sieve window's offset, the float step
+    test, and is_member on the points within tol of a border."""
     M = beatty_term(p, x)
     lv = p.level(p.precision_bits)
     gf = lv.gamma.to_float()
@@ -315,7 +326,7 @@ def smoothed_count_all_points(p, k, x, delta_param):
             exc = (f < d) | ((f > gf - d) & (f < gf + d)) | (f > 1.0 - d)
             exceptional += int(np.count_nonzero(exc))
             step = (f > 0.0) & (f <= gf)
-            for i in border_indices(f, lv.gamma, lv.delta, m1, gf):
+            for i in border_indices(f, lv.gamma, lv.delta, m1, tol, gf):
                 step[i] = is_member(p, m0 + t0 + int(i))
             psi_sums.append(float(np.sum(smoothing._psi_values(f, gf, d)[kf])))
             exact += int(np.count_nonzero(step & kf))
@@ -337,27 +348,24 @@ class TestRampOnlyPsi:
         # sieve windows of 3 tiles, the last one short
         monkeypatch.setattr(smoothing, "_BLOCK", 2 * TILE + 5000)
         p = BeattyParams(parse_irrational(spec), Fraction(beta))
-        # 1e-13 puts Delta under the 2**-40 border tolerance, so border points
-        # lie off the ramps, where the plateau takes the float step; a 1e-3
-        # tolerance sends a few in every tile to is_member
+        # the kernel decides from the slope's tiles; the oracle in float, with
+        # is_member within its border tolerance: 2**-40, or 1e-3, which sends
+        # a few points in every tile there. 1e-13 puts Delta near 2**-48.
         for tol in (2.0**-40, 1e-3):
-            monkeypatch.setattr(beatty, "_BORDER_TOL", tol)
             for x, mult in itertools.product((1000, 40000), (1.0, 1e-13)):
                 delta = default_delta(x, k, mult)
                 got = smoothed_beatty_count(p, k, x, delta)
-                want = smoothed_count_all_points(p, k, x, delta)
+                want = smoothed_count_all_points(p, k, x, delta, tol)
                 assert got[1:] == want[1:], (tol, x, mult)
                 assert got[0] == pytest.approx(want[0], rel=1e-12), (tol, x, mult)
 
-    def test_plateau_takes_the_float_step_not_the_border_decision(self, monkeypatch):
-        # Delta under a wide border tolerance: the border points lie off the
-        # ramps, so flipped border decisions move exact but not smoothed,
-        # and the per-run check |smoothed - exact| <= V catches them
-        monkeypatch.setattr(beatty, "_BORDER_TOL", 1e-3)
+    def test_tiny_delta_and_the_per_run_check(self, monkeypatch):
+        # Delta near 2**-48: no point lies on a ramp, so the plateau count,
+        # from the exact flags, is the whole smoothed sum; a trapezoid out of
+        # [0, 1] on the ramps breaks |smoothed - exact| <= V, which each run checks
         p = BeattyParams(PHI, 0)
-        delta = default_delta(40000, 2, 1e-13)
-        smoothed, exact, v = smoothed_beatty_count(p, 2, 40000, delta)
-        assert v == 0 and smoothed == exact
-        monkeypatch.setattr(smoothing, "is_member", lambda p, m: not beatty.is_member(p, m))
-        with pytest.raises(AssertionError, match="exceeds exceptional count 0"):
-            smoothed_beatty_count(p, 2, 40000, delta)
+        smoothed, exact, v = smoothed_beatty_count(p, 2, 40000, default_delta(40000, 2, 1e-13))
+        assert v == 0 and smoothed == exact == count_kfree_beatty(p, 40000, 2)[0]
+        monkeypatch.setattr(smoothing, "_psi_values", lambda f, gf, d: np.full(len(f), 10.0))
+        with pytest.raises(AssertionError, match="exceeds exceptional count"):
+            smoothed_beatty_count(p, 2, 40000)
