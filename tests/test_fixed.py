@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beatty_kfree.beatty import BeattyParams
-from beatty_kfree.cfrac import PHI, to_fixed
+from beatty_kfree.cfrac import PHI, parse_irrational, to_fixed
 from beatty_kfree.expsums import linear_exp_sum
-from beatty_kfree import fixed
+from beatty_kfree import beatty, fixed
 from beatty_kfree.fixed import (
     TILE,
     FixedReal,
@@ -289,6 +289,24 @@ class TestResidueTiles:
         for r in (0, 7, A * (1 << 40) - 3):
             self.check(A, Q, r, length, [0])
             self.check(Q, A, r, length, [1, ((Q << 64) // A) + 1])
+
+    @pytest.mark.parametrize("length", [1, TILE - 1, TILE + 1])
+    @pytest.mark.parametrize("spec, beta, bits", [
+        ("quad:1,5,2", "0", 192),
+        ("cf:1," + ",".join(["1", "2"] * 40), "1/2", 192),
+        ("dec:3.14159265358979323846264338327950288:100", "-7/10", 192),
+        ("quad:0,2,1", "3", 64),
+        ("quad:7,2,3", "-7/10", 40),
+    ])
+    def test_both_progressions_of_each_slope(self, spec, beta, bits, length):
+        # the slope the blocks certify for n <= 2**40, offsets far out: the
+        # terms' (A*n + B)/Q against 2**64, membership's (Q*m + Q - B)/A
+        # against 1 and G + 1, G = floor(2**64*Q/A)
+        p = BeattyParams(parse_irrational(spec), Fraction(beta), bits)
+        A, B, Q = beatty._certified_slope(p, "test", lambda lo, hi: (1, 1 << 40))
+        for n_lo in (1, 1 << 32, 1 << 62):
+            self.check(A, Q, A * n_lo + B, length, [0])
+            self.check(Q, A, Q * n_lo + Q - B, length, [1, ((Q << 64) // A) + 1])
 
     @pytest.mark.parametrize("tile", [7, 1000])
     @given(q=st.integers(1, 1 << 70), data=st.data())
