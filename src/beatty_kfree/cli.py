@@ -288,7 +288,9 @@ def _simpson_coefficient(gamma_f: float, delta: float, n: int,
     """Quadrature oracle: integral of the trapezoid against e(-j x), j = 1..n.
 
     Composite Simpson on each smooth piece between the ramp breakpoints; the
-    phases e(-j x) are powers of e(-x), one complex product per j.
+    phases e(-j x) are powers of e(-x), one complex product per j. Each
+    weighted sum is numpy's pairwise sum, not a BLAS dot product, whose
+    order (and so its last bits) depends on the thread count.
     """
     breaks = np.unique(
         np.clip([0.0, delta, gamma_f - delta, gamma_f + delta, 1.0 - delta, 1.0], 0.0, 1.0)
@@ -302,12 +304,11 @@ def _simpson_coefficient(gamma_f: float, delta: float, n: int,
         wf = smoothing._psi_values(np.mod(xs, 1.0), gamma_f, delta)
         wf[1:-1:2] *= 4.0
         wf[2:-1:2] *= 2.0
-        wf = wf.astype(np.complex128)  # cast once, not in each of the n products
         z = np.exp(-2j * math.pi * xs)
         p = np.ones_like(z)
         for j in range(n):
             p *= z
-            total[j] += (h / 3.0) * (p @ wf)
+            total[j] += (h / 3.0) * np.sum(p * wf)
     return total
 
 

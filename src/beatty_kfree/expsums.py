@@ -8,7 +8,10 @@ sums over a weight them by a table of e(h*theta*a*2**s). The hyperbola path
 goes through the Moebius identity for the k-free indicator, n = l*m**k <= x
 weighted by mu(m), split at m**k = y into two disjoint parts. Sum A
 (m**k <= y) takes its long inner sums over l in closed geometric form, all
-(h, m) pairs in one vectorised linear_exp_sum call; sum B (m**k > y, so
+(h, m) pairs in one vectorised linear_exp_sum call, whose angles are uint64
+words of three frac_u64 passes, within 2**-61 of their values, and exact
+integer reductions only on the few pairs where such a word would not keep
+the angle's relative precision; sum B (m**k > y, so
 l <= x/y) is a direct Moebius-weighted sum over its sparse pairs (l, m) by
 the power-sum kernel, which takes e(theta*n) as the product of two twiddle
 table entries and e(theta*h*n) by complex multiplication. Every twiddle entry
@@ -28,13 +31,21 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MemoryBudgetExceeded
-from .fixed import TILE, FixedReal, frac_vector
+from .fixed import TILE, FixedReal, frac_u64, frac_vector
 from .kfree import DEFAULT_MEMORY_BYTES, group_offsets, iroot, sieve_kfree, sieve_moebius
 
 TWO_PI = 2.0 * math.pi
 # bytes per table entry and h: the complex table, its real copy and the
 # temporaries of _unit_circle (about 32 measured)
 _TABLE_BYTES = 64
+# linear_exp_sum's pairs with |phi| or |x*phi - q| below this take the exact
+# reductions: a lane argument is within 2**-61 of its value, so above it
+# within 2**-49 relative. 2**-12 sends 174 of the 142,128 pairs there that
+# expsum-sweep at its defaults (100 trials, x <= 1e5, H <= 30) makes at seeds 0-3.
+_EXACT_BELOW = 2.0**-12
+_1, _63 = np.uint64(1), np.uint64(63)
+_QUARTER = np.uint64(1 << 62)
+_LOW63 = np.uint64((1 << 63) - 1)
 
 
 def split_parameter(x: int, k: int) -> float:
@@ -44,9 +55,13 @@ def split_parameter(x: int, k: int) -> float:
 
 def complex_fsum(parts) -> complex:
     """Exactly rounded sum of complex partials (any iterable or array):
-    math.fsum per component, so the result does not depend on their order."""
-    z = np.fromiter(parts, dtype=np.complex128)
-    return complex(math.fsum(z.real), math.fsum(z.imag))
+    math.fsum per component, so the result does not depend on their order.
+    An array is read as it is; other iterables are collected first."""
+    if isinstance(parts, np.ndarray):
+        z = parts.astype(np.complex128, copy=False)
+    else:
+        z = np.fromiter(parts, dtype=np.complex128)
+    return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
 
 
 def _unit_circle(t: int, bits: int, ns: np.ndarray) -> np.ndarray:
@@ -99,38 +114,76 @@ def _power_sum(t: int, bits: int, ns: np.ndarray, H: int, w: np.ndarray) -> comp
     return complex_fsum(parts)
 
 
-def linear_exp_sum(theta: FixedReal, ns, xs) -> np.ndarray:
-    """[sum_{l=1..xs_j} e(theta * ns_j * l) for each pair j] by the closed form
-
-        e((x+1)*phi/2) * sin(pi*x*phi) / sin(pi*phi),  phi = theta*n mod 1.
-
-    Per pair, three exact integer reductions of the mantissa, each rounded
-    once to float, all centred in [-1/2, 1/2): phi; x*phi less its nearest
-    integer q, whose sine is sin(pi*x*phi) up to the sign (-1)**q; and
-    (x+1)*phi/2 mod 1. So every argument keeps its relative precision
-    however small phi is, and phi = 0 gives exactly x. Only the sines,
-    cosines and the ratio run in numpy, one pass over all pairs.
-    """
-    one = 1 << theta.scale_bits
+def _exact_angles(t: int, bits: int, ns: list, xs: list):
+    """(phi, half_turns, phase) of linear_exp_sum for each pair (n, x), by
+    three exact integer reductions of t*n / 2**bits, each rounded once to
+    float: phi = theta*n mod 1 and (x+1)*phi/2 mod 1, both centred in
+    [-1/2, 1/2), and x*phi less its nearest integer q, negated when q is odd."""
+    one = 1 << bits
     half, two = one >> 1, one << 1
-    t = theta.mantissa % one
     phi, half_turns, phase = [], [], []
-    xs = np.asarray(xs).tolist()
-    if xs and min(xs) < 0:
-        raise ValueError(f"xs must be >= 0, got {min(xs)}")
-    for n, x in zip(np.asarray(ns).tolist(), xs):
+    for n, x in zip(ns, xs):
         r = (t * n + half) % one - half
         xr = x * r
         q, u = divmod(xr + half, one)
         phi.append(r / one)
         half_turns.append((half - u if q & 1 else u - half) / one)
         phase.append(((xr + r + one) % two - one) / two)
-    phi = np.array(phi, dtype=np.float64)
+    return phi, half_turns, phase
+
+
+def linear_exp_sum(theta: FixedReal, ns, xs) -> np.ndarray:
+    """[sum_{l=1..xs_j} e(theta * ns_j * l) for each pair j] by the closed form
+
+        e((x+1)*phi/2) * sin(pi*x*phi) / sin(pi*phi),
+
+    for n, x >= 0 below 2**64. Its three arguments come from uint64 lanes,
+    three frac_u64 calls on the whole arrays at half the scale: b, a and c,
+    theta*n/2, theta*x*n/2 and theta*(x+1)*n/2 mod 1, each within 4 units of
+    2**-64. The word b fixes phi = 2b mod 1, centred in [-1/2, 1/2), and the
+    parity of the integer R = theta*n - phi: R is odd iff b lies in
+    [1/4, 3/4). Then x*phi = 2a - x*R and (x+1)*phi/2 = c - (x+1)*R/2
+    (mod 2 and mod 1) use that same representative of phi, as the closed
+    form needs. x*phi is centred on its nearest integer q, whose sine is
+    sin(pi*x*phi) up to the sign (-1)**q, so both sines take arguments in
+    [-1/2, 1/2) turns, each within 2**-61 of its exact value.
+
+    The pairs where that slack is not small against the argument, |phi| or
+    |x*phi - q| below _EXACT_BELOW (phi = 0 and x = 0 among them), or where
+    (x+1)*n reaches 2**63, take _exact_angles, the exact integer reductions.
+    Elsewhere each sine's argument is within 2**-49 relative of its exact
+    value and the phase within 2**-62 turns, so each sum is within 2**-48
+    (3.6e-15) relative of the closed form at exact arguments, before the few
+    ulp of the sines, cosines and ratio. phi = 0 gives exactly x.
+    """
+    bits = theta.scale_bits
+    t = theta.mantissa % (1 << bits)
+    ns = np.asarray(ns, dtype=np.uint64)
+    xs = np.asarray(xs)
+    if xs.size and xs.min() < 0:
+        raise ValueError(f"xs must be >= 0, got {xs.min()}")
+    xs = xs.astype(np.uint64)
+    b = frac_u64(t, bits + 1, ns)
+    odd = (b + _QUARTER) >> _63
+    phi = (b << _1).view(np.int64) * 2.0**-64
+    # x*phi mod 2 in units of 2**-63, shifted by 1/2 so that its top bit is q mod 2
+    v = frac_u64(t, bits + 1, xs * ns) ^ ((xs & odd) << _63)
+    v += _QUARTER
+    u = ((v & _LOW63).view(np.int64) - (1 << 62)) * 2.0**-63
+    half_turns = np.where(v >> _63, -u, u)
+    x1 = xs + _1
+    phase = (frac_u64(t, bits + 1, x1 * ns) ^ ((x1 & odd) << _63)).view(np.int64) * 2.0**-64
+    slow = np.abs(phi) < _EXACT_BELOW
+    slow |= np.abs(half_turns) < _EXACT_BELOW
+    slow |= ns > _LOW63 // (np.minimum(xs, _LOW63) + _1)  # (x+1)*n >= 2**63
+    if slow.any():
+        exact = _exact_angles(t, bits, ns[slow].tolist(), xs[slow].tolist())
+        phi[slow], half_turns[slow], phase[slow] = exact
     zero = phi == 0.0
     den = np.sin(np.pi * np.where(zero, 0.5, phi))
-    ratio = np.sin(np.pi * np.array(half_turns)) / den
-    ratio[zero] = np.array(xs, dtype=np.float64)[zero]
-    ang = TWO_PI * np.array(phase)
+    ratio = np.sin(np.pi * half_turns) / den
+    ratio[zero] = xs[zero]
+    ang = TWO_PI * phase
     out = np.empty(len(phi), dtype=np.complex128)
     out.real = ratio * np.cos(ang)
     out.imag = ratio * np.sin(ang)

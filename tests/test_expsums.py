@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from beatty_kfree import beatty, expsums
+from beatty_kfree import beatty, cli, expsums
 from beatty_kfree.cfrac import PHI, SQRT2, dirichlet_approx, to_fixed
 from beatty_kfree.errors import MemoryBudgetExceeded
 from beatty_kfree.expsums import (
@@ -121,6 +121,102 @@ class TestLinearExpSum:
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError, match="xs must be >= 0"):
             linear_exp_sum(fixed_from(Fraction(1, 3)), [1, 2], [5, -1])
+
+
+def exact_only(monkeypatch, theta: FixedReal, ns, xs) -> np.ndarray:
+    """linear_exp_sum with every pair on the exact integer reductions: no
+    |phi| or |x*phi - q| of a centred angle reaches 1."""
+    with monkeypatch.context() as m:
+        m.setattr(expsums, "_EXACT_BELOW", 1.0)
+        return linear_exp_sum(theta, ns, xs)
+
+
+def count_pairs(monkeypatch, name: str) -> list[int]:
+    """Patch expsums.<name>, linear_exp_sum or _exact_angles, to add the
+    pairs it is passed into the returned cell."""
+    count = [0]
+    real = getattr(expsums, name)
+
+    def counting(*args):
+        count[0] += len(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(expsums, name, counting)
+    return count
+
+
+def sum_a_pairs(H: int, x: int, k: int):
+    """The (h, m) pairs of sum A at the default split, as
+    double_kfree_sum_hyperbola passes them to linear_exp_sum."""
+    ma = iroot(int(split_parameter(x, k)), k)
+    mu = sieve_moebius(1, ma)[:ma]
+    mk = (np.nonzero(mu)[0].astype(np.uint64) + 1) ** k
+    hs = np.arange(1, H + 1, dtype=np.uint64)
+    return np.outer(hs, mk).ravel(), np.tile(np.uint64(x) // mk, H)
+
+
+class TestLinearExpSumLanes:
+    """The uint64 lanes against the exact integer reductions, at the pairs
+    where a lane word is weakest."""
+
+    FLOOR = Fraction(1, 1 << 12)  # expsums._EXACT_BELOW
+    NEAR = ((1 - Fraction(1, 1 << 20), "exact"), (1 + Fraction(1, 1 << 20), "lanes"))
+
+    def cases(self):
+        """(theta, n, x, the path the pair takes)."""
+        # |phi| on both sides of the floor, either sign, x even and odd
+        for f, path in self.NEAR:
+            for sign in (1, -1):
+                for x in (1000, 1001):
+                    yield fixed_from(sign * self.FLOOR * f), 1, x, path
+        # |x*phi - q| on both sides of the floor, either sign, phi about 0.357
+        for x in (1000, 1001):
+            for f, path in self.NEAR:
+                for sign in (1, -1):
+                    yield fixed_from((357 + sign * self.FLOOR * f) / x), 1, x, path
+        # phi = -1/2, and just inside both ends of [-1/2, 1/2), where the
+        # integer R = theta*n - phi flips parity; x*phi is an integer at even x
+        for theta in (Fraction(1, 2), Fraction(1, 2) - Fraction(1, 1 << 90),
+                      Fraction(1, 2) + Fraction(1, 1 << 90)):
+            for n, x in ((1, 300000), (1, 299999), (3, 7)):
+                yield fixed_from(theta), n, x, "exact" if x % 2 == 0 else "lanes"
+        # phi = 0, and x = 0
+        for n, x in ((8, 300000), (16, 5), (24, 0)):
+            yield fixed_from(Fraction(3, 8)), n, x, "exact"
+        yield to_fixed(PHI, 192), 5, 0, "exact"
+        # (x+1)*n just below 2**63 and at 2**63
+        for n in (3, (1 << 31) + 11):
+            x = -(-(1 << 63) // n) - 1  # the least x with (x+1)*n >= 2**63
+            yield to_fixed(PHI, 192), n, x - 1, "lanes"
+            yield to_fixed(PHI, 192), n, x, "exact"
+
+    def test_matches_exact_reductions_at_the_weak_pairs(self, monkeypatch):
+        for theta, n, x, path in self.cases():
+            want = exact_only(monkeypatch, theta, [n], [x])[0]
+            exact = count_pairs(monkeypatch, "_exact_angles")
+            got = linear_exp_sum(theta, [n], [x])[0]
+            monkeypatch.undo()
+            assert abs(got - want) <= 1e-14 * abs(want), (theta, n, x)
+            assert exact[0] == (path == "exact"), (theta, n, x)
+
+    def test_sum_a_at_1e12(self, monkeypatch):
+        # theta = gamma of the golden ratio, k = 2, H = 30: 182,490 pairs
+        theta = beatty.BeattyParams(PHI).gamma
+        ns, xs = sum_a_pairs(30, 10**12, 2)
+        assert len(ns) == 182490
+        want = exact_only(monkeypatch, theta, ns, xs)
+        got = linear_exp_sum(theta, ns, xs)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+
+    def test_few_sweep_pairs_take_the_exact_path(self, monkeypatch, tmp_path):
+        # expsum-sweep at its defaults (100 trials, x <= 1e5, H <= 30), four seeds
+        pairs = count_pairs(monkeypatch, "linear_exp_sum")
+        exact = count_pairs(monkeypatch, "_exact_angles")
+        for seed in range(4):
+            argv = ["expsum-sweep", "--seed", str(seed), "--out", str(tmp_path / "s.csv")]
+            assert cli.main(argv) == cli.EXIT_OK
+        assert pairs[0] > 10**5
+        assert exact[0] < 0.01 * pairs[0]
 
 
 class TestComplexFsum:

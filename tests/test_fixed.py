@@ -80,7 +80,9 @@ class TestFrac:
 
 def unit_exp(mantissa: int, scale_bits: int, ns=(1,)) -> np.ndarray:
     """e(n * mantissa / 2**scale_bits) for each n: linear_exp_sum at x = 1,
-    whose angle reductions are exact on the fixed-point mantissa."""
+    whose angles are uint64 words within 2**-61 of the exact reduction of the
+    fixed-point mantissa, or that exact reduction where the angle is below
+    2**-12 turns."""
     return linear_exp_sum(FixedReal(mantissa, scale_bits), ns, [1] * len(ns))
 
 

@@ -51,20 +51,23 @@ def test_csv_and_exit_code_match_golden(name, tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
 @pytest.mark.parametrize("threads", ["1", None])
-def test_expsum_golden_does_not_depend_on_blas_threads(threads, tmp_path):
-    # the naive sum is a BLAS matrix product; perfbench pins its threads to 1
+def test_expsum_golden_does_not_depend_on_blas_threads(threads, name, tmp_path):
+    # a BLAS product may order its sums by thread count (the naive double sum
+    # is one); perfbench pins the threads to 1, the goldens are written unset
     env = {key: value for key, value in os.environ.items()
            if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     if threads is not None:
         env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-    argv, code = CASES["expsum_sweep"]
-    out = tmp_path / "expsum_sweep.csv"
+    argv, code = CASES[name]
+    out = tmp_path / f"{name}.csv"
     proc = subprocess.run([sys.executable, "-m", "beatty_kfree.cli", *argv, "--out", str(out)],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == code, proc.stderr
-    assert out.read_bytes() == (GOLDEN / "expsum_sweep.csv").read_bytes()
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
 
 def column_changes(old: str, new: str) -> list[str]:
     """What differs between two CSV texts with the same row count, columns
