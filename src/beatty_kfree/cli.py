@@ -289,13 +289,16 @@ def _simpson_coefficient(gamma_f: float, delta: float, n: int,
 
     Composite Simpson on each smooth piece between the ramp breakpoints; the
     phases e(-j x) are powers of e(-x), one complex product per j. Each
-    weighted sum is numpy's pairwise sum, not a BLAS dot product, whose
-    order (and so its last bits) depends on the thread count.
+    weighted sum is one real matrix-vector product, wf against the (real,
+    imag) columns of the phases: OpenBLAS splits a complex dot product over
+    its threads, so its last bits depend on the thread count, but not this
+    product's (the golden tests check both).
     """
     breaks = np.unique(
         np.clip([0.0, delta, gamma_f - delta, gamma_f + delta, 1.0 - delta, 1.0], 0.0, 1.0)
     )
     total = np.zeros(n, dtype=np.complex128)
+    sums = np.empty((n, 2))
     for a, b in zip(breaks[:-1], breaks[1:]):
         if b - a < 1e-15:
             continue
@@ -306,9 +309,11 @@ def _simpson_coefficient(gamma_f: float, delta: float, n: int,
         wf[2:-1:2] *= 2.0
         z = np.exp(-2j * math.pi * xs)
         p = np.ones_like(z)
+        columns = p.view(np.float64).reshape(-1, 2)  # p's (real, imag) pairs
         for j in range(n):
             p *= z
-            total[j] += (h / 3.0) * np.sum(p * wf)
+            np.dot(wf, columns, out=sums[j])
+        total += (h / 3.0) * sums.view(np.complex128).ravel()
     return total
 
 
