@@ -138,7 +138,7 @@ def linear_exp_sum(theta: FixedReal, ns, xs) -> np.ndarray:
         e((x+1)*phi/2) * sin(pi*x*phi) / sin(pi*phi),
 
     for n, x >= 0 below 2**64. Its three arguments come from uint64 lanes,
-    three frac_u64 calls on the whole arrays at half the scale: b, a and c,
+    three frac_u64 calls of theta/2 on the whole arrays: b, a and c,
     theta*n/2, theta*x*n/2 and theta*(x+1)*n/2 mod 1, each within 4 units of
     2**-64. The word b fixes phi = 2b mod 1, centred in [-1/2, 1/2), and the
     parity of the integer R = theta*n - phi: R is odd iff b lies in

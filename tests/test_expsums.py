@@ -159,7 +159,7 @@ class TestLinearExpSumLanes:
     """The uint64 lanes against the exact integer reductions, at the pairs
     where a lane word is weakest."""
 
-    FLOOR = Fraction(1, 1 << 12)  # expsums._EXACT_BELOW
+    FLOOR = Fraction(expsums._EXACT_BELOW)
     NEAR = ((1 - Fraction(1, 1 << 20), "exact"), (1 + Fraction(1, 1 << 20), "lanes"))
 
     def cases(self):
