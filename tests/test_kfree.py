@@ -17,6 +17,7 @@ from beatty_kfree.kfree import (
     sieve_moebius,
     zeta,
 )
+from oracles import count_kfree_moebius
 
 
 def mu_by_trial_factorization(n: int) -> int:
@@ -221,14 +222,41 @@ class TestCountKFree:
         assert np.count_nonzero(sieve_kfree(2, 1, 10**6)) == 607926
 
     def test_methods_agree_random(self, rng):
-        for _ in range(8):
-            x = int(rng.integers(1, 10**5))
-            k = int(rng.integers(2, 5))
-            assert count_kfree(x, k)[0] == np.count_nonzero(sieve_kfree(k, 1, x))
+        for _ in range(12):
+            x = int(rng.integers(1, 2 * 10**5 + 1))
+            k = int(rng.integers(2, 7))
+            want = np.count_nonzero(sieve_kfree(k, 1, x))
+            assert count_kfree(x, k)[0] == count_kfree_moebius(x, k) == want, (x, k)
 
     def test_moebius_values_at_benchmark_sizes(self):
-        assert count_kfree(10**12, 2)[0] == 607927102274
-        assert count_kfree(10**15, 3)[0] == 831907372580692
+        assert count_kfree(10**12, 2)[0] == count_kfree_moebius(10**12, 2) == 607927102274
+        assert count_kfree(10**15, 3)[0] == count_kfree_moebius(10**15, 3) == 831907372580692
+
+    def test_pinned_values_to_1e16(self):
+        # the windowed Moebius sum of every d <= x**(1/k) gave the same values
+        assert count_kfree(10**13, 2)[0] == 6079271018294
+        assert count_kfree(10**14, 2)[0] == 60792710185947
+        assert count_kfree(10**16, 2)[0] == 6079271018540405
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_split_seams(self, k):
+        # x = (D+1)**k * i + delta: n_i crosses D and I' = x // (D+1)**k steps;
+        # D from its least value isqrt(iroot(x, k)) up to iroot(x, k)
+        for D in (1, 2, 3, 7, 40):
+            for i in list(range(1, 18)) + [2**k * 5, 3**k, 6**k]:
+                for x in ((D + 1) ** k * i - 1, (D + 1) ** k * i, (D + 1) ** k * i + 1):
+                    r = iroot(x, k)
+                    if math.isqrt(r) <= D <= r:
+                        assert kfree._count_split(x, k, D, kfree.DEFAULT_MEMORY_BYTES) == \
+                            count_kfree_moebius(x, k), (x, D)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_no_large_d(self, k):
+        # x < (D+1)**k: I' = 0 and the table's sum is the whole count
+        for r in range(1, 30):
+            for x in (r**k, (r + 1) ** k - 1):
+                assert kfree._count_split(x, k, r, kfree.DEFAULT_MEMORY_BYTES) == \
+                    count_kfree_moebius(x, k) == count_kfree(x, k)[0], (x, k)
 
     def test_moebius_matches_python_loop_near_guard(self):
         # chunked uint64 parts against the plain Python-int sum, over several
@@ -245,14 +273,20 @@ class TestCountKFree:
                                 for n in range(1, 3001)])
         for x in list(range(1, 60)) + [1000, 2999, 3000]:
             assert count_kfree(x, k)[0] == kfree_upto[x - 1], x
+        for x in (10**6 + 1, 10**8 - 1):  # with large d: I' > 0
+            assert count_kfree(x, k)[0] == count_kfree_moebius(x, k), x
 
     def test_memory_bounded_by_one_segment(self, monkeypatch):
-        # d <= 1000 in windows of 64 entries at 3 bytes, the largest with
-        # the 31 bytes of prime flags up to isqrt(960)
+        # the least charge at x = 10**6, k = 2 is the split at D = 158 =
+        # iroot(4 * 10**6, 3): an int32 table of M(0..158), the int64 M(n_i)
+        # of the 39 i with n_i > 158 and index 0, and one window of 64 d at
+        # 3 bytes with the 13 bytes of prime flags up to isqrt(158)
         monkeypatch.setattr(kfree, "MOEBIUS_SEGMENT", 64)
-        assert count_kfree(10**6, 2, memory_bytes=3 * 64 + 31)[0] == 607926
-        with pytest.raises(MemoryBudgetExceeded, match=r"window \[897,960\] needs 223 bytes"):
-            count_kfree(10**6, 2, memory_bytes=3 * 64 + 30)
+        need = 4 * 159 + 8 * 40 + 3 * 64 + 13
+        assert count_kfree(10**6, 2, memory_bytes=need)[0] == 607926
+        with pytest.raises(MemoryBudgetExceeded,
+                           match=rf"needs {need} bytes for a Mertens table up to D=158, 39 values"):
+            count_kfree(10**6, 2, memory_bytes=need - 1)
 
     def test_error_scaling_constant(self):
         # |count - x/zeta(k)| / x^(1/k) stays below 2 on the decade grid
