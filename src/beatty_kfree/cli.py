@@ -128,7 +128,8 @@ _FLAGS = {
     "delta-multiplier": dict(type=_positive_float, default=1.0),
     "seed": dict(type=int, default=0),
     "memory-budget": dict(type=_mib_to_bytes, default="256", dest="memory_bytes",
-                          metavar="MIB", help="MiB for sieve windows and Fourier coefficients"),
+                          metavar="MIB", help="MiB for sieve windows, Fourier coefficients and "
+                          "exponential-sum chunks"),
     "out": dict(default=None, help="CSV output path (default stdout)"),
     "timings": dict(action="store_true", help="fill the wall_ms column (breaks byte reproducibility)"),
     "trials": dict(type=_int_in(1), default=100),

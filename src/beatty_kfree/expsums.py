@@ -1,26 +1,23 @@
 """Exponential sums over k-free integers and their hyperbola decomposition.
 
 The double sum  sum_{h<=H} sum_{n<=x, n k-free} e(theta*h*n)  is evaluated
-two ways, by two kernels. The naive path sums straight over the sieve flags:
-with n = a*2**s + b, the inner sums over b for every h are one real matrix
-product per chunk of flags against a table of e(h*theta*b), and the outer
-sums over a weight them by a table of e(h*theta*a*2**s). The hyperbola path
-goes through the Moebius identity for the k-free indicator, n = l*m**k <= x
-weighted by mu(m), split at m**k = y into two disjoint parts. Sum A
-(m**k <= y) takes its long inner sums over l in closed geometric form, all
-(h, m) pairs in one vectorised linear_exp_sum call, whose angles are uint64
-words of three frac_u64 passes, within 2**-61 of their values, and exact
-integer reductions only on the few pairs where such a word would not keep
-the angle's relative precision; sum B (m**k > y, so
-l <= x/y) is a direct Moebius-weighted sum over its sparse pairs (l, m) by
-the power-sum kernel, which takes e(theta*n) as the product of two twiddle
-table entries and e(theta*h*n) by complex multiplication. Every twiddle entry
-is one exact reduction of the fixed-point mantissa of theta, so it is within
-a few ulp of its value. Each path sums its partials exactly rounded
-(complex_fsum), so the two agree to within the float64 error of the partials
-themselves. The naive sum and sum B share no kernel, so their agreement
-checks the kernels as well as the split; the tests also check each kernel
-against one exact reduction per (h, n).
+two ways, by two kernels. The dense naive path sums straight over the sieve
+flags: with n = a*2**s + b, the inner sums over b for every h are one real
+matrix product per chunk of flags against a table of e(h*theta*b), and the
+outer sums over a weight them by a table of e(h*theta*a*2**s); every table
+entry is one exact reduction of the fixed-point mantissa of theta. The
+hyperbola path goes through the Moebius identity for the k-free indicator,
+n = l*m**k <= x weighted by mu(m): for each (h, m) the sum over l is one
+closed geometric form (linear_exp_sum), whose angles are uint64 words of
+three frac_u64 passes, within 2**-61 of their values, with exact integer
+reductions only on the few pairs where such a word would not keep the
+angle's relative precision. Split at m**k = y, the m <= y**(1/k) give sum A
+and the rest sum B, from the same closed forms. Each path sums its partials
+exactly rounded (complex_fsum), so the two agree to within the float64
+error of the partials themselves. The two paths share no kernel, so their
+agreement checks the kernels as well as the identity; the tests also check
+the naive sum against one exact reduction per (h, n), and sum B against a
+direct Moebius-weighted power sum over its pairs (l, m).
 """
 from __future__ import annotations
 
@@ -32,16 +29,31 @@ import numpy as np
 
 from .errors import MemoryBudgetExceeded
 from .fixed import TILE, FixedReal, frac_u64, frac_vector
-from .kfree import DEFAULT_MEMORY_BYTES, group_offsets, iroot, sieve_kfree, sieve_moebius
+from .kfree import (  # noqa: F401  perfbench's binding self-test reads expsums.sieve_moebius
+    DEFAULT_MEMORY_BYTES,
+    MOEBIUS_SEGMENT,
+    iroot,
+    sieve_kfree,
+    sieve_moebius,
+    squarefree_segments,
+)
 
 TWO_PI = 2.0 * math.pi
 # bytes per table entry and h: the complex table, its real copy and the
 # temporaries of _unit_circle (about 32 measured)
 _TABLE_BYTES = 64
+_CHUNK_M = 1 << 13  # m per chunk of the hyperbola's closed forms
+# peak bytes per (h, m) pair of a hyperbola chunk, linear_exp_sum's arrays
+# and the weighted sums: 130.4 by tracemalloc
+_PAIR_BYTES = 144
+# peak bytes per entry of a Moebius window, the sieve of the next window
+# beside the d and mu of the last: 19.6 by tracemalloc
+_WINDOW_BYTES = 24
 # linear_exp_sum's pairs with |phi| or |x*phi - q| below this take the exact
 # reductions: a lane argument is within 2**-61 of its value, so above it
-# within 2**-49 relative. 2**-12 sends 174 of the 142,128 pairs there that
-# expsum-sweep at its defaults (100 trials, x <= 1e5, H <= 30) makes at seeds 0-3.
+# within 2**-49 relative. 2**-12 sends 579 of the 823,004 pairs (sums A and B)
+# there that expsum-sweep at its defaults (100 trials, x <= 1e5, H <= 30)
+# makes at seeds 0-3.
 _EXACT_BELOW = 2.0**-12
 _1, _63 = np.uint64(1), np.uint64(63)
 _QUARTER = np.uint64(1 << 62)
@@ -74,44 +86,6 @@ def _unit_circle(t: int, bits: int, ns: np.ndarray) -> np.ndarray:
     z.real = np.cos(ang)
     z.imag = np.sin(ang)
     return z
-
-
-def _power_sum(t: int, bits: int, ns: np.ndarray, H: int, w: np.ndarray) -> complex:
-    """sum_{h=1..H} sum_j w_j * e(h * t * ns_j / 2**bits).
-
-    Each n splits as n = a * 2**s + b, b < 2**s, with s half the bit length
-    of max(ns) rounded up, and e(theta*n) = e(theta*b) * e(theta*a*2**s).
-    Two twiddle tables, lo[b] = e(theta*b) for b < 2**s and hi[a] =
-    e(theta*a*2**s) for a <= max(ns) >> s, are built once per call by
-    _unit_circle: about 2*sqrt(max(ns)) reductions and cos/sin pairs in all,
-    in place of one per element. Per tile of TILE ns, z_j = lo[b_j] * hi[a_j]
-    is two gathers and one complex product; then w_j * z_j**h follows by one
-    complex multiply per h and one pairwise sum per h.
-
-    Each factor is within 2**-54 + 2**-62 turns of its exact angle before the
-    rounding of cos and sin, so z_j is within a few ulp of e(theta*n_j),
-    about twice the error of a direct reduction; z_j**h multiplies it by h.
-    """
-    ns = np.asarray(ns, dtype=np.uint64)
-    if not len(ns):
-        return 0j
-    top = int(ns.max())
-    s = (top.bit_length() + 1) // 2
-    mask, shift = np.uint64((1 << s) - 1), np.uint64(s)
-    lo = _unit_circle(t, bits, np.arange(1 << s, dtype=np.uint64))
-    hi = _unit_circle(t, bits, np.arange((top >> s) + 1, dtype=np.uint64) << shift)
-    parts = []
-    for j0 in range(0, len(ns), TILE):
-        n = ns[j0:j0 + TILE]
-        # int64 views: numpy gathers by a uint64 index at about twice the cost
-        z = lo[(n & mask).view(np.int64)]
-        z *= hi[(n >> shift).view(np.int64)]
-        v = z * w[j0:j0 + TILE]
-        for h in range(1, H + 1):
-            parts.append(complex(np.sum(v)))
-            if h < H:
-                v *= z
-    return complex_fsum(parts)
 
 
 def _exact_angles(t: int, bits: int, ns: list, xs: list):
@@ -279,44 +253,53 @@ def double_kfree_sum_hyperbola(
 ) -> HyperbolaSplit:
     """Hyperbola evaluation of the double k-free sum with split parameter y.
 
-    A: m**k <= y, inner geometric sum over l <= x/m**k in closed form, one
-       linear_exp_sum call over all pairs (h, m) with mu(m) != 0;
-    B: y < m**k <= x/l, hence l <= x/y, Moebius-weighted and summed
-       directly, one _power_sum call over all its pairs (l, m).
+    By the Moebius identity S = sum_h sum_{m**k <= x} mu(m) *
+    G(h*theta*m**k, x // m**k), G(phi, L) = sum_{l<=L} e(phi*l) in closed
+    form (linear_exp_sum). Sum A is the m with m**k <= y, sum B the rest:
+    the m come one Moebius window at a time (squarefree_segments) and in it
+    in chunks of _CHUNK_M m, each one linear_exp_sum call over its (h, m)
+    pairs laid out m-major, so that sum A's pairs are a prefix of the chunk.
+    Each chunk adds one np.sum partial to A and one to B. The chunks shrink
+    to fit what memory_bytes leaves after the window, at _PAIR_BYTES per
+    pair; MemoryBudgetExceeded when the H closed forms of one m do not fit.
+
+    Float bound: each closed form is within 2**-48 relative of its value (a
+    few ulp more for its sines, cosines and ratio), mu(m) = +-1 weighs it
+    exactly, a pairwise np.sum over n terms adds about log2(n) ulp of the
+    sum of their moduli, and complex_fsum rounds the chunk partials exactly.
+    So A and B are each within about (2**-48 + log2(H*_CHUNK_M)*2**-53)
+    times the sum of |G| over their pairs, at most H*x*zeta(k).
     """
     if y is None:
         y = split_parameter(x, k)
     if not 1.0 <= y <= float(x):
         raise ValueError("need 1 <= y <= x")
-    bits = theta.scale_bits
-    one = 1 << bits
-    t = theta.mantissa % one
-
+    if H < 1:
+        return HyperbolaSplit(y, 0j, 0j)
+    if H * x >> 64:
+        raise ValueError(f"H*x = {H * x} exceeds 2**64; the products h*m**k are uint64")
     m_top = iroot(x, k)
-    mu = sieve_moebius(1, max(m_top, 1), memory_bytes)
-    ma = iroot(int(y), k)
-    lc = math.floor(x / Fraction(y))  # exact: a float x / y can round up past it
-
-    # the m with mu(m) != 0, m**k <= x; the first na of them have m**k <= y
-    nz = np.nonzero(mu)[0]
-    mk = (nz.astype(np.uint64) + 1) ** k
-    mus = mu[nz].astype(np.float64)
-    na = int(np.searchsorted(nz, ma))
-
-    # A: one closed form per pair (h, m), in one call
+    ma = iroot(int(y), k)  # m**k <= y iff m <= ma
+    window = _WINDOW_BYTES * min(MOEBIUS_SEGMENT, m_top) + math.isqrt(m_top) + 1
+    per_m, left = _PAIR_BYTES * H, memory_bytes - window
+    if per_m > left:
+        raise MemoryBudgetExceeded(
+            f"closed forms for x={x}, H={H} need {per_m} bytes per m, the Moebius "
+            f"window leaves {left} of the budget {memory_bytes}", per_m + window)
+    chunk = min(_CHUNK_M, left // per_m)
     hs = np.arange(1, H + 1, dtype=np.uint64)
-    sums_l = linear_exp_sum(theta, np.outer(hs, mk[:na]).ravel(),
-                            np.tile(np.uint64(x) // mk[:na], H))
-    sum_a = complex_fsum(sums_l * np.tile(mus[:na], H))
-
-    # B: per l <= lc the m past the first na with m**k <= x/l; x/l >= y, so
-    # x//l >= floor(y) >= ma**k and no count is negative (np.repeat would raise)
-    ls = np.arange(1, lc + 1, dtype=np.uint64)
-    li, idx = group_offsets(np.searchsorted(mk, np.uint64(x) // ls, side="right") - na)
-    idx += na
-    sum_b = _power_sum(t, bits, ls[li] * mk[idx], H, mus[idx])
-
-    return HyperbolaSplit(y, sum_a, sum_b)
+    parts_a, parts_b = [], []
+    for d, mu in squarefree_segments(m_top, memory_bytes):
+        for c0 in range(0, len(d), chunk):
+            m = d[c0:c0 + chunk]
+            mk = m.astype(np.uint64) ** k
+            sums = linear_exp_sum(theta, np.outer(mk, hs).ravel(), np.repeat(np.uint64(x) // mk, H))
+            sums = sums.reshape(len(m), H)
+            sums *= mu[c0:c0 + chunk, None]
+            na = int(np.searchsorted(m, ma, "right"))
+            parts_a.append(np.sum(sums[:na]))
+            parts_b.append(np.sum(sums[na:]))
+    return HyperbolaSplit(y, complex_fsum(parts_a), complex_fsum(parts_b))
 
 
 @dataclass(frozen=True)
@@ -364,7 +347,7 @@ def double_sum_bound_check(
     """
     if not (t.q <= x and H <= x):
         raise ValueError("need q <= x and H <= x")
-    # the naive sieve first: past the budget it raises before any pair array is built
+    # the naive sieve first: past the budget it raises before the closed forms run
     naive = double_kfree_sum_naive(t.theta, H, x, k, memory_bytes)
     split = double_kfree_sum_hyperbola(t.theta, H, x, k, None, memory_bytes)
     lhs = abs(naive)

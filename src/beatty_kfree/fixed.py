@@ -20,7 +20,7 @@ decides by their exact residue (p*i + r) mod q.
 
 TILE is the number of elements that every vectorised pass on the
 membership side (smoothing, discrepancy, the term and membership blocks)
-and the power-sum kernel handles at a time. A pass over 2**20 elements
+and the naive double sum's chunk of sieve flags handles at a time. A pass over 2**20 elements
 keeps 8-32 MiB of temporaries, far more than a 2 MiB L2, so each of its
 numpy steps streams from memory; a tile of 2**14 keeps them in cache.
 Measured on a 2-core Xeon VM, frac_vector took 8.1, 6.0, 4.8, 15.1, 16.9,

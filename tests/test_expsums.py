@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from beatty_kfree import beatty, cli, expsums
+from beatty_kfree import beatty, cli, expsums, kfree
 from beatty_kfree.cfrac import PHI, SQRT2, dirichlet_approx, to_fixed
 from beatty_kfree.errors import MemoryBudgetExceeded
 from beatty_kfree.expsums import (
@@ -19,6 +19,7 @@ from beatty_kfree.expsums import (
 )
 from beatty_kfree.fixed import TILE, FixedReal, frac_u64
 from beatty_kfree.kfree import iroot, sieve_kfree, sieve_moebius, zeta
+from oracles import power_sum, sum_b_pairs
 
 
 def direct_linear_sum(alpha_frac: Fraction, x: int) -> complex:
@@ -146,8 +147,7 @@ def count_pairs(monkeypatch, name: str) -> list[int]:
 
 
 def sum_a_pairs(H: int, x: int, k: int):
-    """The (h, m) pairs of sum A at the default split, as
-    double_kfree_sum_hyperbola passes them to linear_exp_sum."""
+    """The (h, m) pairs of sum A at the default split, h-major."""
     ma = iroot(int(split_parameter(x, k)), k)
     mu = sieve_moebius(1, ma)[:ma]
     mk = (np.nonzero(mu)[0].astype(np.uint64) + 1) ** k
@@ -292,6 +292,72 @@ class TestHyperbola:
         with pytest.raises(ValueError):
             double_kfree_sum_hyperbola(fixed_from(Fraction(1, 3)), 1, 10, 2, y=0.5)
 
+    def test_rejects_h_times_x_past_2_64(self):
+        # the products h*m**k are uint64: H*x = 2**64 would wrap them
+        theta = fixed_from(Fraction(1, 3))
+        with pytest.raises(ValueError, match=r"H\*x = 18446744073709551616 exceeds 2\*\*64"):
+            double_kfree_sum_hyperbola(theta, 4, 1 << 62, 16)
+        # just inside the guard, against the mpmath geometric series per (h, m)
+        theta = to_fixed(PHI, 192)
+        H, x, k = 3, ((1 << 64) - 1) // 3, 16
+        th = Fraction(theta.mantissa, 1 << theta.scale_bits)
+        with mpmath.workdps(100):
+            want = 0j
+            for m in range(1, iroot(x, k) + 1):
+                for h in range(1, H + 1):
+                    if trial_mu(m):
+                        phi = (th * h * m**k) % 1
+                        z = mpmath.expjpi(2 * mpmath.mpf(phi.numerator) / phi.denominator)
+                        want += trial_mu(m) * complex((z ** (x // m**k + 1) - z) / (z - 1))
+        got = double_kfree_sum_hyperbola(theta, H, x, k).combined()
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_small_budget_takes_tiny_chunks(self, monkeypatch):
+        # the budget holds the Moebius window of the 1000 m <= iroot(10**6, 2)
+        # and the closed forms of 3 m, so the 608 squarefree m take 203 chunks
+        theta = beatty.BeattyParams(PHI).gamma
+        x, H = 10**6, 30
+        window = expsums._WINDOW_BYTES * 1000 + math.isqrt(1000) + 1
+        want = double_kfree_sum_hyperbola(theta, H, x, 2)
+        count = count_calls(monkeypatch, "linear_exp_sum")
+        got = double_kfree_sum_hyperbola(theta, H, x, 2, None, window + 3 * H * expsums._PAIR_BYTES)
+        assert count[0] == 203
+        assert abs(got.sum_A - want.sum_A) <= 1e-12 * abs(want.sum_A)
+        assert abs(got.sum_B - want.sum_B) <= 1e-12 * abs(want.sum_B)
+
+    def test_budget_below_one_m_raises(self):
+        theta = beatty.BeattyParams(PHI).gamma
+        x, H = 10**6, 30
+        budget = expsums._WINDOW_BYTES * 1000 + math.isqrt(1000) + H * expsums._PAIR_BYTES
+        double_kfree_sum_hyperbola(theta, H, x, 2, None, budget + 1)
+        with pytest.raises(MemoryBudgetExceeded, match=r"x=1000000, H=30 need 4320 bytes per m"):
+            double_kfree_sum_hyperbola(theta, H, x, 2, None, budget)
+
+    @pytest.mark.parametrize("segment, chunk", [(64, 7), (100, 1), (37, 16)])
+    def test_window_and_chunk_seams(self, monkeypatch, segment, chunk):
+        # small Moebius windows and chunks of m, so that the last m of sum A
+        # (97, 21, 14 or 22) falls inside a chunk, at a chunk's end or in a
+        # later window; each window ends its last chunk early
+        theta = beatty.BeattyParams(PHI).gamma
+        cases = [(10**6, 30, None), (10**6, 4, 441.5), (3000, 2, None), (3000, 3, 500.0)]
+        want = [double_kfree_sum_hyperbola(theta, H, x, 2, y) for x, H, y in cases]
+        count = count_calls(monkeypatch, "linear_exp_sum")
+        monkeypatch.setattr(kfree, "MOEBIUS_SEGMENT", segment)
+        monkeypatch.setattr(expsums, "_CHUNK_M", chunk)
+        for (x, H, y), w in zip(cases, want):
+            r = iroot(x, 2)
+            chunks = sum(-(-np.count_nonzero(sieve_moebius(lo, min(lo + segment - 1, r))) // chunk)
+                         for lo in range(1, r + 1, segment))
+            count[0] = 0
+            got = double_kfree_sum_hyperbola(theta, H, x, 2, y)
+            assert count[0] == chunks
+            assert abs(got.sum_A - w.sum_A) <= 1e-12 * abs(w.sum_A)
+            assert abs(got.sum_B - w.sum_B) <= 1e-12 * abs(w.sum_B)
+            if x < 10**4:
+                a, b = brute_split(theta, H, x, 2, got.y)
+                assert abs(got.sum_A - a) <= 1e-9
+                assert abs(got.sum_B - b) <= 1e-9
+
 
 class TestThetaApprox:
     def test_validates_quality(self):
@@ -343,14 +409,14 @@ class TestBoundCheck:
 
 
 def mobius_exp_sum(theta: FixedReal, X: int, k: int) -> complex:
-    """sum over m**k <= X of mu(m) * e(theta * m**k): the Moebius-weighted
-    power-sum kernel of sum B at H = 1."""
+    """sum over m**k <= X of mu(m) * e(theta * m**k) by the power-sum oracle
+    of sum B, at H = 1."""
     r = iroot(X, k)
     mu = sieve_moebius(1, r)[:r]
     nz = np.nonzero(mu)[0]
     mk = (nz.astype(np.uint64) + 1) ** k
     bits = theta.scale_bits
-    return expsums._power_sum(theta.mantissa % (1 << bits), bits, mk, 1, mu[nz].astype(np.float64))
+    return power_sum(theta.mantissa % (1 << bits), bits, mk, 1, mu[nz].astype(np.float64))
 
 
 class TestMobiusExpSum:
@@ -490,7 +556,7 @@ class TestPowerSumKernel:
     def test_naive_long_h_range(self, rng, k):
         # every table entry is one reduction whatever h, so the error stays
         # within a couple of ulp of H*N, the trivial bound on |S| (N k-free
-        # n <= x); z**h, as sum B forms it, reached 2.8 ulp of H*N here
+        # n <= x); z**h, as the power-sum oracle forms it, reached 2.8 ulp of H*N here
         x, H = 2000, 300
         thetas = list(theta_cases(rng)) + [to_fixed(PHI, 192)]
         for theta in thetas:
@@ -514,16 +580,19 @@ class TestPowerSumKernel:
                 if y == x:
                     assert split.sum_B == 0j
 
-    def test_splits_agree_past_the_naive_reach(self):
-        # the naive sum would sieve 10**9 n; from y to 4y the m with
-        # y < m**k <= 4y move from the direct sum B to the closed forms of A
+    def test_sum_b_matches_the_power_sum_past_the_naive_reach(self):
+        # the naive sum would sieve 10**9 n; sum B's closed forms against the
+        # direct power sum over its pairs (l, m), about 6e5 of them
         theta = beatty.BeattyParams(PHI).gamma
         x, H = 10**9, 4
         y = split_parameter(x, 2)
-        at_y, at_4y = (double_kfree_sum_hyperbola(theta, H, x, 2, s).combined()
-                       for s in (y, 4 * y))
-        assert abs(at_y) > 1000
-        assert abs(at_y - at_4y) <= 1e-9
+        ns, w = sum_b_pairs(x, 2, y)
+        assert len(ns) > 5 * 10**5
+        bits = theta.scale_bits
+        want = power_sum(theta.mantissa % (1 << bits), bits, ns, H, w)
+        got = double_kfree_sum_hyperbola(theta, H, x, 2, y).sum_B
+        assert abs(want) > 1000
+        assert abs(got - want) <= 1e-9
 
     @pytest.mark.parametrize("H", [1, 30])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -540,8 +609,7 @@ class TestPowerSumKernel:
             th = Fraction(theta.mantissa, 1 << bits)
             want = complex_fsum(w[j] * exact_e(th, h * n)
                                 for h in range(1, H + 1) for j, n in enumerate(ns))
-            got = expsums._power_sum(theta.mantissa % (1 << bits), bits,
-                                     np.array(ns, dtype=np.uint64), H, w)
+            got = power_sum(theta.mantissa % (1 << bits), bits, np.array(ns, dtype=np.uint64), H, w)
             assert abs(got - want) <= 1e-9
 
     def test_mobius_sum_weights(self, rng):
@@ -551,8 +619,8 @@ class TestPowerSumKernel:
         assert abs(mobius_exp_sum(theta, 100**2 + 50, 2) - want) <= 1e-12
 
     def test_convergent_theta_two_chunks(self):
-        # 303,968 squarefree n <= 5*10**5 fill more than one kernel tile; the
-        # gap bounds the drift of sum B's z**h over h <= 30
+        # 303,968 squarefree n <= 5*10**5 fill more than one chunk of the
+        # naive sum; the gap bounds the two kernels' drift over h <= 30
         x, H = 5 * 10**5, 30
         assert np.count_nonzero(sieve_kfree(2, 1, x)) > TILE
         theta = to_fixed(PHI, 192).mul_int(17)
@@ -577,15 +645,15 @@ def count_calls(monkeypatch, name: str) -> list[int]:
 class TestPowerSumStructure:
     """Counts frac_vector and linear_exp_sum calls, so per-element, per-tile,
     per-h, per-(h, l) or per-(h, m) calls cannot come back unnoticed: each
-    non-empty kernel call (or h-block of the naive sum) reduces exactly
-    twice, once per twiddle table."""
+    h-block of the naive sum reduces exactly twice, once per twiddle table,
+    and the hyperbola makes one closed-form call per chunk of m and no
+    other reduction."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         return count_calls(monkeypatch, "frac_vector")
 
-    def test_naive_reduces_twice_per_h_block(self, calls, monkeypatch):
-        power_sums = count_calls(monkeypatch, "_power_sum")
+    def test_naive_reduces_twice_per_h_block(self, calls):
         theta = to_fixed(PHI, 192)
         # x = 5*10**5 fills more than one chunk
         for x in (1000, 5 * 10**5):
@@ -596,13 +664,9 @@ class TestPowerSumStructure:
         calls[0] = 0
         double_kfree_sum_naive(theta, 30, BLOCKS_X, 2, BLOCKS_BUDGET)
         assert calls[0] == 10  # 5 blocks
-        assert power_sums[0] == 0
-        # sum B is the one power-sum call of a bound check
-        double_sum_bound_check(ThetaApprox(theta, *dirichlet_approx(theta, 5000)), 30, 5000, 2)
-        assert power_sums[0] == 1
         calls[0] = 0
         empty = np.array([], dtype=np.uint64)
-        assert expsums._power_sum(1, 2, empty, 30, empty.astype(np.float64)) == 0j
+        assert power_sum(1, 2, empty, 30, empty.astype(np.float64)) == 0j
         assert calls[0] == 0
 
     def test_hyperbola_calls_independent_of_h_and_split(self, calls):
@@ -612,21 +676,18 @@ class TestPowerSumStructure:
             for x_over_y in (1, 3, 50):
                 calls[0] = 0
                 double_kfree_sum_hyperbola(theta, H, x, 2, x / x_over_y)
-                assert calls[0] == (0 if x_over_y == 1 else 2)  # sum B's two tables
+                assert calls[0] == 0  # its angles come from frac_u64 lanes
 
-    def test_hyperbola_sums_b_in_one_kernel_call(self, monkeypatch):
-        count = count_calls(monkeypatch, "_power_sum")
-        for x_over_y in (1, 3, 50):
-            count[0] = 0
-            double_kfree_sum_hyperbola(to_fixed(SQRT2, 192), 30, 5 * 10**4, 2, 5e4 / x_over_y)
-            assert count[0] == 1
-
-    def test_hyperbola_sums_a_in_one_closed_form_call(self, monkeypatch):
+    def test_hyperbola_one_closed_form_call_per_chunk(self, monkeypatch):
+        # the 139 squarefree m <= 223 = iroot(5*10**4, 2) in one chunk, then
+        # in chunks of 10 m, whatever H and y
         count = count_calls(monkeypatch, "linear_exp_sum")
         theta = to_fixed(SQRT2, 192)
         x = 5 * 10**4
-        for H in (1, 30):
-            for x_over_y in (1, 3, 50):
-                count[0] = 0
-                double_kfree_sum_hyperbola(theta, H, x, 2, x / x_over_y)
-                assert count[0] == 1
+        for chunk, want in ((expsums._CHUNK_M, 1), (10, 14)):
+            monkeypatch.setattr(expsums, "_CHUNK_M", chunk)
+            for H in (1, 30):
+                for x_over_y in (1, 3, 50):
+                    count[0] = 0
+                    double_kfree_sum_hyperbola(theta, H, x, 2, x / x_over_y)
+                    assert count[0] == want
